@@ -115,7 +115,12 @@ def load_artifact(path):
     split_at = blob.find(_DIVIDER)
     if split_at < 0:
         raise DataError(f"{path}: not a model artifact (missing binary divider)")
-    keys, metadata, tensor_specs = _parse_header(blob[:split_at].decode("utf-8"))
+    try:
+        header = blob[:split_at].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: model artifact header is not UTF-8 "
+                        f"(byte {exc.start}: {exc.reason})")
+    keys, metadata, tensor_specs = _parse_header(header)
     config = _config_from_keys(keys)
     if "wavelet" not in keys:
         raise DataError("model artifact lacks a wavelet policy")

@@ -93,13 +93,19 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def load_csv(path) -> Dataset:
-    """Load the seizure CSV, binarizing labels; row order is preserved."""
+def _read_lines(path) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
+def load_csv(path) -> Dataset:
+    """Load the seizure CSV, binarizing labels; row order is preserved."""
+    lines = _read_lines(path)
 
     rows, labels = [], []
     for line_no, line in enumerate(lines, start=1):
@@ -124,11 +130,7 @@ def load_features_csv(path) -> tuple[np.ndarray, list[int], list[tuple[int, str]
     (line_no, message) problems so callers can keep processing good rows.
     Returns (features, line numbers of good rows, problems).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
+    lines = _read_lines(path)
 
     rows, row_nos, problems = [], [], []
     seen_data = False

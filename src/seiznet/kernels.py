@@ -1,221 +1,105 @@
-"""Hot numeric kernels: batched 1D convolution and max-pooling.
-
-Each kernel has two implementations: a numba @njit version (used by default
-when numba is importable) and a pure-numpy fallback. Set SEIZNET_NO_NUMBA=1
-to force the numpy path. benchmarks/bench_kernels.py compares both.
+"""Hot numeric kernels: batched 1D convolution and max-pooling, in numpy.
 
 Conventions: x is [N, L, C_in] float64, w is [K, C_in, C_out] with K odd,
 zero "same" padding of (K-1)//2 per side, so output length equals L.
-The numba kernels run single-threaded: on small machines that avoids
-fighting the BLAS thread pool the numpy path leans on, and it keeps
-results deterministic for a fixed path.
+
+A convolution runs as one GEMM over an im2col patch matrix when that matrix
+is no wider than the output (K * C_in <= C_out, the single-channel first
+stage); a per-tap loop would multiply with an inner dimension of C_in = 1
+there. Wider inputs keep the per-tap loop, which never materialises the
+K-times larger patch matrix. The choice follows from the shapes alone, and
+every path is deterministic for a fixed input.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-_DISABLED = os.environ.get("SEIZNET_NO_NUMBA", "") not in ("", "0")
-USE_NUMBA = HAS_NUMBA and not _DISABLED
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def conv1d_forward_numpy(x, w, b):
-    """out[n,i,o] = b[o] + sum_{k,c} x[n, i+k-pad, c] * w[k,c,o] (zero padded)."""
-    n, length, _ = x.shape
-    k_size = w.shape[0]
+def _pad(x, k_size):
+    n, length, c_in = x.shape
     pad = (k_size - 1) // 2
-    xp = np.zeros((n, length + k_size - 1, x.shape[2]), dtype=x.dtype)
+    xp = np.zeros((n, length + k_size - 1, c_in), dtype=x.dtype)
     xp[:, pad:pad + length, :] = x
-    out = np.zeros((n, length, w.shape[2]), dtype=x.dtype)
-    out += b
+    return xp
+
+
+def _use_im2col(k_size, c_in, c_out):
+    return k_size * c_in <= c_out
+
+
+def _im2col(xp, k_size, length):
+    """[N*L, C_in*K] patch matrix; column c*K + k holds xp[:, i+k, c]."""
+    n, _, c_in = xp.shape
+    windows = sliding_window_view(xp, k_size, axis=1)  # [N, L, C_in, K] view
+    return np.ascontiguousarray(windows).reshape(n * length, c_in * k_size)
+
+
+def _w_as_matrix(w):
+    """[K, C_in, C_out] -> [C_in*K, C_out], rows ordered as _im2col columns."""
+    k_size, c_in, c_out = w.shape
+    return w.transpose(1, 0, 2).reshape(c_in * k_size, c_out)
+
+
+def conv1d_forward(x, w, b):
+    """out[n,i,o] = b[o] + sum_{k,c} x[n, i+k-pad, c] * w[k,c,o] (zero padded)."""
+    n, length, c_in = x.shape
+    k_size, _, c_out = w.shape
+    xp = _pad(x, k_size)
+    if _use_im2col(k_size, c_in, c_out):
+        out = _im2col(xp, k_size, length) @ _w_as_matrix(w)
+        out = out.reshape(n, length, c_out)
+        out += b
+        return out
+    out = np.empty((n, length, c_out), dtype=x.dtype)
+    out[...] = b
     for k in range(k_size):
         out += xp[:, k:k + length, :] @ w[k]
     return out
 
 
-def conv1d_backward_numpy(x, w, grad_out):
+def conv1d_backward(x, w, grad_out):
+    """Returns (grad_x, grad_w, grad_b) of conv1d_forward."""
     n, length, c_in = x.shape
     k_size, _, c_out = w.shape
     pad = (k_size - 1) // 2
-    xp = np.zeros((n, length + k_size - 1, c_in), dtype=x.dtype)
-    xp[:, pad:pad + length, :] = x
-
-    grad_b = grad_out.sum(axis=(0, 1))
-    grad_w = np.empty_like(w)
+    xp = _pad(x, k_size)
     go_flat = grad_out.reshape(n * length, c_out)
-    for k in range(k_size):
-        grad_w[k] = xp[:, k:k + length, :].reshape(n * length, c_in).T @ go_flat
+
+    grad_b = go_flat.sum(axis=0)
+    if _use_im2col(k_size, c_in, c_out):
+        gw = _im2col(xp, k_size, length).T @ go_flat          # [C_in*K, C_out]
+        grad_w = np.ascontiguousarray(gw.reshape(c_in, k_size, c_out).transpose(1, 0, 2))
+    else:
+        grad_w = np.empty_like(w)
+        for k in range(k_size):
+            grad_w[k] = xp[:, k:k + length, :].reshape(n * length, c_in).T @ go_flat
 
     gxp = np.zeros_like(xp)
     for k in range(k_size):
-        gxp[:, k:k + length, :] += grad_out @ w[k].T
+        gxp[:, k:k + length, :] += (go_flat @ w[k].T).reshape(n, length, c_in)
     grad_x = gxp[:, pad:pad + length, :]
     return grad_x, grad_w, grad_b
 
 
-def maxpool_forward_numpy(x):
-    """Pool size 2, floor semantics; argmax ties resolve to the lower index."""
-    n, length, c = x.shape
-    half = length // 2
-    pairs = x[:, :2 * half, :].reshape(n, half, 2, c)
-    idx = pairs.argmax(axis=2)
-    out = np.take_along_axis(pairs, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    return out, idx.astype(np.int64)
+def maxpool_forward(x):
+    """Pool size 2, floor semantics: out[:, i] = max(x[:, 2i], x[:, 2i+1]).
+
+    Returns (out, idx) with idx a bool array, True where the odd position
+    x[:, 2i+1] is strictly larger; ties resolve to the lower index. A NaN in
+    either position gives a NaN output.
+    """
+    half = x.shape[1] // 2
+    even = x[:, 0:2 * half:2, :]
+    odd = x[:, 1:2 * half:2, :]
+    return np.maximum(even, odd), odd > even
 
 
-def maxpool_backward_numpy(grad_out, idx, length):
+def maxpool_backward(grad_out, idx, length):
+    """Routes each pooled gradient to the position that won in the forward
+    pass; the other position and an odd length's last position get zero."""
     n, half, c = grad_out.shape
-    gp = np.zeros((n, half, 2, c), dtype=grad_out.dtype)
-    np.put_along_axis(gp, idx[:, :, None, :], grad_out[:, :, None, :], axis=2)
-    gx = np.zeros((n, length, c), dtype=grad_out.dtype)
-    gx[:, :2 * half, :] = gp.reshape(n, 2 * half, c)
-    return gx
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _conv1d_forward_jit(x, w, b, out):
-        n, length, c_in = x.shape
-        k_size = w.shape[0]
-        c_out = w.shape[2]
-        pad = (k_size - 1) // 2
-        for s in range(n):
-            for i in range(length):
-                for o in range(c_out):
-                    out[s, i, o] = b[o]
-                for k in range(k_size):
-                    j = i + k - pad
-                    if 0 <= j < length:
-                        for c in range(c_in):
-                            xv = x[s, j, c]
-                            for o in range(c_out):
-                                out[s, i, o] += xv * w[k, c, o]
-
-    @njit(cache=True)
-    def _conv1d_grad_w_jit(x, grad_out, k_size, grad_w):
-        n, length, c_in = x.shape
-        c_out = grad_out.shape[2]
-        pad = (k_size - 1) // 2
-        # inner loops run over the contiguous output-channel axis
-        for k in range(k_size):
-            for c in range(c_in):
-                for o in range(c_out):
-                    grad_w[k, c, o] = 0.0
-            for s in range(n):
-                for i in range(length):
-                    j = i + k - pad
-                    if 0 <= j < length:
-                        for c in range(c_in):
-                            xv = x[s, j, c]
-                            for o in range(c_out):
-                                grad_w[k, c, o] += xv * grad_out[s, i, o]
-
-    # fastmath lets the o-axis dot product vectorize; the summation order is
-    # fixed at compile time, so results stay deterministic run to run
-    @njit(cache=True, fastmath=True)
-    def _conv1d_grad_x_jit(w, grad_out, grad_x):
-        n, length, c_out = grad_out.shape
-        k_size = w.shape[0]
-        c_in = w.shape[1]
-        pad = (k_size - 1) // 2
-        for s in range(n):
-            for j in range(length):
-                for c in range(c_in):
-                    grad_x[s, j, c] = 0.0
-                for k in range(k_size):
-                    i = j - k + pad
-                    if 0 <= i < length:
-                        for c in range(c_in):
-                            acc = 0.0
-                            for o in range(c_out):
-                                acc += grad_out[s, i, o] * w[k, c, o]
-                            grad_x[s, j, c] += acc
-
-    @njit(cache=True)
-    def _maxpool_forward_jit(x, out, idx):
-        n, length, c = x.shape
-        half = length // 2
-        for s in range(n):
-            for i in range(half):
-                for ch in range(c):
-                    a = x[s, 2 * i, ch]
-                    b = x[s, 2 * i + 1, ch]
-                    if b > a:
-                        out[s, i, ch] = b
-                        idx[s, i, ch] = 1
-                    else:
-                        out[s, i, ch] = a
-                        idx[s, i, ch] = 0
-
-    @njit(cache=True)
-    def _maxpool_backward_jit(grad_out, idx, grad_x):
-        n, half, c = grad_out.shape
-        for s in range(n):
-            for i in range(half):
-                for ch in range(c):
-                    grad_x[s, 2 * i + idx[s, i, ch], ch] = grad_out[s, i, ch]
-
-    def conv1d_forward_numba(x, w, b):
-        x = np.ascontiguousarray(x)
-        out = np.empty((x.shape[0], x.shape[1], w.shape[2]), dtype=x.dtype)
-        _conv1d_forward_jit(x, np.ascontiguousarray(w), np.ascontiguousarray(b), out)
-        return out
-
-    def conv1d_backward_numba(x, w, grad_out):
-        x = np.ascontiguousarray(x)
-        w = np.ascontiguousarray(w)
-        grad_out = np.ascontiguousarray(grad_out)
-        grad_w = np.empty_like(w)
-        _conv1d_grad_w_jit(x, grad_out, w.shape[0], grad_w)
-        grad_x = np.empty_like(x)
-        _conv1d_grad_x_jit(w, grad_out, grad_x)
-        grad_b = grad_out.sum(axis=(0, 1))
-        return grad_x, grad_w, grad_b
-
-    def maxpool_forward_numba(x):
-        x = np.ascontiguousarray(x)
-        n, length, c = x.shape
-        half = length // 2
-        out = np.empty((n, half, c), dtype=x.dtype)
-        idx = np.empty((n, half, c), dtype=np.int64)
-        _maxpool_forward_jit(x, out, idx)
-        return out, idx
-
-    def maxpool_backward_numba(grad_out, idx, length):
-        grad_out = np.ascontiguousarray(grad_out)
-        n, _, c = grad_out.shape
-        grad_x = np.zeros((n, length, c), dtype=grad_out.dtype)
-        _maxpool_backward_jit(grad_out, idx, grad_x)
-        return grad_x
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    conv1d_forward = conv1d_forward_numba
-    conv1d_backward = conv1d_backward_numba
-    maxpool_forward = maxpool_forward_numba
-    maxpool_backward = maxpool_backward_numba
-else:
-    conv1d_forward = conv1d_forward_numpy
-    conv1d_backward = conv1d_backward_numpy
-    maxpool_forward = maxpool_forward_numpy
-    maxpool_backward = maxpool_backward_numpy
+    grad_x = np.zeros((n, length, c), dtype=grad_out.dtype)
+    # multiply into strided views: faster than np.where or np.copyto(where=)
+    np.multiply(grad_out, ~idx, out=grad_x[:, 0:2 * half:2, :])
+    np.multiply(grad_out, idx, out=grad_x[:, 1:2 * half:2, :])
+    return grad_x

@@ -52,46 +52,49 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
 
     Train mode uses batch statistics and updates the running estimates in
     place (running <- momentum * running + (1 - momentum) * batch); infer
-    mode reads the running estimates and keeps no cache.
+    mode reads the running estimates, applies them as one affine map and
+    keeps no cache.
     """
-    axes = tuple(range(x.ndim - 1))
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise ValueError("batchnorm train mode needs a batch of at least 2")
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
-        running_var[:] = momentum * running_var + (1.0 - momentum) * var
-    else:
-        mean = running_mean
-        var = running_var
+    if mode != "train":
+        scale = gamma / np.sqrt(running_var + eps)
+        out = x * scale
+        out += beta - running_mean * scale
+        return out, None
+    if x.shape[0] < 2:
+        raise ValueError("batchnorm train mode needs a batch of at least 2")
+    flat = x.reshape(-1, x.shape[-1])
+    m = flat.shape[0]
+    mean = flat.mean(axis=0)
+    xhat = flat - mean
+    var = np.einsum("ij,ij->j", xhat, xhat) / m
+    running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
+    running_var[:] = momentum * running_var + (1.0 - momentum) * var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    out = gamma * xhat + beta
-    cache = (xhat, inv, gamma) if mode == "train" else None
-    return out, cache
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out.reshape(x.shape), (xhat.reshape(x.shape), inv, gamma)
 
 
 def batchnorm_backward(cache, grad_out):
     """Exact gradient of the train-mode forward, including the dependence of
-    the batch statistics on x:
+    the batch statistics on x. With m rows per channel:
 
         dx = (gamma * inv / m) * (m * dy - sum(dy) - xhat * sum(dy * xhat))
+           = (gamma * inv / m) * (m * dy - dbeta - xhat * dgamma)
     """
     xhat, inv, gamma = cache
-    axes = tuple(range(grad_out.ndim - 1))
-    m = 1
-    for ax in axes:
-        m *= grad_out.shape[ax]
-    dgamma = (grad_out * xhat).sum(axis=axes)
-    dbeta = grad_out.sum(axis=axes)
-    dxhat = grad_out * gamma
-    dx = (inv / m) * (
-        m * dxhat
-        - dxhat.sum(axis=axes, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-    )
-    return dx, dgamma, dbeta
+    c = grad_out.shape[-1]
+    dy = grad_out.reshape(-1, c)
+    xhat = xhat.reshape(-1, c)
+    m = dy.shape[0]
+    dbeta = dy.sum(axis=0)
+    dgamma = np.einsum("ij,ij->j", dy, xhat)
+    dx = dy * m
+    dx -= dbeta
+    dx -= xhat * dgamma
+    dx *= gamma * inv / m
+    return dx.reshape(grad_out.shape), dgamma, dbeta
 
 
 def maxpool_forward(x):

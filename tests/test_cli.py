@@ -106,6 +106,12 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "absent.csv")]) == 2
         assert "load" in capsys.readouterr().err
 
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        csv = tmp_path / "utf16.csv"
+        csv.write_bytes(b"\xff\xfe" + "1,2,3\n".encode("utf-16-le"))
+        assert main(["train", "--data", str(csv)]) == 2
+        assert f"{csv}: not UTF-8" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def _train_on_csv(self, tmp_path, tiny_config):
@@ -186,6 +192,20 @@ class TestPredict:
         captured = capsys.readouterr()
         assert "row 2" in captured.err
         assert len(captured.out.strip().splitlines()) == 4  # good rows still out
+
+    def test_non_utf8_data_file(self, tmp_path, trained, capsys):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"\xff\xfe" + b"0.5," * 177 + b"0.5\n")
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert f"{csv}: not UTF-8" in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_model_header(self, tmp_path, trained, capsys):
+        trained.write_bytes(read(trained).replace(b"wavelet = ", b"wavelet\xff = ", 1))
+        csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
+        assert f"{trained}: model artifact header is not UTF-8" in capsys.readouterr().err
 
     def test_all_zero_row_is_handled(self, tmp_path, trained, capsys):
         csv = self._feature_csv(tmp_path, [np.zeros(178)])

@@ -1,62 +1,131 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from seiznet import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-
+# N, L, C_in, K, C_out. The kernels take one GEMM over an im2col patch matrix
+# when K * C_in <= C_out and a per-tap loop otherwise; both sides are covered
+# at batch sizes 1, 32 and 256.
 SHAPES = [
-    (1, 8, 1, 3, 2),    # N, L, C_in, K, C_out
-    (4, 21, 3, 5, 6),   # odd length
-    (2, 178, 1, 7, 32),
-    (3, 44, 16, 3, 8),
+    (1, 8, 1, 3, 2),        # per-tap
+    (4, 21, 3, 5, 6),       # per-tap, odd length
+    (2, 178, 1, 7, 32),     # im2col
+    (3, 44, 16, 3, 8),      # per-tap
+    (3, 10, 2, 3, 6),       # im2col at the boundary K * C_in == C_out
+    (1, 178, 1, 7, 32),     # stage 1, one segment
+    (32, 89, 32, 5, 64),    # stage 2, training batch: per-tap
+    (256, 178, 1, 7, 32),   # stage 1, inference chunk: im2col
+    (256, 44, 64, 3, 128),  # stage 3, inference chunk: per-tap
 ]
 
+# The kernels sum in another order than the references, so float64 results
+# agree to a relative tolerance, not bitwise.
+RTOL = 1e-12
 
-@needs_numba
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+def conv_forward_reference(x, w, b):
+    n, length, _ = x.shape
+    k_size = w.shape[0]
+    pad = (k_size - 1) // 2
+    out = np.empty((n, length, w.shape[2]))
+    for i in range(length):
+        acc = np.tile(b, (n, 1))
+        for k in range(k_size):
+            j = i + k - pad
+            if 0 <= j < length:
+                acc += x[:, j, :] @ w[k]
+        out[:, i, :] = acc
+    return out
+
+
+def conv_backward_reference(x, w, grad_out):
+    n, length, _ = x.shape
+    k_size = w.shape[0]
+    pad = (k_size - 1) // 2
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(w)
+    for i in range(length):
+        for k in range(k_size):
+            j = i + k - pad
+            if 0 <= j < length:
+                grad_x[:, j, :] += grad_out[:, i, :] @ w[k].T
+                grad_w[k] += x[:, j, :].T @ grad_out[:, i, :]
+    return grad_x, grad_w, grad_out.sum(axis=(0, 1))
+
+
+def maxpool_forward_reference(x):
+    n, length, c = x.shape
+    half = length // 2
+    out = np.empty((n, half, c))
+    idx = np.zeros((n, half, c), dtype=np.int64)
+    for i in range(half):
+        a, b = x[:, 2 * i, :], x[:, 2 * i + 1, :]
+        wins = b > a
+        idx[:, i, :] = wins
+        out[:, i, :] = np.where(np.isnan(a) | np.isnan(b), np.nan, np.where(wins, b, a))
+    return out, idx
+
+
+def maxpool_backward_reference(grad_out, idx, length):
+    n, half, c = grad_out.shape
+    grad_x = np.zeros((n, length, c))
+    for s in range(n):
+        for i in range(half):
+            for ch in range(c):
+                grad_x[s, 2 * i + idx[s, i, ch], ch] = grad_out[s, i, ch]
+    return grad_x
+
+
 @pytest.mark.parametrize("n,length,c_in,k,c_out", SHAPES)
-def test_conv_paths_agree(n, length, c_in, k, c_out):
-    rng = np.random.default_rng(n * 100 + length)
+def test_conv_matches_reference(n, length, c_in, k, c_out):
+    rng = np.random.default_rng(n * 100 + length + c_in)
     x = rng.standard_normal((n, length, c_in))
     w = rng.standard_normal((k, c_in, c_out))
     b = rng.standard_normal(c_out)
     go = rng.standard_normal((n, length, c_out))
 
-    out_np = kernels.conv1d_forward_numpy(x, w, b)
-    out_nb = kernels.conv1d_forward_numba(x, w, b)
-    assert np.allclose(out_np, out_nb, rtol=1e-9, atol=1e-9)
-
-    for g_np, g_nb in zip(kernels.conv1d_backward_numpy(x, w, go),
-                          kernels.conv1d_backward_numba(x, w, go)):
-        assert np.allclose(g_np, g_nb, rtol=1e-9, atol=1e-9)
+    assert_close(kernels.conv1d_forward(x, w, b), conv_forward_reference(x, w, b))
+    for got, want in zip(kernels.conv1d_backward(x, w, go),
+                         conv_backward_reference(x, w, go)):
+        assert_close(got, want)
 
 
-@needs_numba
-@pytest.mark.parametrize("n,length,c", [(1, 2, 1), (3, 9, 4), (2, 178, 8)])
-def test_maxpool_paths_agree(n, length, c):
-    rng = np.random.default_rng(length)
-    x = rng.standard_normal((n, length, c))
-    out_np, idx_np = kernels.maxpool_forward_numpy(x)
-    out_nb, idx_nb = kernels.maxpool_forward_numba(x)
-    assert np.array_equal(out_np, out_nb)
-    assert np.array_equal(idx_np, idx_nb)
+@pytest.mark.parametrize("n,length,c", [(1, 2, 1), (3, 9, 4), (32, 89, 32), (256, 45, 8)])
+@pytest.mark.parametrize("values", ["continuous", "ties", "nan"])
+def test_maxpool_matches_reference(n, length, c, values):
+    rng = np.random.default_rng(length * 10 + c)
+    if values == "ties":
+        x = rng.integers(0, 3, (n, length, c)).astype(np.float64)
+    else:
+        x = rng.standard_normal((n, length, c))
+    if values == "nan":
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[0, 0, 0] = np.nan        # NaN in the even position of a pair
+        x[0, 1, 0] = 1.0
+        x[-1, 0, -1] = 1.0         # NaN in the odd position
+        x[-1, 1, -1] = np.nan
+    out, idx = kernels.maxpool_forward(x)
+    ref_out, ref_idx = maxpool_forward_reference(x)
+    assert np.array_equal(out, ref_out, equal_nan=True)
+    assert np.array_equal(idx, ref_idx)
 
-    go = rng.standard_normal(out_np.shape)
-    assert np.array_equal(kernels.maxpool_backward_numpy(go, idx_np, length),
-                          kernels.maxpool_backward_numba(go, idx_nb, length))
+    go = rng.standard_normal(out.shape)
+    gx = kernels.maxpool_backward(go, idx, length)
+    assert np.array_equal(gx, maxpool_backward_reference(go, ref_idx, length))
+    if length % 2:
+        assert not gx[:, -1, :].any()  # the odd tail position gets no gradient
 
 
 def test_maxpool_tie_goes_to_lower_index():
     x = np.array([[[2.0], [2.0], [5.0], [1.0]]])
-    out, idx = kernels.maxpool_forward_numpy(x)
+    out, idx = kernels.maxpool_forward(x)
     assert out[0, :, 0].tolist() == [2.0, 5.0]
     assert idx[0, :, 0].tolist() == [0, 0]
-    if kernels.HAS_NUMBA:
-        out_nb, idx_nb = kernels.maxpool_forward_numba(x)
-        assert np.array_equal(idx, idx_nb)
 
 
 def test_conv_zero_padding_boundaries():
@@ -65,25 +134,7 @@ def test_conv_zero_padding_boundaries():
     x = np.arange(1.0, 6.0)[None, :, None]
     w = np.array([1.0, 0.0, -1.0])[:, None, None]
     b = np.zeros(1)
-    out = kernels.conv1d_forward_numpy(x, w, b)[0, :, 0]
+    out = kernels.conv1d_forward(x, w, b)[0, :, 0]
     assert np.allclose(out[1:4], [-2.0, -2.0, -2.0])
     assert out[0] == pytest.approx(-2.0)   # 0*1 + 1*0 + 2*(-1)
     assert out[4] == pytest.approx(4.0)    # 4*1 + 5*0 + 0*(-1)
-
-
-def test_dispatch_matches_flag():
-    if kernels.USE_NUMBA:
-        assert kernels.conv1d_forward is kernels.conv1d_forward_numba
-    else:
-        assert kernels.conv1d_forward is kernels.conv1d_forward_numpy
-
-
-@needs_numba
-def test_env_flag_selects_numpy_path():
-    code = ("import seiznet.kernels as k; "
-            "print(k.USE_NUMBA, k.conv1d_forward.__name__)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env={"SEIZNET_NO_NUMBA": "1", "PATH": "/usr/bin:/bin"},
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "False conv1d_forward_numpy" in proc.stdout

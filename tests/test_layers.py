@@ -109,6 +109,58 @@ class TestBatchNorm:
     def test_gradient(self):
         assert gradcheck.check_batchnorm() < gradcheck.LAYER_BOUND
 
+    @staticmethod
+    def _inputs(shape):
+        rng = np.random.default_rng(len(shape))
+        c = shape[-1]
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        gamma, beta = rng.uniform(0.5, 2.0, c), rng.standard_normal(c)
+        rm, rv = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        return rng, x, gamma, beta, rm, rv
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
+    def test_train_matches_textbook(self, shape):
+        # Ioffe & Szegedy (2015), Algorithm 1 and its backward pass
+        rng, x, gamma, beta, rm, rv = self._inputs(shape)
+        momentum, eps = 0.9, 1e-5
+        axes = tuple(range(x.ndim - 1))
+        m = x.size // shape[-1]
+        mu = x.mean(axis=axes)
+        var = ((x - mu) ** 2).mean(axis=axes)
+        xhat = (x - mu) / np.sqrt(var + eps)
+        want_rm = momentum * rm + (1 - momentum) * mu
+        want_rv = momentum * rv + (1 - momentum) * var
+
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv, "train",
+                                              momentum, eps)
+        self._assert_close(out, gamma * xhat + beta)
+        self._assert_close(cache[0], xhat)
+        self._assert_close(rm, want_rm)
+        self._assert_close(rv, want_rv)
+
+        dy = rng.standard_normal(shape)
+        dxhat = dy * gamma
+        dvar = (dxhat * (x - mu) * -0.5 * (var + eps) ** -1.5).sum(axis=axes)
+        dmu = (-dxhat / np.sqrt(var + eps)).sum(axis=axes) \
+            + dvar * (-2.0 * (x - mu)).mean(axis=axes)
+        want_dx = dxhat / np.sqrt(var + eps) + dvar * 2.0 * (x - mu) / m + dmu / m
+        dx, dgamma, dbeta = layers.batchnorm_backward(cache, dy)
+        self._assert_close(dx, want_dx)
+        self._assert_close(dgamma, (dy * xhat).sum(axis=axes))
+        self._assert_close(dbeta, dy.sum(axis=axes))
+
+    @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
+    def test_infer_matches_textbook(self, shape):
+        _, x, gamma, beta, rm, rv = self._inputs(shape)
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy(), "infer")
+        assert cache is None
+        self._assert_close(out, (x - rm) / np.sqrt(rv + 1e-5) * gamma + beta)
+
 
 class TestMaxPool:
     def test_basic(self):
