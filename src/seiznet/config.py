@@ -1,9 +1,12 @@
-"""Run configuration: a flat key = value file with # comments.
+"""Run configuration: a flat key = value file with # comments. A comment
+starts at a `#` that begins the line or follows whitespace, so a value such
+as `/tmp/run#1/x.csv` keeps its `#`.
 
 Unknown keys and out-of-range values are rejected with diagnostics that name
 the offending field.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -74,7 +77,7 @@ def parse_config_file(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     for line_no, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", line).strip()
         if not line:
             continue
         if "=" not in line:

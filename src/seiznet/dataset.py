@@ -54,35 +54,40 @@ def binarize_label(raw: int) -> int:
     return 1 if raw == 1 else 0
 
 
-def _parse_row(fields: list[str], line_no: int) -> tuple[list[float], int]:
-    if len(fields) == N_FEATURES + 2 and not _is_number(fields[0]):
-        fields = fields[1:]  # leading row-identifier column
-    if len(fields) != N_FEATURES + 1:
-        raise DataError(
-            f"row {line_no}: expected {N_FEATURES} features + 1 label, "
-            f"got {len(fields)} fields"
-        )
-    values = []
-    for j, tok in enumerate(fields[:N_FEATURES]):
-        try:
-            v = float(tok)
-        except ValueError:
-            raise DataError(f"row {line_no}: non-numeric feature {tok!r} (column {j + 1})")
-        if not np.isfinite(v):
-            raise DataError(f"row {line_no}: non-finite feature value (column {j + 1})")
-        values.append(v)
-    tok = fields[N_FEATURES]
+def _parse_label(tok: str) -> int:
     try:
         raw = int(float(tok))
         if float(tok) != raw:
             raise ValueError
-    except ValueError:
-        raise DataError(f"row {line_no}: label {tok!r} is not an integer")
+    except (ValueError, OverflowError):
+        raise DataError(f"label {tok!r} is not an integer")
+    return binarize_label(raw)
+
+
+def _bad_feature(tokens: list[str]) -> str:
+    """Name the first bad value of a row that failed to convert."""
+    for j, tok in enumerate(tokens, start=1):
+        if not _is_number(tok):
+            return f"non-numeric feature {tok!r} (column {j})"
+        if not np.isfinite(float(tok)):
+            return f"non-finite feature value (column {j})"
+
+
+def _parse_row(fields: list[str], labelled: bool) -> tuple[list[float], int | None]:
+    """(features, label or None) of one row; DataError names its problem."""
+    width = N_FEATURES + 1 if labelled else N_FEATURES
+    if len(fields) == width + 1 and not _is_number(fields[0]):
+        fields = fields[1:]  # leading row-identifier column
+    if len(fields) != width:
+        expected = f"{N_FEATURES} features" + (" + 1 label" if labelled else "")
+        raise DataError(f"expected {expected}, got {len(fields)} fields")
     try:
-        label = binarize_label(raw)
-    except DataError:
-        raise DataError(f"row {line_no}: label {raw} outside the valid range 1..5")
-    return values, label
+        values = [float(tok) for tok in fields[:N_FEATURES]]
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise DataError(_bad_feature(fields[:N_FEATURES]))
+    return values, _parse_label(fields[N_FEATURES]) if labelled else None
 
 
 def _is_number(tok: str) -> bool:
@@ -103,21 +108,37 @@ def _read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
-def load_csv(path) -> Dataset:
-    """Load the seizure CSV, binarizing labels; row order is preserved."""
-    lines = _read_lines(path)
+def _parse_rows(path, labelled: bool):
+    """Every data row of a CSV: (features, labels, line numbers, problems).
 
-    rows, labels = [], []
-    for line_no, line in enumerate(lines, start=1):
+    Blank lines, and header lines before the first data row, are skipped. A
+    bad row does not stop the parse; it becomes a (line_no, message) problem.
+    """
+    rows, labels, row_nos, problems = [], [], [], []
+    for line_no, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if not rows and not _is_number(fields[-1]):
-            continue  # header row: the label position is never numeric there
-        values, label = _parse_row(fields, line_no)
+        if not (row_nos or problems) and not _is_number(fields[-1]):
+            continue  # header row: the last field is never numeric there
+        try:
+            values, label = _parse_row(fields, labelled)
+        except DataError as exc:
+            problems.append((line_no, str(exc)))
+            continue
         rows.append(values)
         labels.append(label)
+        row_nos.append(line_no)
+    return rows, labels, row_nos, problems
+
+
+def load_csv(path) -> Dataset:
+    """Load the seizure CSV, binarizing labels; row order is preserved."""
+    rows, labels, _, problems = _parse_rows(path, labelled=True)
+    if problems:
+        line_no, message = problems[0]
+        raise DataError(f"row {line_no}: {message}")
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels), source="real")
@@ -130,33 +151,7 @@ def load_features_csv(path) -> tuple[np.ndarray, list[int], list[tuple[int, str]
     (line_no, message) problems so callers can keep processing good rows.
     Returns (features, line numbers of good rows, problems).
     """
-    lines = _read_lines(path)
-
-    rows, row_nos, problems = [], [], []
-    seen_data = False
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not seen_data and not _is_number(fields[-1]):
-            continue  # header row
-        seen_data = True
-        if len(fields) == N_FEATURES + 1 and not _is_number(fields[0]):
-            fields = fields[1:]
-        if len(fields) != N_FEATURES:
-            problems.append((line_no, f"expected {N_FEATURES} values, got {len(fields)}"))
-            continue
-        try:
-            values = [float(tok) for tok in fields]
-        except ValueError:
-            problems.append((line_no, "non-numeric value"))
-            continue
-        if not all(np.isfinite(v) for v in values):
-            problems.append((line_no, "non-finite value"))
-            continue
-        rows.append(values)
-        row_nos.append(line_no)
+    rows, _, row_nos, problems = _parse_rows(path, labelled=False)
     features = np.array(rows) if rows else np.empty((0, N_FEATURES))
     return features, row_nos, problems
 

@@ -8,7 +8,7 @@ error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
 import numpy as np
 
-from . import layers, model, optim
+from . import model, optim
 
 H_SCALE = 1e-4
 LAYER_BOUND = 1e-4
@@ -41,134 +41,43 @@ def _worst(f, pairs):
     return max(relative_error(g, numeric_gradient(f, arr)) for arr, g in pairs)
 
 
-def check_conv(seed=0):
+# row name -> (small instance of a model layer, input shape)
+LAYER_CASES = {
+    "conv1d": (model.Layer("conv", "conv1d", w=(3, 2, 3), b=(3,)), (2, 12, 2)),
+    "batchnorm": (model.BatchNorm("bn", 2), (4, 6, 2)),
+    # odd length exercises the floor path
+    "maxpool": (model.Layer("pool", "maxpool"), (2, 9, 3)),
+    # attention plus its skip add
+    "mha": (model.Attention("attn", 2, 8, 4), (2, 5, 8)),
+    "layernorm": (model.Layer("ln", "layernorm", gamma=(5,), beta=(5,)), (3, 4, 5)),
+    "global_avg_pool": (model.GlobalAvgPool("gap"), (2, 6, 3)),
+    "dense": (model.Layer("fc", "dense", w=(6, 3), b=(3,)), (4, 6)),
+    "dropout": (model.Dropout("drop", 0.4), (3, 50)),
+    "sigmoid": (model.Sigmoid("probs"), (5, 1)),
+}
+
+
+def check_layer(name, seed=0):
+    """Train-mode check of one LAYER_CASES row: the input and every
+    learnable tensor against central differences. Train mode never reads
+    batch-norm running statistics, so every tensor is drawn at random."""
+    layer, x_shape = LAYER_CASES[name]
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 12, 2))
-    w = rng.standard_normal((3, 2, 3)) * 0.5
-    b = rng.standard_normal(3) * 0.1
-    r = rng.standard_normal((2, 12, 3))
+    x = rng.standard_normal(x_shape)
+    params = {n: 0.5 * rng.standard_normal(s) for n, s in layer.shapes.items()}
+
+    def run():
+        # a fresh generator per call keeps the dropout mask fixed
+        return layer.forward(params, x, "train", np.random.default_rng(7))
+
+    y, cache = run()
+    r = rng.standard_normal(y.shape)
 
     def f():
-        return float((layers.conv1d_forward(x, w, b)[0] * r).sum())
+        return float((run()[0] * r).sum())
 
-    _, cache = layers.conv1d_forward(x, w, b)
-    gx, gw, gb = layers.conv1d_backward(cache, r)
-    return _worst(f, [(x, gx), (w, gw), (b, gb)])
-
-
-def check_batchnorm(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 6, 2))
-    gamma = 1.0 + 0.2 * rng.standard_normal(2)
-    beta = 0.1 * rng.standard_normal(2)
-    r = rng.standard_normal((4, 6, 2))
-
-    def f():
-        out, _ = layers.batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), "train")
-        return float((out * r).sum())
-
-    _, cache = layers.batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2), "train")
-    gx, gg, gb = layers.batchnorm_backward(cache, r)
-    return _worst(f, [(x, gx), (gamma, gg), (beta, gb)])
-
-
-def check_maxpool(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 9, 3))  # odd length exercises the floor path
-    r = rng.standard_normal((2, 4, 3))
-
-    def f():
-        return float((layers.maxpool_forward(x)[0] * r).sum())
-
-    _, cache = layers.maxpool_forward(x)
-    gx = layers.maxpool_backward(cache, r)
-    return _worst(f, [(x, gx)])
-
-
-def check_mha(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 5, 8))
-    wq = rng.standard_normal((2, 8, 4)) * 0.5
-    wk = rng.standard_normal((2, 8, 4)) * 0.5
-    wv = rng.standard_normal((2, 8, 4)) * 0.5
-    wo = rng.standard_normal((8, 8)) * 0.5
-    r = rng.standard_normal((2, 5, 8))
-
-    def f():
-        return float((layers.mha_forward(x, wq, wk, wv, wo)[0] * r).sum())
-
-    _, cache = layers.mha_forward(x, wq, wk, wv, wo)
-    gx, gq, gk, gv, go = layers.mha_backward(cache, r)
-    return _worst(f, [(x, gx), (wq, gq), (wk, gk), (wv, gv), (wo, go)])
-
-
-def check_skip_add(seed=0):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 7, 4))
-    b = rng.standard_normal((3, 7, 4))
-    r = rng.standard_normal((3, 7, 4))
-
-    def f():
-        return float(((a + b) * r).sum())
-
-    # the sum rule duplicates the upstream gradient to both branches
-    return _worst(f, [(a, r), (b, r)])
-
-
-def check_layernorm(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 4, 5))
-    gamma = 1.0 + 0.2 * rng.standard_normal(5)
-    beta = 0.1 * rng.standard_normal(5)
-    r = rng.standard_normal((3, 4, 5))
-
-    def f():
-        return float((layers.layernorm_forward(x, gamma, beta)[0] * r).sum())
-
-    _, cache = layers.layernorm_forward(x, gamma, beta)
-    gx, gg, gb = layers.layernorm_backward(cache, r)
-    return _worst(f, [(x, gx), (gamma, gg), (beta, gb)])
-
-
-def check_gap(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 6, 3))
-    r = rng.standard_normal((2, 3))
-
-    def f():
-        return float((layers.global_average_pool(x)[0] * r).sum())
-
-    gx = layers.global_average_pool_backward(x.shape[1], r)
-    return _worst(f, [(x, gx)])
-
-
-def check_dense(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 6))
-    w = rng.standard_normal((6, 3)) * 0.5
-    b = rng.standard_normal(3) * 0.1
-    r = rng.standard_normal((4, 3))
-
-    def f():
-        return float((layers.dense_forward(x, w, b)[0] * r).sum())
-
-    _, cache = layers.dense_forward(x, w, b)
-    gx, gw, gb = layers.dense_backward(cache, r)
-    return _worst(f, [(x, gx), (w, gw), (b, gb)])
-
-
-def check_dropout(seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 50))
-    r = rng.standard_normal((3, 50))
-
-    def f():
-        out, _ = layers.dropout_forward(x, 0.4, "train", np.random.default_rng(7))
-        return float((out * r).sum())
-
-    _, cache = layers.dropout_forward(x, 0.4, "train", np.random.default_rng(7))
-    gx = layers.dropout_backward(cache, r)
-    return _worst(f, [(x, gx)])
+    gx, grads = layer.backward(cache, r)
+    return _worst(f, [(x, gx)] + [(params[n], grads[n]) for n in layer.learnable])
 
 
 def check_model(seed=0):
@@ -192,8 +101,7 @@ def check_model(seed=0):
     grads = model.model_backward(cfg, params, trace, grad_probs)
     for k in keys:
         grads[k] = grads[k] + 2.0 * cfg.l2_lambda * params[k]
-    return max(relative_error(grads[n], numeric_gradient(loss_fn, params[n]))
-               for n in model.learnable_names(cfg))
+    return _worst(loss_fn, [(params[n], grads[n]) for n in model.learnable_names(cfg)])
 
 
 def run_all(seed=0):
@@ -201,15 +109,5 @@ def run_all(seed=0):
 
     Returns a list of (name, max relative error, bound) rows.
     """
-    return [
-        ("conv1d", check_conv(seed), LAYER_BOUND),
-        ("batchnorm", check_batchnorm(seed), LAYER_BOUND),
-        ("maxpool", check_maxpool(seed), LAYER_BOUND),
-        ("mha", check_mha(seed), LAYER_BOUND),
-        ("skip_add", check_skip_add(seed), LAYER_BOUND),
-        ("layernorm", check_layernorm(seed), LAYER_BOUND),
-        ("global_avg_pool", check_gap(seed), LAYER_BOUND),
-        ("dense", check_dense(seed), LAYER_BOUND),
-        ("dropout", check_dropout(seed), LAYER_BOUND),
-        ("model_end_to_end", check_model(seed), MODEL_BOUND),
-    ]
+    rows = [(name, check_layer(name, seed), LAYER_BOUND) for name in LAYER_CASES]
+    return rows + [("model_end_to_end", check_model(seed), MODEL_BOUND)]

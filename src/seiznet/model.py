@@ -1,10 +1,11 @@
-"""Model assembly: configuration, parameter initialization, and the full
-forward/backward passes.
+"""Model assembly: configuration, the layer list, parameter initialization,
+and the full forward/backward passes.
 
 Architecture: three [Conv -> BatchNorm -> ReLU -> MaxPool] stages, multi-head
 self-attention over the final feature map combined through an additive skip
 connection, LayerNorm, global average pooling, then two [Dense -> BatchNorm
--> ReLU -> Dropout] blocks and a single sigmoid output unit.
+-> ReLU -> Dropout] blocks and a single sigmoid output unit. `network` writes
+that order down once; everything else loops over its list.
 """
 
 from dataclasses import dataclass
@@ -66,38 +67,119 @@ def toy_config():
     )
 
 
+class Layer:
+    """One step of the network: `layers.<op>_forward` and `<op>_backward`
+    applied with the layer's own tensors.
+
+    `shapes` maps the tensors, named `<layer name>_<suffix>`, to their shapes
+    in artifact order. `learnable` names those that receive gradients
+    (batch-norm running statistics do not) and `l2` the kernels (`_w`) under
+    the weight penalty. forward(params, x, mode, rng) returns (y, cache);
+    backward(cache, g) returns (g w.r.t. x, {tensor name: gradient}). The
+    functions are looked up on `layers` at call time, so a function patched
+    there is the one every layer runs.
+    """
+
+    def __init__(self, name, op=None, **shapes):
+        self.name, self.op = name, op
+        self.shapes = {f"{name}_{suffix}": s for suffix, s in shapes.items()}
+        self.learnable = [n for n in self.shapes if not n.endswith(("_mean", "_var"))]
+        self.l2 = [n for n in self.shapes if n.endswith("_w")]
+
+    def tensors(self, params):
+        return [params[n] for n in self.shapes]
+
+    def forward(self, params, x, mode, rng):
+        return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params))
+
+    def backward(self, cache, g):
+        out = getattr(layers, f"{self.op}_backward")(cache, g)
+        if not self.shapes:  # tensor-free ops return the input gradient alone
+            return out, {}
+        return out[0], dict(zip(self.learnable, out[1:]))
+
+
+class BatchNorm(Layer):
+    def __init__(self, name, c):
+        super().__init__(name, "batchnorm", gamma=(c,), beta=(c,), mean=(c,), var=(c,))
+
+    def forward(self, params, x, mode, rng):
+        return layers.batchnorm_forward(x, *self.tensors(params), mode=mode)
+
+
+class GlobalAvgPool(Layer):
+    def __init__(self, name):
+        super().__init__(name, "global_average_pool")
+
+    def forward(self, params, x, mode, rng):
+        return layers.global_average_pool(x)
+
+
+class Dropout(Layer):
+    def __init__(self, name, rate):
+        super().__init__(name, "dropout")
+        self.rate = rate
+
+    def forward(self, params, x, mode, rng):
+        return layers.dropout_forward(x, self.rate, mode, rng)
+
+
+class Attention(Layer):
+    """Multi-head self-attention added back onto its input (the skip)."""
+
+    def __init__(self, name, heads, d, d_k):
+        qkv = (heads, d, d_k)
+        super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(d, d))
+
+    def forward(self, params, x, mode, rng):
+        attn, cache = super().forward(params, x, mode, rng)
+        return x + attn, cache
+
+    def backward(self, cache, g):
+        # the skip add routes the same gradient to the input and attention
+        g_attn, grads = super().backward(cache, g)
+        return g + g_attn, grads
+
+
+class Sigmoid(Layer):
+    """Output unit: [N, 1] logits to [N] probabilities, cached for backward."""
+
+    def forward(self, params, x, mode, rng):
+        probs = layers.sigmoid(x[:, 0])
+        return probs, probs
+
+    def backward(self, probs, g):
+        return (g * probs * (1.0 - probs))[:, None], {}
+
+
+def network(config: ModelConfig) -> list[Layer]:
+    """The layers in forward order; a layer's name is its trace key."""
+    net, c_in = [], 1
+    for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
+        net += [Layer(f"conv{s}", "conv1d", w=(k, c_in, f), b=(f,)),
+                BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
+                Layer(f"pool{s}", "maxpool")]
+        c_in = f
+    net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
+            Layer("ln", "layernorm", gamma=(c_in,), beta=(c_in,)), GlobalAvgPool("gap")]
+    width = c_in
+    for i, units in enumerate(config.dense_units, start=1):
+        net += [Layer(f"fc{i}", "dense", w=(width, units), b=(units,)),
+                BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
+                Dropout(f"drop{i}", config.dropout_rate)]
+        width = units
+    out = len(config.dense_units) + 1
+    net += [Layer(f"fc{out}", "dense", w=(width, 1), b=(1,)), Sigmoid("probs")]
+    return net
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every tensor's shape, fully determined by the configuration.
 
     Keys ending in _mean/_var are batch-norm running statistics: part of the
     model state and the serialized artifact, but not touched by gradients.
     """
-    shapes = {}
-    c_in = 1
-    for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
-        shapes[f"conv{s}_w"] = (k, c_in, f)
-        shapes[f"conv{s}_b"] = (f,)
-        for stat in ("gamma", "beta", "mean", "var"):
-            shapes[f"bn{s}_{stat}"] = (f,)
-        c_in = f
-    d = config.conv_filters[-1]
-    shapes["attn_wq"] = (config.attn_heads, d, config.attn_key_dim)
-    shapes["attn_wk"] = (config.attn_heads, d, config.attn_key_dim)
-    shapes["attn_wv"] = (config.attn_heads, d, config.attn_key_dim)
-    shapes["attn_wo"] = (d, d)
-    shapes["ln_gamma"] = (d,)
-    shapes["ln_beta"] = (d,)
-    width = d
-    for i, units in enumerate(config.dense_units, start=1):
-        shapes[f"fc{i}_w"] = (width, units)
-        shapes[f"fc{i}_b"] = (units,)
-        for stat in ("gamma", "beta", "mean", "var"):
-            shapes[f"bnd{i}_{stat}"] = (units,)
-        width = units
-    out = len(config.dense_units) + 1
-    shapes[f"fc{out}_w"] = (width, 1)
-    shapes[f"fc{out}_b"] = (1,)
-    return shapes
+    return {n: s for layer in network(config) for n, s in layer.shapes.items()}
 
 
 def param_names(config: ModelConfig) -> list[str]:
@@ -105,14 +187,12 @@ def param_names(config: ModelConfig) -> list[str]:
 
 
 def learnable_names(config: ModelConfig) -> list[str]:
-    return [n for n in param_shapes(config)
-            if not n.endswith("_mean") and not n.endswith("_var")]
+    return [n for layer in network(config) for n in layer.learnable]
 
 
 def l2_names(config: ModelConfig) -> list[str]:
     """Conv and dense kernels: the only tensors the L2 penalty covers."""
-    return [n for n in param_shapes(config)
-            if (n.startswith("conv") or n.startswith("fc")) and n.endswith("_w")]
+    return [n for layer in network(config) for n in layer.l2]
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -135,8 +215,8 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     """Run the network on a batch of signals.
 
     batch: [N, input_len] or [N, input_len, 1]. Returns (probs, trace);
-    trace is None in infer mode. Train mode with a nonzero dropout rate
-    requires a dropout_rng.
+    trace maps each layer name to its cache and is None in infer mode. Train
+    mode with a nonzero dropout rate requires a dropout_rng.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 2:
@@ -147,80 +227,22 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     if train and config.dropout_rate > 0.0 and dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
     trace = {} if train else None
-
-    h = x
-    for s in range(1, len(config.conv_filters) + 1):
-        h, c_conv = layers.conv1d_forward(h, params[f"conv{s}_w"], params[f"conv{s}_b"])
-        h, c_bn = layers.batchnorm_forward(
-            h, params[f"bn{s}_gamma"], params[f"bn{s}_beta"],
-            params[f"bn{s}_mean"], params[f"bn{s}_var"], mode=mode)
-        h, c_relu = layers.relu_forward(h)
-        h, c_pool = layers.maxpool_forward(h)
+    for layer in network(config):
+        x, cache = layer.forward(params, x, mode, dropout_rng)
         if train:
-            trace[f"conv{s}"], trace[f"bn{s}"] = c_conv, c_bn
-            trace[f"relu{s}"], trace[f"pool{s}"] = c_relu, c_pool
-
-    attn, c_mha = layers.mha_forward(
-        h, params["attn_wq"], params["attn_wk"], params["attn_wv"], params["attn_wo"])
-    merged = h + attn  # skip connection
-    normed, c_ln = layers.layernorm_forward(merged, params["ln_gamma"], params["ln_beta"])
-    pooled, gap_len = layers.global_average_pool(normed)
-    if train:
-        trace["mha"], trace["ln"], trace["gap_len"] = c_mha, c_ln, gap_len
-
-    d = pooled
-    for i in range(1, len(config.dense_units) + 1):
-        d, c_fc = layers.dense_forward(d, params[f"fc{i}_w"], params[f"fc{i}_b"])
-        d, c_bn = layers.batchnorm_forward(
-            d, params[f"bnd{i}_gamma"], params[f"bnd{i}_beta"],
-            params[f"bnd{i}_mean"], params[f"bnd{i}_var"], mode=mode)
-        d, c_relu = layers.relu_forward(d)
-        d, c_drop = layers.dropout_forward(d, config.dropout_rate, mode, dropout_rng)
-        if train:
-            trace[f"fc{i}"], trace[f"bnd{i}"] = c_fc, c_bn
-            trace[f"relud{i}"], trace[f"drop{i}"] = c_relu, c_drop
-
-    out = len(config.dense_units) + 1
-    z, c_out = layers.dense_forward(d, params[f"fc{out}_w"], params[f"fc{out}_b"])
-    probs = layers.sigmoid(z[:, 0])
-    if not np.isfinite(probs).all():
+            trace[layer.name] = cache
+    if not np.isfinite(x).all():
         raise NumericError("non-finite model output")
-    if train:
-        trace["out"] = c_out
-        trace["probs"] = probs
-    return probs, trace
+    return x, trace
 
 
 def model_backward(config, params, trace, grad_probs):
     """Gradients of every learnable tensor, given dLoss/dprobs."""
-    probs = trace["probs"]
     grads = {}
-    # back through the output sigmoid
-    g = (grad_probs * probs * (1.0 - probs))[:, None]
-    out = len(config.dense_units) + 1
-    g, grads[f"fc{out}_w"], grads[f"fc{out}_b"] = layers.dense_backward(trace["out"], g)
-
-    for i in range(len(config.dense_units), 0, -1):
-        g = layers.dropout_backward(trace[f"drop{i}"], g)
-        g = layers.relu_backward(trace[f"relud{i}"], g)
-        g, grads[f"bnd{i}_gamma"], grads[f"bnd{i}_beta"] = \
-            layers.batchnorm_backward(trace[f"bnd{i}"], g)
-        g, grads[f"fc{i}_w"], grads[f"fc{i}_b"] = layers.dense_backward(trace[f"fc{i}"], g)
-
-    g = layers.global_average_pool_backward(trace["gap_len"], g)
-    g, grads["ln_gamma"], grads["ln_beta"] = layers.layernorm_backward(trace["ln"], g)
-    # the skip add routes the same gradient to the conv branch and attention
-    g_attn, grads["attn_wq"], grads["attn_wk"], grads["attn_wv"], grads["attn_wo"] = \
-        layers.mha_backward(trace["mha"], g)
-    g = g + g_attn
-
-    for s in range(len(config.conv_filters), 0, -1):
-        g = layers.maxpool_backward(trace[f"pool{s}"], g)
-        g = layers.relu_backward(trace[f"relu{s}"], g)
-        g, grads[f"bn{s}_gamma"], grads[f"bn{s}_beta"] = \
-            layers.batchnorm_backward(trace[f"bn{s}"], g)
-        g, grads[f"conv{s}_w"], grads[f"conv{s}_b"] = \
-            layers.conv1d_backward(trace[f"conv{s}"], g)
+    g = grad_probs
+    for layer in reversed(network(config)):
+        g, layer_grads = layer.backward(trace[layer.name], g)
+        grads.update(layer_grads)
     return grads
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
 from seiznet.errors import DataError
-from seiznet.model import init_params, param_names, toy_config
+from seiznet.model import ModelConfig, init_params, param_names, param_shapes, toy_config
 from seiznet.preprocess import ScalerParams
 
 
@@ -94,3 +94,39 @@ def test_failed_save_leaves_no_file(tmp_path):
 def test_no_tmp_residue_after_save(tmp_path):
     path, *_ = make_artifact(tmp_path)
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+# every tensor of the default model, in the order model.bin stores them
+DEFAULT_INVENTORY = [
+    ("scaler_mean", (178,)), ("scaler_std", (178,)),
+    ("conv1_w", (7, 1, 32)), ("conv1_b", (32,)),
+    ("bn1_gamma", (32,)), ("bn1_beta", (32,)), ("bn1_mean", (32,)), ("bn1_var", (32,)),
+    ("conv2_w", (5, 32, 64)), ("conv2_b", (64,)),
+    ("bn2_gamma", (64,)), ("bn2_beta", (64,)), ("bn2_mean", (64,)), ("bn2_var", (64,)),
+    ("conv3_w", (3, 64, 128)), ("conv3_b", (128,)),
+    ("bn3_gamma", (128,)), ("bn3_beta", (128,)), ("bn3_mean", (128,)), ("bn3_var", (128,)),
+    ("attn_wq", (4, 128, 32)), ("attn_wk", (4, 128, 32)), ("attn_wv", (4, 128, 32)),
+    ("attn_wo", (128, 128)),
+    ("ln_gamma", (128,)), ("ln_beta", (128,)),
+    ("fc1_w", (128, 128)), ("fc1_b", (128,)),
+    ("bnd1_gamma", (128,)), ("bnd1_beta", (128,)), ("bnd1_mean", (128,)), ("bnd1_var", (128,)),
+    ("fc2_w", (128, 64)), ("fc2_b", (64,)),
+    ("bnd2_gamma", (64,)), ("bnd2_beta", (64,)), ("bnd2_mean", (64,)), ("bnd2_var", (64,)),
+    ("fc3_w", (64, 1)), ("fc3_b", (1,)),
+]
+
+
+def test_default_model_inventory_is_pinned(tmp_path):
+    cfg = ModelConfig()
+    scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
+    path = tmp_path / "model.bin"
+    save_artifact(path, cfg, init_params(cfg, 0), scaler, "universal")
+    header = path.read_bytes().split(b"==binary==\n", 1)[0].decode("utf-8")
+    stored = []
+    for line in header.splitlines():
+        if line.startswith("tensor = "):
+            name, dims = line[len("tensor = "):].split(" ")
+            stored.append((name, tuple(int(d) for d in dims.split(","))))
+    assert len(DEFAULT_INVENTORY) == 40
+    assert stored == DEFAULT_INVENTORY
+    assert list(param_shapes(cfg).items()) == DEFAULT_INVENTORY[2:]

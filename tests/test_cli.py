@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from seiznet import dataset, layers, preprocess
+from seiznet import dataset, gradcheck, layers, preprocess
 from seiznet.artifact import load_artifact
 from seiznet.cli import main
 
@@ -191,6 +191,7 @@ class TestPredict:
         assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
         captured = capsys.readouterr()
         assert "row 2" in captured.err
+        assert captured.err.count("row 2") == 1  # the prefix is printed once
         assert len(captured.out.strip().splitlines()) == 4  # good rows still out
 
     def test_non_utf8_data_file(self, tmp_path, trained, capsys):
@@ -226,17 +227,18 @@ class TestGradcheckCommand:
             assert name in out
         assert "FAIL" not in out
 
-    def test_detects_corrupted_backward(self, capsys, monkeypatch):
-        real = layers.conv1d_backward
+    @pytest.mark.parametrize("row", ["conv1d", "batchnorm", "mha", "layernorm", "dense"])
+    def test_detects_corrupted_backward(self, capsys, monkeypatch, row):
+        real = getattr(layers, f"{row}_backward")
 
         def broken(cache, grad_out):
-            gx, gw, gb = real(cache, grad_out)
-            return gx * 1.05, gw, gb
+            gx, *rest = real(cache, grad_out)
+            return (gx * 1.05, *rest)
 
-        monkeypatch.setattr(layers, "conv1d_backward", broken)
+        monkeypatch.setattr(layers, f"{row}_backward", broken)
+        assert gradcheck.check_layer(row) > gradcheck.LAYER_BOUND
         assert main(["gradcheck"]) == 3
-        captured = capsys.readouterr()
-        assert "conv1d" in captured.err
+        assert row in capsys.readouterr().err
 
 
 def test_usage_error_exits_one(capsys):

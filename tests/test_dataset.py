@@ -57,6 +57,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="1..5"):
             dataset.load_csv(path)
 
+    def test_first_bad_column_is_named(self, tmp_path):
+        fields = make_row(1).split(",")
+        fields[2], fields[4] = "nan", "x"
+        path = write_csv(tmp_path, make_row(1) + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(DataError, match=r"^row 2: non-finite feature value \(column 3\)$"):
+            dataset.load_csv(path)
+
+    @pytest.mark.parametrize("label", ["inf", "nan", "1.5"])
+    def test_non_integer_label(self, tmp_path, label):
+        path = write_csv(tmp_path, make_row(label))
+        with pytest.raises(DataError, match="row 1: label .* is not an integer"):
+            dataset.load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             dataset.load_csv(tmp_path / "nope.csv")
@@ -64,6 +77,17 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="no data rows"):
             dataset.load_csv(write_csv(tmp_path, "\n"))
+
+
+def test_features_csv_reports_bad_rows_without_row_prefix(tmp_path):
+    good = ",".join(str(float(i)) for i in range(178))
+    non_finite = good.replace("1.0", "inf", 1)
+    text = "\n".join(["id," + ",".join(f"X{i}" for i in range(178)),
+                      "a," + good, "1.0,2.0,3.0", "", "b," + non_finite, good]) + "\n"
+    features, row_nos, problems = dataset.load_features_csv(write_csv(tmp_path, text))
+    assert features.shape == (2, 178) and row_nos == [2, 6]
+    assert problems == [(3, "expected 178 features, got 3 fields"),
+                        (5, "non-finite feature value (column 2)")]
 
 
 def test_binarize_label():

@@ -46,7 +46,7 @@ class TestConv:
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_gradient(self):
-        assert gradcheck.check_conv() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("conv1d") < gradcheck.LAYER_BOUND
 
 
 class TestBatchNorm:
@@ -107,7 +107,7 @@ class TestBatchNorm:
         assert np.abs(gx).max() < 1e-8
 
     def test_gradient(self):
-        assert gradcheck.check_batchnorm() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("batchnorm") < gradcheck.LAYER_BOUND
 
     @staticmethod
     def _inputs(shape):
@@ -181,7 +181,7 @@ class TestMaxPool:
         assert gx[0, :, 0].tolist() == [0.0, 10.0, 0.0, 20.0, 0.0]
 
     def test_gradient(self):
-        assert gradcheck.check_maxpool() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("maxpool") < gradcheck.LAYER_BOUND
 
 
 class TestAttention:
@@ -259,7 +259,7 @@ class TestAttention:
         assert np.abs(gx - expected).max() < 1e-8
 
     def test_gradient(self):
-        assert gradcheck.check_mha() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("mha") < gradcheck.LAYER_BOUND
 
 
 class TestLayerNorm:
@@ -274,7 +274,7 @@ class TestLayerNorm:
         assert np.allclose(out, np.broadcast_to(beta, (1, 3, 2)), atol=1e-9)
 
     def test_gradient(self):
-        assert gradcheck.check_layernorm() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("layernorm") < gradcheck.LAYER_BOUND
 
 
 class TestGlobalAveragePool:
@@ -297,7 +297,7 @@ class TestGlobalAveragePool:
             layers.global_average_pool(np.zeros((2, 0, 3)))
 
     def test_gradient(self):
-        assert gradcheck.check_gap() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("global_avg_pool") < gradcheck.LAYER_BOUND
 
 
 class TestDense:
@@ -312,7 +312,7 @@ class TestDense:
         assert out[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gradient(self):
-        assert gradcheck.check_dense() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("dense") < gradcheck.LAYER_BOUND
 
 
 class TestDropout:
@@ -346,7 +346,7 @@ class TestDropout:
             layers.dropout_forward(np.ones(3), 1.0, "train", np.random.default_rng(0))
 
     def test_gradient(self):
-        assert gradcheck.check_dropout() < gradcheck.LAYER_BOUND
+        assert gradcheck.check_layer("dropout") < gradcheck.LAYER_BOUND
 
 
 def test_sigmoid_stable_and_bounded():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seiznet import gradcheck, optim
+from seiznet import gradcheck, layers, optim
 from seiznet.model import (ModelConfig, init_params, l2_names, learnable_names,
                            model_backward, model_forward, param_shapes,
                            predict_probs, toy_config)
@@ -40,7 +40,7 @@ class TestShapes:
         assert trace["pool1"][0].shape == (3, 89, 32)
         assert trace["pool2"][0].shape == (3, 44, 64)
         assert trace["pool3"][0].shape == (3, 22, 128)
-        assert trace["mha"][0].shape == (3, 22, 128)  # attention input
+        assert trace["attn"][0].shape == (3, 22, 128)  # attention input
         assert trace["probs"].shape == (3,)
 
     def test_param_shapes_fixed_by_config(self):
@@ -121,6 +121,32 @@ class TestBackward:
         grads = model_backward(cfg, params, trace, np.zeros_like(probs))
         for g in grads.values():
             assert not g.any()
+
+    def test_layers_reach_functions_patched_on_the_module(self, monkeypatch):
+        # tracing and fault injection patch layers.<fn>; each layer must run
+        # the patched function, not one captured before the patch
+        expected = {
+            "conv1d_forward": 3, "conv1d_backward": 3,
+            "batchnorm_forward": 5, "batchnorm_backward": 5,
+            "relu_forward": 5, "relu_backward": 5,
+            "maxpool_forward": 3, "maxpool_backward": 3,
+            "mha_forward": 1, "mha_backward": 1,
+            "layernorm_forward": 1, "layernorm_backward": 1,
+            "global_average_pool": 1, "global_average_pool_backward": 1,
+            "dense_forward": 3, "dense_backward": 3,
+            "dropout_forward": 2, "dropout_backward": 2, "sigmoid": 1,
+        }
+        calls = dict.fromkeys(expected, 0)
+        for fn in expected:
+            def counted(*args, _fn=fn, _real=getattr(layers, fn), **kwargs):
+                calls[_fn] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(layers, fn, counted)
+        cfg, params, x = default_setup(n=2)
+        probs, trace = model_forward(cfg, params, x, "train",
+                                     dropout_rng=np.random.default_rng(5))
+        model_backward(cfg, params, trace, np.ones_like(probs))
+        assert calls == expected
 
     def test_toy_end_to_end_gradient(self):
         assert gradcheck.check_model() < gradcheck.MODEL_BOUND
