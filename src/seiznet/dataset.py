@@ -60,21 +60,28 @@ def _parse_label(tok: str) -> int:
         if float(tok) != raw:
             raise ValueError
     except (ValueError, OverflowError):
-        raise DataError(f"label {tok!r} is not an integer")
+        raise DataError(f"label {tok.strip()!r} is not an integer")
     return binarize_label(raw)
 
 
-def _bad_feature(tokens: list[str]) -> str:
-    """Name the first bad value of a row that failed to convert."""
+def _bad_feature(tokens) -> str:
+    """Name the first bad value of a row's features, given as strings or
+    as parsed numbers."""
     for j, tok in enumerate(tokens, start=1):
         if not _is_number(tok):
-            return f"non-numeric feature {tok!r} (column {j})"
+            return f"non-numeric feature {tok.strip()!r} (column {j})"
         if not np.isfinite(float(tok)):
             return f"non-finite feature value (column {j})"
 
 
 def _parse_row(fields: list[str], labelled: bool) -> tuple[list[float], int | None]:
-    """(features, label or None) of one row; DataError names its problem."""
+    """(features, label or None) of one row; DataError names its problem.
+
+    Fields keep their surrounding whitespace, which float() ignores. A
+    non-finite feature is left for _parse_rows to find over the whole matrix,
+    except in a row that fails here, so the first problem of a row is the
+    one reported.
+    """
     width = N_FEATURES + 1 if labelled else N_FEATURES
     if len(fields) == width + 1 and not _is_number(fields[0]):
         fields = fields[1:]  # leading row-identifier column
@@ -82,12 +89,17 @@ def _parse_row(fields: list[str], labelled: bool) -> tuple[list[float], int | No
         expected = f"{N_FEATURES} features" + (" + 1 label" if labelled else "")
         raise DataError(f"expected {expected}, got {len(fields)} fields")
     try:
-        values = [float(tok) for tok in fields[:N_FEATURES]]
+        values = list(map(float, fields[:N_FEATURES]))
     except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
         raise DataError(_bad_feature(fields[:N_FEATURES]))
-    return values, _parse_label(fields[N_FEATURES]) if labelled else None
+    if not labelled:
+        return values, None
+    try:
+        return values, _parse_label(fields[N_FEATURES])
+    except DataError:
+        if not np.isfinite(values).all():
+            raise DataError(_bad_feature(fields[:N_FEATURES]))
+        raise
 
 
 def _is_number(tok: str) -> bool:
@@ -109,39 +121,53 @@ def _read_lines(path) -> list[str]:
 
 
 def _parse_rows(path, labelled: bool):
-    """Every data row of a CSV: (features, labels, line numbers, problems).
+    """Every data row of a CSV: (features [rows, 178], labels, line numbers,
+    problems).
 
-    Blank lines, and header lines before the first data row, are skipped. A
-    bad row does not stop the parse; it becomes a (line_no, message) problem.
+    Blank lines are skipped, and so are header lines before the first data
+    row: a header names every column, so none of its fields is a number. A
+    bad row does not stop the parse; it becomes a (line_no, message)
+    problem, and problems come in line order. Each row goes straight into
+    one preallocated matrix, so its Python floats are freed as it is parsed.
     """
-    rows, labels, row_nos, problems = [], [], [], []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line:
+    lines = _read_lines(path)
+    features = np.empty((len(lines), N_FEATURES))
+    labels, row_nos, problems = [], [], []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if not (row_nos or problems) and not _is_number(fields[-1]):
-            continue  # header row: the last field is never numeric there
+        fields = line.split(",")
+        if not (row_nos or problems) and not any(map(_is_number, fields)):
+            continue
         try:
             values, label = _parse_row(fields, labelled)
         except DataError as exc:
             problems.append((line_no, str(exc)))
             continue
-        rows.append(values)
+        features[len(row_nos)] = values
         labels.append(label)
         row_nos.append(line_no)
-    return rows, labels, row_nos, problems
+    features = features[:len(row_nos)]
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        for i in np.flatnonzero(~finite):
+            problems.append((row_nos[i], _bad_feature(features[i])))
+        problems.sort()
+        features = features[finite]
+        labels = [lab for lab, ok in zip(labels, finite) if ok]
+        row_nos = [r for r, ok in zip(row_nos, finite) if ok]
+    return features, labels, row_nos, problems
 
 
 def load_csv(path) -> Dataset:
     """Load the seizure CSV, binarizing labels; row order is preserved."""
-    rows, labels, _, problems = _parse_rows(path, labelled=True)
+    features, labels, _, problems = _parse_rows(path, labelled=True)
     if problems:
         line_no, message = problems[0]
         raise DataError(f"row {line_no}: {message}")
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), source="real")
+    return Dataset(features, np.array(labels), source="real")
 
 
 def load_features_csv(path) -> tuple[np.ndarray, list[int], list[tuple[int, str]]]:
@@ -151,8 +177,7 @@ def load_features_csv(path) -> tuple[np.ndarray, list[int], list[tuple[int, str]
     (line_no, message) problems so callers can keep processing good rows.
     Returns (features, line numbers of good rows, problems).
     """
-    rows, _, row_nos, problems = _parse_rows(path, labelled=False)
-    features = np.array(rows) if rows else np.empty((0, N_FEATURES))
+    features, _, row_nos, problems = _parse_rows(path, labelled=False)
     return features, row_nos, problems
 
 

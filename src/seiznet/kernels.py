@@ -81,17 +81,24 @@ def conv1d_backward(x, w, grad_out):
     return grad_x, grad_w, grad_b
 
 
+def _pairs(x):
+    """The even and odd positions of each pooled pair, as strided views."""
+    half = x.shape[1] // 2
+    return x[:, 0:2 * half:2, :], x[:, 1:2 * half:2, :]
+
+
 def maxpool_forward(x):
     """Pool size 2, floor semantics: out[:, i] = max(x[:, 2i], x[:, 2i+1]).
+    A NaN in either position gives a NaN output."""
+    return np.maximum(*_pairs(x))
 
-    Returns (out, idx) with idx a bool array, True where the odd position
-    x[:, 2i+1] is strictly larger; ties resolve to the lower index. A NaN in
-    either position gives a NaN output.
-    """
-    half = x.shape[1] // 2
-    even = x[:, 0:2 * half:2, :]
-    odd = x[:, 1:2 * half:2, :]
-    return np.maximum(even, odd), odd > even
+
+def maxpool_index(x):
+    """The winners of maxpool_forward(x) as a bool array, True where the odd
+    position x[:, 2i+1] is strictly larger; ties and NaNs resolve to the
+    lower index."""
+    even, odd = _pairs(x)
+    return odd > even
 
 
 def maxpool_backward(grad_out, idx, length):

@@ -7,14 +7,18 @@ import numpy as np
 
 from . import kernels
 
+BN_EPS = 1e-5
+
 
 def relu_forward(x):
-    mask = x > 0
-    return x * mask, mask
+    """Caches its output: out > 0 exactly where x > 0, since a NaN passes
+    through np.maximum and fails both tests."""
+    out = np.maximum(x, 0.0)
+    return out, out
 
 
-def relu_backward(cache, grad_out):
-    return grad_out * cache
+def relu_backward(out, grad_out):
+    return grad_out * (out > 0)
 
 
 def sigmoid(z):
@@ -47,19 +51,15 @@ def conv1d_backward(cache, grad_out):
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                      mode="train", momentum=0.9, eps=1e-5):
-    """Normalize per channel over all leading axes.
+                      momentum=0.9, eps=BN_EPS):
+    """Normalize per channel over all leading axes with the batch statistics,
+    and update the running estimates in place (running <- momentum * running
+    + (1 - momentum) * batch).
 
-    Train mode uses batch statistics and updates the running estimates in
-    place (running <- momentum * running + (1 - momentum) * batch); infer
-    mode reads the running estimates, applies them as one affine map and
-    keeps no cache.
+    This is the training pass. Infer mode never calls it: the model folds
+    the running estimates into the conv or dense layer before each
+    batch norm (`model.infer_network`).
     """
-    if mode != "train":
-        scale = gamma / np.sqrt(running_var + eps)
-        out = x * scale
-        out += beta - running_mean * scale
-        return out, None
     if x.shape[0] < 2:
         raise ValueError("batchnorm train mode needs a batch of at least 2")
     flat = x.reshape(-1, x.shape[-1])
@@ -98,22 +98,32 @@ def batchnorm_backward(cache, grad_out):
 
 
 def maxpool_forward(x):
-    """Pool pairs of positions (size 2, floor semantics, ties to lower index)."""
+    """Pool pairs of positions (size 2, floor semantics, ties to lower index).
+
+    Caches the input itself, not a copy; backward recomputes which position
+    of each pair won.
+    """
     if x.shape[1] < 2:
         raise ValueError(f"maxpool needs sequence length >= 2, got {x.shape[1]}")
-    out, idx = kernels.maxpool_forward(x)
-    return out, (idx, x.shape[1])
+    return kernels.maxpool_forward(x), x
 
 
-def maxpool_backward(cache, grad_out):
-    idx, length = cache
-    return kernels.maxpool_backward(grad_out, idx, length)
+def maxpool_backward(x, grad_out):
+    return kernels.maxpool_backward(grad_out, kernels.maxpool_index(x), x.shape[1])
 
 
 def _softmax_rows(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _split_heads(qkv, n, length, heads):
+    """[N*L, 3D] projections -> (q, k, v) views, each [N, H, L, dk]."""
+    d_k = qkv.shape[1] // (3 * heads)
+    return qkv.reshape(n, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)
 
 
 def mha_forward(x, wq, wk, wv, wo):
@@ -121,7 +131,9 @@ def mha_forward(x, wq, wk, wv, wo):
 
     x: [N, L, D]; wq/wk/wv: [H, D, dk] with H * dk = D; wo: [D, D].
     Per head: A = rowsoftmax(Q K^T / sqrt(dk)), head output A V; heads are
-    concatenated and passed through the output projection.
+    concatenated and passed through the output projection. Q, K and V of
+    every head come from one [N*L, D] @ [D, 3D] product; the cache keeps the
+    attention weights [N, H, L, L] at index 4.
     """
     heads, d_model, d_k = wq.shape
     if x.shape[-1] != d_model or heads * d_k != d_model:
@@ -129,61 +141,58 @@ def mha_forward(x, wq, wk, wv, wo):
             f"attention input width {x.shape[-1]} does not match projections "
             f"({heads} heads x {d_k})"
         )
-    scale = 1.0 / np.sqrt(d_k)
     n, length, _ = x.shape
-    concat = np.empty((n, length, d_model))
-    qs, ks, vs, attns = [], [], [], []
-    for h in range(heads):
-        q = x @ wq[h]
-        k = x @ wk[h]
-        v = x @ wv[h]
-        attn = _softmax_rows((q @ k.swapaxes(1, 2)) * scale)
-        concat[:, :, h * d_k:(h + 1) * d_k] = attn @ v
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-        attns.append(attn)
-    out = concat @ wo
-    return out, (x, qs, ks, vs, attns, concat, wq, wk, wv, wo)
+    # column j*D + h*dk + i of w_qkv is column i of head h of (wq, wk, wv)[j]
+    w_qkv = np.concatenate(
+        [w.transpose(1, 0, 2).reshape(d_model, d_model) for w in (wq, wk, wv)], axis=1)
+    qkv = x.reshape(n * length, d_model) @ w_qkv
+    q, k, v = _split_heads(qkv, n, length, heads)
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= 1.0 / np.sqrt(d_k)
+    _softmax_rows(attn)
+    concat = (attn @ v).transpose(0, 2, 1, 3).reshape(n * length, d_model)
+    out = (concat @ wo).reshape(x.shape)
+    return out, (x, w_qkv, qkv, concat, attn, wo)
 
 
 def mha_backward(cache, grad_out):
-    x, qs, ks, vs, attns, concat, wq, wk, wv, wo = cache
-    heads, d_model, d_k = wq.shape
-    scale = 1.0 / np.sqrt(d_k)
-    n, length, _ = x.shape
-    x_flat = x.reshape(n * length, d_model)
+    x, w_qkv, qkv, concat, attn, wo = cache
+    n, length, d_model = x.shape
+    heads = attn.shape[1]
+    d_k = d_model // heads
+    q, k, v = _split_heads(qkv, n, length, heads)
+    g = grad_out.reshape(n * length, d_model)
 
-    dwo = concat.reshape(n * length, d_model).T @ grad_out.reshape(n * length, d_model)
-    dconcat = grad_out @ wo.T
-    dx = np.zeros_like(x)
-    dwq = np.empty_like(wq)
-    dwk = np.empty_like(wk)
-    dwv = np.empty_like(wv)
-    for h in range(heads):
-        dhead = dconcat[:, :, h * d_k:(h + 1) * d_k]
-        attn = attns[h]
-        dattn = dhead @ vs[h].swapaxes(1, 2)
-        dv = attn.swapaxes(1, 2) @ dhead
-        # softmax backward per row, then undo the score scaling
-        dscore = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscore *= scale
-        dq = dscore @ ks[h]
-        dk = dscore.swapaxes(1, 2) @ qs[h]
-        dwq[h] = x_flat.T @ dq.reshape(n * length, d_k)
-        dwk[h] = x_flat.T @ dk.reshape(n * length, d_k)
-        dwv[h] = x_flat.T @ dv.reshape(n * length, d_k)
-        dx += dq @ wq[h].T + dk @ wk[h].T + dv @ wv[h].T
+    dwo = concat.T @ g
+    dhead = (g @ wo.T).reshape(n, length, heads, d_k).transpose(0, 2, 1, 3)
+    dqkv = np.empty((n, length, 3, heads, d_k))
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    dv[...] = attn.swapaxes(-1, -2) @ dhead
+    dscore = dhead @ v.swapaxes(-1, -2)
+    # softmax backward per row, then undo the score scaling
+    dscore -= (dscore * attn).sum(axis=-1, keepdims=True)
+    dscore *= attn
+    dscore *= 1.0 / np.sqrt(d_k)
+    dq[...] = dscore @ k
+    dk[...] = dscore.swapaxes(-1, -2) @ q
+
+    dqkv = dqkv.reshape(n * length, 3 * d_model)
+    dw = x.reshape(n * length, d_model).T @ dqkv               # [D, 3D]
+    dwq, dwk, dwv = np.ascontiguousarray(
+        dw.reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3))
+    dx = (dqkv @ w_qkv.T).reshape(x.shape)
     return dx, dwq, dwk, dwv, dwo
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):
     """Normalize each position's channel vector to zero mean, unit variance."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out, (xhat, inv, gamma)
 
 
 def layernorm_backward(cache, grad_out):

@@ -100,11 +100,22 @@ class Layer:
 
 
 class BatchNorm(Layer):
+    """Batch statistics in train mode; in infer mode folded into the layer
+    before it (`fold_into`), so only train mode runs it."""
+
     def __init__(self, name, c):
         super().__init__(name, "batchnorm", gamma=(c,), beta=(c,), mean=(c,), var=(c,))
 
-    def forward(self, params, x, mode, rng):
-        return layers.batchnorm_forward(x, *self.tensors(params), mode=mode)
+    def fold_into(self, prev, params, folded):
+        """Store in `folded` the kernel and bias of `prev`, a conv1d or dense
+        layer, with this layer's infer-mode affine map applied:
+        w' = w*gamma/sqrt(var+eps), b' = (b-mean)*gamma/sqrt(var+eps) + beta.
+        """
+        gamma, beta, mean, var = self.tensors(params)
+        scale = gamma / np.sqrt(var + layers.BN_EPS)
+        w, b = prev.shapes
+        folded[w] = params[w] * scale
+        folded[b] = (params[b] - mean) * scale + beta
 
 
 class GlobalAvgPool(Layer):
@@ -173,6 +184,20 @@ def network(config: ModelConfig) -> list[Layer]:
     return net
 
 
+def infer_network(config: ModelConfig, params):
+    """The layers infer mode runs and the tensors they read: each BatchNorm
+    is folded into the conv1d or dense layer before it and left out of the
+    list (Jacob et al. 2018, arXiv:1712.05877, section 3.2). The folded
+    tensors go into a new dict; params is not changed."""
+    net, folded = [], dict(params)
+    for layer in network(config):
+        if isinstance(layer, BatchNorm):
+            layer.fold_into(net[-1], params, folded)
+        else:
+            net.append(layer)
+    return net, folded
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every tensor's shape, fully determined by the configuration.
 
@@ -227,8 +252,9 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     if train and config.dropout_rate > 0.0 and dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
     trace = {} if train else None
-    for layer in network(config):
-        x, cache = layer.forward(params, x, mode, dropout_rng)
+    net, tensors = (network(config), params) if train else infer_network(config, params)
+    for layer in net:
+        x, cache = layer.forward(tensors, x, mode, dropout_rng)
         if train:
             trace[layer.name] = cache
     if not np.isfinite(x).all():
@@ -246,7 +272,7 @@ def model_backward(config, params, trace, grad_probs):
     return grads
 
 
-def predict_probs(config, params, features, chunk_size=256):
+def predict_probs(config, params, features, chunk_size=64):
     """Infer-mode probabilities for a feature matrix, evaluated in chunks."""
     x = np.asarray(features, dtype=np.float64)
     parts = []

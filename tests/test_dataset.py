@@ -70,6 +70,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 1: label .* is not an integer"):
             dataset.load_csv(path)
 
+    def test_corrupt_label_in_first_row_is_not_a_header(self, tmp_path):
+        path = write_csv(tmp_path, make_row("one") + "\n" + make_row(1) + "\n")
+        with pytest.raises(DataError, match=r"^row 1: label 'one' is not an integer$"):
+            dataset.load_csv(path)
+
+    def test_fields_keep_whitespace_and_messages_strip_it(self, tmp_path):
+        fields = make_row(2).split(",")
+        spaced = ",".join(f" {f}\t" for f in fields)
+        fields[5] = "  x "
+        path = write_csv(tmp_path, spaced + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(DataError, match=r"^row 2: non-numeric feature 'x' \(column 6\)$"):
+            dataset.load_csv(path)
+        ds = dataset.load_csv(write_csv(tmp_path, spaced + "\n", "spaced.csv"))
+        assert ds.features[0].tolist() == [float(f) for f in make_row(2).split(",")[:178]]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             dataset.load_csv(tmp_path / "nope.csv")
@@ -88,6 +103,15 @@ def test_features_csv_reports_bad_rows_without_row_prefix(tmp_path):
     assert features.shape == (2, 178) and row_nos == [2, 6]
     assert problems == [(3, "expected 178 features, got 3 fields"),
                         (5, "non-finite feature value (column 2)")]
+
+
+def test_features_csv_reports_a_bad_first_row(tmp_path):
+    good = ",".join(str(float(i)) for i in range(178))
+    bad_last = good.rsplit(",", 1)[0] + ",abc"
+    features, row_nos, problems = dataset.load_features_csv(
+        write_csv(tmp_path, bad_last + "\n" + good + "\n"))
+    assert features.shape == (1, 178) and row_nos == [2]
+    assert problems == [(1, "non-numeric feature 'abc' (column 178)")]
 
 
 def test_binarize_label():

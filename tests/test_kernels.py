@@ -109,7 +109,7 @@ def test_maxpool_matches_reference(n, length, c, values):
         x[0, 1, 0] = 1.0
         x[-1, 0, -1] = 1.0         # NaN in the odd position
         x[-1, 1, -1] = np.nan
-    out, idx = kernels.maxpool_forward(x)
+    out, idx = kernels.maxpool_forward(x), kernels.maxpool_index(x)
     ref_out, ref_idx = maxpool_forward_reference(x)
     assert np.array_equal(out, ref_out, equal_nan=True)
     assert np.array_equal(idx, ref_idx)
@@ -123,7 +123,7 @@ def test_maxpool_matches_reference(n, length, c, values):
 
 def test_maxpool_tie_goes_to_lower_index():
     x = np.array([[[2.0], [2.0], [5.0], [1.0]]])
-    out, idx = kernels.maxpool_forward(x)
+    out, idx = kernels.maxpool_forward(x), kernels.maxpool_index(x)
     assert out[0, :, 0].tolist() == [2.0, 5.0]
     assert idx[0, :, 0].tolist() == [0, 0]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seiznet import gradcheck, layers
+from seiznet import gradcheck, layers, model
 
 
 class TestConv:
@@ -54,7 +54,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 20, 3)) * 4.0 + 2.0
         out, _ = layers.batchnorm_forward(x, np.ones(3), np.zeros(3),
-                                          np.zeros(3), np.ones(3), "train")
+                                          np.zeros(3), np.ones(3))
         flat = out.reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() < 1e-9
         assert np.abs(flat.var(axis=0) - 1.0).max() < 1e-4  # eps shifts variance
@@ -63,37 +63,37 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((16, 10, 2))
         out, _ = layers.batchnorm_forward(x, np.full(2, 2.0), np.full(2, 3.0),
-                                          np.zeros(2), np.ones(2), "train")
+                                          np.zeros(2), np.ones(2))
         flat = out.reshape(-1, 2)
         assert np.allclose(flat.mean(axis=0), 3.0, atol=1e-9)
         assert np.allclose(flat.std(axis=0), 2.0, atol=1e-3)
 
     def test_infer_identity_stats(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 6, 2))
-        out, cache = layers.batchnorm_forward(x, np.ones(2), np.zeros(2),
-                                              np.zeros(2), np.ones(2), "infer")
-        assert cache is None
-        assert np.allclose(out, x, atol=1e-5)
+        # infer mode folds the batch norm into the layer before it; identity
+        # statistics leave that layer's output unchanged up to eps
+        x = np.random.default_rng(5).standard_normal((4, 6))
+        fc = model.Layer("fc", "dense", w=(6, 2), b=(2,))
+        out, raw = self._folded(fc, x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+        assert np.allclose(out, raw, atol=1e-5)
 
     def test_running_stats_updated(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((32, 5, 1)) + 10.0
         rm, rv = np.zeros(1), np.ones(1)
-        layers.batchnorm_forward(x, np.ones(1), np.zeros(1), rm, rv, "train")
+        layers.batchnorm_forward(x, np.ones(1), np.zeros(1), rm, rv)
         assert rm[0] == pytest.approx(0.9 * 0.0 + 0.1 * x.mean(), rel=1e-12)
         assert rv[0] == pytest.approx(0.9 * 1.0 + 0.1 * x.var(), rel=1e-12)
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             layers.batchnorm_forward(np.zeros((1, 4, 2)), np.ones(2), np.zeros(2),
-                                     np.zeros(2), np.ones(2), "train")
+                                     np.zeros(2), np.ones(2))
 
     def test_grad_beta_is_sum(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 6, 2))
         _, cache = layers.batchnorm_forward(x, np.ones(2), np.zeros(2),
-                                            np.zeros(2), np.ones(2), "train")
+                                            np.zeros(2), np.ones(2))
         go = rng.standard_normal((4, 6, 2))
         _, _, gbeta = layers.batchnorm_backward(cache, go)
         assert np.allclose(gbeta, go.sum(axis=(0, 1)), atol=1e-12)
@@ -102,7 +102,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 6, 2))
         _, cache = layers.batchnorm_forward(x, np.ones(2), np.zeros(2),
-                                            np.zeros(2), np.ones(2), "train")
+                                            np.zeros(2), np.ones(2))
         gx, _, _ = layers.batchnorm_backward(cache, np.full((4, 6, 2), 3.3))
         assert np.abs(gx).max() < 1e-8
 
@@ -136,8 +136,7 @@ class TestBatchNorm:
         want_rm = momentum * rm + (1 - momentum) * mu
         want_rv = momentum * rv + (1 - momentum) * var
 
-        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv, "train",
-                                              momentum, eps)
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv, momentum, eps)
         self._assert_close(out, gamma * xhat + beta)
         self._assert_close(cache[0], xhat)
         self._assert_close(rm, want_rm)
@@ -154,12 +153,33 @@ class TestBatchNorm:
         self._assert_close(dgamma, (dy * xhat).sum(axis=axes))
         self._assert_close(dbeta, dy.sum(axis=axes))
 
+    @staticmethod
+    def _folded(layer, x, gamma, beta, rm, rv):
+        """Run `layer` followed by a batch norm in infer mode, folded as the
+        model folds it: (folded output, layer output before the norm)."""
+        rng = np.random.default_rng(0)
+        bn = model.BatchNorm("bn", gamma.size)
+        params = {n: rng.standard_normal(s) for n, s in layer.shapes.items()}
+        params.update(zip(bn.shapes, (gamma, beta, rm, rv)))
+        before = {n: a.copy() for n, a in params.items()}
+        folded = dict(params)
+        bn.fold_into(layer, params, folded)
+        for n, a in params.items():
+            assert np.array_equal(a, before[n])  # params is not changed
+        out, _ = layer.forward(folded, x, "infer", None)
+        raw, _ = layer.forward(params, x, "infer", None)
+        return out, raw
+
     @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
     def test_infer_matches_textbook(self, shape):
+        # a conv (3D input) or dense (2D) layer with the norm folded in
+        # against the layer followed by (x - mean) / sqrt(var + eps) * gamma + beta
         _, x, gamma, beta, rm, rv = self._inputs(shape)
-        out, cache = layers.batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy(), "infer")
-        assert cache is None
-        self._assert_close(out, (x - rm) / np.sqrt(rv + 1e-5) * gamma + beta)
+        layer = (model.Layer("conv", "conv1d", w=(3, shape[-1], shape[-1]), b=(shape[-1],))
+                 if len(shape) == 3 else
+                 model.Layer("fc", "dense", w=(shape[-1], shape[-1]), b=(shape[-1],)))
+        out, raw = self._folded(layer, x, gamma, beta, rm, rv)
+        self._assert_close(out, (raw - rm) / np.sqrt(rv + 1e-5) * gamma + beta)
 
 
 class TestMaxPool:
@@ -184,6 +204,44 @@ class TestMaxPool:
         assert gradcheck.check_layer("maxpool") < gradcheck.LAYER_BOUND
 
 
+def _relu_pool_input(values, length):
+    rng = np.random.default_rng(length)
+    if values == "ties":
+        x = rng.integers(-2, 3, (3, length, 4)).astype(np.float64)
+    else:
+        x = rng.standard_normal((3, length, 4))
+    if values == "nan":
+        x[rng.random(x.shape) < 0.15] = np.nan
+        x[0, 0, 0], x[0, 1, 0] = np.nan, 1.0     # NaN in the even position
+        x[1, 0, 0], x[1, 1, 0] = 1.0, np.nan     # NaN in the odd position
+    return x
+
+
+@pytest.mark.parametrize("length", [8, 9])
+@pytest.mark.parametrize("values", ["continuous", "ties", "nan"])
+def test_relu_then_pool_match_mask_and_index_semantics(values, length):
+    # ReLU caches its output and maxpool its input; backward must equal the
+    # cached-mask form (mask = x > 0) and the cached-index form (odd > even)
+    # bit for bit
+    x = _relu_pool_input(values, length)
+    go = np.random.default_rng(1).standard_normal((3, length // 2, 4))
+
+    y, relu_cache = layers.relu_forward(x)
+    mask = x > 0
+    assert np.array_equal(y, x * mask, equal_nan=True)
+    pooled, pool_cache = layers.maxpool_forward(y)
+    half = length // 2
+    even, odd = y[:, 0:2 * half:2], y[:, 1:2 * half:2]
+    assert np.array_equal(pooled, np.maximum(even, odd), equal_nan=True)
+
+    g_pool = layers.maxpool_backward(pool_cache, go)
+    want = np.zeros_like(y)
+    want[:, 0:2 * half:2] = go * ~(odd > even)
+    want[:, 1:2 * half:2] = go * (odd > even)
+    assert np.array_equal(g_pool, want)
+    assert np.array_equal(layers.relu_backward(relu_cache, g_pool), g_pool * mask)
+
+
 class TestAttention:
     def _weights(self, rng, heads=2, d=8, dk=4):
         return (rng.standard_normal((heads, d, dk)) * 0.4,
@@ -196,7 +254,8 @@ class TestAttention:
         wq, wk, wv, wo = self._weights(rng)
         x = rng.standard_normal((3, 7, 8))
         _, cache = layers.mha_forward(x, wq, wk, wv, wo)
-        attns = cache[4]
+        attns = cache[4]  # [N, H, L, L]
+        assert attns.shape == (3, 2, 7, 7)
         for a in attns:
             assert np.abs(a.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -260,6 +319,52 @@ class TestAttention:
 
     def test_gradient(self):
         assert gradcheck.check_layer("mha") < gradcheck.LAYER_BOUND
+
+    @staticmethod
+    def _per_head_reference(x, wq, wk, wv, wo, go):
+        """Textbook per-head attention and its backward, one head at a time."""
+        heads, _, d_k = wq.shape
+        concat, saved = [], []
+        for h in range(heads):
+            q, k, v = x @ wq[h], x @ wk[h], x @ wv[h]
+            s = q @ k.swapaxes(1, 2) / np.sqrt(d_k)
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            a = e / e.sum(axis=-1, keepdims=True)
+            concat.append(a @ v)
+            saved.append((q, k, v, a))
+        concat = np.concatenate(concat, axis=-1)
+        out = concat @ wo
+        dwo = np.einsum("nli,nlj->ij", concat, go)
+        dconcat = go @ wo.T
+        dx = np.zeros_like(x)
+        dws = [np.empty_like(wq), np.empty_like(wk), np.empty_like(wv)]
+        for h, (q, k, v, a) in enumerate(saved):
+            dhead = dconcat[:, :, h * d_k:(h + 1) * d_k]
+            da = dhead @ v.swapaxes(1, 2)
+            ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) / np.sqrt(d_k)
+            grads = (ds @ k, ds.swapaxes(1, 2) @ q, a.swapaxes(1, 2) @ dhead)
+            for dw, w, g in zip(dws, (wq, wk, wv), grads):
+                dw[h] = np.einsum("nli,nlj->ij", x, g)
+                dx += g @ w[h].T
+        return out, (dx, *dws, dwo)
+
+    @pytest.mark.parametrize("n,length,heads,d_k", [
+        (3, 1, 2, 4),      # a single position
+        (2, 5, 1, 8),      # a single head
+        (4, 22, 4, 32),    # the default attention block
+    ])
+    def test_fused_matches_per_head_reference(self, n, length, heads, d_k):
+        rng = np.random.default_rng(length * 10 + heads)
+        wq, wk, wv, wo = self._weights(rng, heads, heads * d_k, d_k)
+        x = rng.standard_normal((n, length, heads * d_k))
+        go = rng.standard_normal(x.shape)
+        want_out, want_grads = self._per_head_reference(x, wq, wk, wv, wo, go)
+        out, cache = layers.mha_forward(x, wq, wk, wv, wo)
+        assert cache[4].shape == (n, heads, length, length)
+        got_grads = layers.mha_backward(cache, go)
+        for got, want in zip((out, *got_grads), (want_out, *want_grads)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestLayerNorm:

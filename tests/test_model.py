@@ -36,10 +36,10 @@ class TestShapes:
         cfg, params, x = default_setup(n=3)
         _, trace = model_forward(cfg, params, x, "train",
                                  dropout_rng=np.random.default_rng(0))
-        # pool caches record the argmax grid: [N, L_out, C]
-        assert trace["pool1"][0].shape == (3, 89, 32)
-        assert trace["pool2"][0].shape == (3, 44, 64)
-        assert trace["pool3"][0].shape == (3, 22, 128)
+        # pool caches hold the pool's input: [N, L_in, C]
+        assert trace["pool1"].shape == (3, 178, 32)
+        assert trace["pool2"].shape == (3, 89, 64)
+        assert trace["pool3"].shape == (3, 44, 128)
         assert trace["attn"][0].shape == (3, 22, 128)  # attention input
         assert trace["probs"].shape == (3,)
 
@@ -102,6 +102,70 @@ class TestForward:
         whole = predict_probs(cfg, params, x, chunk_size=9)
         chunked = predict_probs(cfg, params, x, chunk_size=4)
         assert np.allclose(whole, chunked, atol=1e-12)
+
+
+def textbook_infer(cfg, params, batch):
+    """Infer-mode probabilities written out layer by layer: each batch norm
+    applied after its conv or dense layer as (x - mean) / sqrt(var + eps) *
+    gamma + beta, attention one head at a time."""
+    def bn(x, name):
+        return ((x - params[f"{name}_mean"]) / np.sqrt(params[f"{name}_var"] + 1e-5)
+                * params[f"{name}_gamma"] + params[f"{name}_beta"])
+
+    x = batch[:, :, None]
+    for s in range(1, len(cfg.conv_filters) + 1):
+        w = params[f"conv{s}_w"]
+        pad = (w.shape[0] - 1) // 2
+        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+        x = params[f"conv{s}_b"] + sum(xp[:, k:k + x.shape[1]] @ w[k]
+                                       for k in range(w.shape[0]))
+        x = np.maximum(bn(x, f"bn{s}"), 0.0)
+        half = x.shape[1] // 2
+        x = x[:, :2 * half].reshape(x.shape[0], half, 2, x.shape[2]).max(axis=2)
+    heads = []
+    for h in range(cfg.attn_heads):
+        q, k, v = (x @ params[f"attn_{p}"][h] for p in ("wq", "wk", "wv"))
+        scores = q @ k.swapaxes(1, 2) / np.sqrt(cfg.attn_key_dim)
+        a = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        heads.append(a / a.sum(axis=-1, keepdims=True) @ v)
+    x = x + np.concatenate(heads, axis=-1) @ params["attn_wo"]
+    x = ((x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+         * params["ln_gamma"] + params["ln_beta"]).mean(axis=1)
+    for i in range(1, len(cfg.dense_units) + 1):
+        x = np.maximum(bn(x @ params[f"fc{i}_w"] + params[f"fc{i}_b"], f"bnd{i}"), 0.0)
+    out = len(cfg.dense_units) + 1
+    z = (x @ params[f"fc{out}_w"] + params[f"fc{out}_b"])[:, 0]
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+class TestFoldedInference:
+    def test_trained_model_matches_textbook_on_holdout(self):
+        from seiznet import dataset, preprocess
+        ds = dataset.synthesize(40, seed=8)
+        train, test = dataset.split(ds, dataset.SplitSpec(0.8, seed=2))
+        scaler = preprocess.fit_scaler(train.features)
+        cfg = ModelConfig()
+        params, _ = optim.train(cfg, preprocess.apply_scaler(train.features, scaler),
+                                train.labels, optim.TrainHyper(max_epochs=3, seed=4))
+        # training moved the running statistics, so the fold is not trivial
+        for bn in ("bn3", "bnd2"):
+            assert np.abs(params[f"{bn}_mean"]).max() > 0.1
+            assert np.abs(params[f"{bn}_var"] - 1.0).max() > 0.1
+        x = preprocess.apply_scaler(test.features, scaler)
+        got = predict_probs(cfg, params, x, chunk_size=7)
+        want = textbook_infer(cfg, params, x)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_infer_runs_no_batchnorm_and_leaves_params(self, monkeypatch):
+        cfg, params, x = default_setup(n=3)
+        before = {n: a.copy() for n, a in params.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("batchnorm_forward called in infer mode")
+        monkeypatch.setattr(layers, "batchnorm_forward", refuse)
+        model_forward(cfg, params, x, "infer")
+        for name, a in params.items():
+            assert a.tobytes() == before[name].tobytes(), name
 
 
 class TestBackward:
