@@ -9,6 +9,7 @@ float64 data. The round trip is bitwise exact.
 
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,17 +22,14 @@ _DIVIDER = b"==binary==\n"
 
 
 def _config_lines(config: ModelConfig):
-    return [
-        f"input_len = {config.input_len}",
-        f"conv_filters = {','.join(str(v) for v in config.conv_filters)}",
-        f"conv_kernels = {','.join(str(v) for v in config.conv_kernels)}",
-        f"pool_size = {config.pool_size}",
-        f"attn_heads = {config.attn_heads}",
-        f"attn_key_dim = {config.attn_key_dim}",
-        f"dense_units = {','.join(str(v) for v in config.dense_units)}",
-        f"dropout_rate = {config.dropout_rate!r}",
-        f"l2_lambda = {config.l2_lambda!r}",
-    ]
+    """One `name = value` line per ModelConfig field, in declaration order:
+    a tuple as comma-joined ints, anything else as its repr."""
+    lines = []
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        text = ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{f.name} = {text}")
+    return lines
 
 
 def save_artifact(path, config, params, scaler, wavelet_policy, metadata=None):
@@ -86,21 +84,15 @@ def _parse_header(text):
 
 
 def _config_from_keys(keys):
-    def ints(name):
-        return tuple(int(v) for v in keys[name].split(","))
-
+    """Inverse of `_config_lines`: each field parsed with its default's type,
+    a tuple item by item as ints."""
+    values = {}
     try:
-        return ModelConfig(
-            input_len=int(keys["input_len"]),
-            conv_filters=ints("conv_filters"),
-            conv_kernels=ints("conv_kernels"),
-            pool_size=int(keys["pool_size"]),
-            attn_heads=int(keys["attn_heads"]),
-            attn_key_dim=int(keys["attn_key_dim"]),
-            dense_units=ints("dense_units"),
-            dropout_rate=float(keys["dropout_rate"]),
-            l2_lambda=float(keys["l2_lambda"]),
-        )
+        for f in fields(ModelConfig):
+            kind, text = type(f.default), keys[f.name]
+            values[f.name] = (tuple(int(v) for v in text.split(","))
+                              if kind is tuple else kind(text))
+        return ModelConfig(**values)
     except (KeyError, ValueError) as exc:
         raise DataError(f"model artifact header is incomplete or invalid: {exc}")
 
@@ -129,7 +121,7 @@ def load_artifact(path):
 
     expected = [("scaler_mean", (config.input_len,)),
                 ("scaler_std", (config.input_len,))]
-    expected += [(n, param_shapes(config)[n]) for n in param_names(config)]
+    expected += list(param_shapes(config).items())
     if [(n, s) for n, s in tensor_specs] != expected:
         raise DataError("model artifact tensor inventory does not match its config")
 

@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
 
     model_cfg = ModelConfig()
     with _stage("train"):
-        params, tstate = optim.train(model_cfg, x_train, train_ds.labels, rc.hyper())
+        params, tstate = optim.train(model_cfg, x_train, train_ds.labels, rc)
     with _stage("evaluate"):
         report = optim.evaluate(model_cfg, params, x_test, test_ds.labels)
 

@@ -6,8 +6,9 @@ Unknown keys and out-of-range values are rejected with diagnostics that name
 the offending field.
 """
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .optim import TrainHyper
@@ -15,31 +16,19 @@ from .preprocess import parse_policy
 
 
 @dataclass
-class RunConfig:
-    data: str | None = None
+class RunConfig(TrainHyper):
+    """Every config key: the training settings of `TrainHyper` plus the
+    run's data, split, wavelet and output settings. A key's type is its
+    default's type."""
+
+    data: str = ""
     synthetic: bool = False
     synthetic_per_class: int = 250
     train_fraction: float = 0.8
     split_seed: int = 42
     stratified: bool = True
     wavelet: str = "universal"
-    lr: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience_es: int = 10
-    patience_lr: int = 5
-    lr_factor: float = 0.5
-    min_lr: float = 1e-5
-    seed: int = 42
-    val_fraction: float = 0.1
     out_dir: str = "out"
-
-    def hyper(self) -> TrainHyper:
-        return TrainHyper(
-            lr=self.lr, batch_size=self.batch_size, max_epochs=self.max_epochs,
-            seed=self.seed, patience_es=self.patience_es,
-            patience_lr=self.patience_lr, lr_factor=self.lr_factor,
-            min_lr=self.min_lr, val_fraction=self.val_fraction)
 
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -54,19 +43,16 @@ def _convert(key, text, kind):
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: {text!r} is not a finite number")
+            return value
         return text
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {text!r} as {kind.__name__}")
 
 
-_FIELD_TYPES = {
-    "data": str, "synthetic": bool, "synthetic_per_class": int,
-    "train_fraction": float, "split_seed": int, "stratified": bool,
-    "wavelet": str, "lr": float, "batch_size": int, "max_epochs": int,
-    "patience_es": int, "patience_lr": int, "lr_factor": float,
-    "min_lr": float, "seed": int, "val_fraction": float, "out_dir": str,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> RunConfig:

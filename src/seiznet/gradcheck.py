@@ -50,10 +50,10 @@ LAYER_CASES = {
     # attention plus its skip add
     "mha": (model.Attention("attn", 2, 8, 4), (2, 5, 8)),
     "layernorm": (model.Layer("ln", "layernorm", gamma=(5,), beta=(5,)), (3, 4, 5)),
-    "global_avg_pool": (model.GlobalAvgPool("gap"), (2, 6, 3)),
+    "global_avg_pool": (model.Layer("gap", "global_average_pool"), (2, 6, 3)),
     "dense": (model.Layer("fc", "dense", w=(6, 3), b=(3,)), (4, 6)),
     "dropout": (model.Dropout("drop", 0.4), (3, 50)),
-    "sigmoid": (model.Sigmoid("probs"), (5, 1)),
+    "sigmoid": (model.Layer("probs", "sigmoid"), (5, 1)),
 }
 
 
@@ -95,12 +95,7 @@ def check_model(seed=0):
         loss, _ = optim.bce_loss(probs, y, params, cfg.l2_lambda, keys)
         return loss
 
-    probs, trace = model.model_forward(cfg, params, x, "train",
-                                       dropout_rng=np.random.default_rng(11))
-    _, grad_probs = optim.bce_loss(probs, y, params, cfg.l2_lambda, keys)
-    grads = model.model_backward(cfg, params, trace, grad_probs)
-    for k in keys:
-        grads[k] = grads[k] + 2.0 * cfg.l2_lambda * params[k]
+    _, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(11), keys)
     return _worst(loss_fn, [(params[n], grads[n]) for n in model.learnable_names(cfg)])
 
 

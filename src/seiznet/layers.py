@@ -1,6 +1,7 @@
-"""Network layers: forward passes return (output, cache), backward passes
-consume the cache and the upstream gradient. Arrays carry a leading batch
-axis: conv/pool/attention work on [N, L, C], dense layers on [N, D].
+"""Network layers: each op is a pair `<op>_forward`, returning (output,
+cache), and `<op>_backward`, consuming the cache and the upstream gradient;
+`model.Layer` finds both by that name. Arrays carry a leading batch axis:
+conv/pool/attention work on [N, L, C], dense layers on [N, D].
 """
 
 import numpy as np
@@ -19,16 +20,6 @@ def relu_forward(x):
 
 def relu_backward(out, grad_out):
     return grad_out * (out > 0)
-
-
-def sigmoid(z):
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def conv1d_forward(x, w, b):
@@ -210,7 +201,7 @@ def layernorm_backward(cache, grad_out):
     return dx, dgamma, dbeta
 
 
-def global_average_pool(x):
+def global_average_pool_forward(x):
     if x.shape[1] < 1:
         raise ValueError("global average pool needs at least one position")
     return x.mean(axis=1), x.shape[1]
@@ -219,6 +210,22 @@ def global_average_pool(x):
 def global_average_pool_backward(length, grad_out):
     n, c = grad_out.shape
     return np.broadcast_to(grad_out[:, None, :] / length, (n, length, c)).copy()
+
+
+def sigmoid_forward(x):
+    """Output unit: [N, 1] logits to [N] probabilities, cached for backward."""
+    z = x[:, 0]
+    # piecewise form avoids overflow in exp for large |z|
+    probs = np.empty_like(z)
+    pos = z >= 0
+    probs[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    probs[~pos] = ez / (1.0 + ez)
+    return probs, probs
+
+
+def sigmoid_backward(probs, grad_out):
+    return (grad_out * probs * (1.0 - probs))[:, None]
 
 
 def dense_forward(x, w, b):

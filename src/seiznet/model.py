@@ -80,7 +80,7 @@ class Layer:
     there is the one every layer runs.
     """
 
-    def __init__(self, name, op=None, **shapes):
+    def __init__(self, name, op, **shapes):
         self.name, self.op = name, op
         self.shapes = {f"{name}_{suffix}": s for suffix, s in shapes.items()}
         self.learnable = [n for n in self.shapes if not n.endswith(("_mean", "_var"))]
@@ -118,14 +118,6 @@ class BatchNorm(Layer):
         folded[b] = (params[b] - mean) * scale + beta
 
 
-class GlobalAvgPool(Layer):
-    def __init__(self, name):
-        super().__init__(name, "global_average_pool")
-
-    def forward(self, params, x, mode, rng):
-        return layers.global_average_pool(x)
-
-
 class Dropout(Layer):
     def __init__(self, name, rate):
         super().__init__(name, "dropout")
@@ -152,17 +144,6 @@ class Attention(Layer):
         return g + g_attn, grads
 
 
-class Sigmoid(Layer):
-    """Output unit: [N, 1] logits to [N] probabilities, cached for backward."""
-
-    def forward(self, params, x, mode, rng):
-        probs = layers.sigmoid(x[:, 0])
-        return probs, probs
-
-    def backward(self, probs, g):
-        return (g * probs * (1.0 - probs))[:, None], {}
-
-
 def network(config: ModelConfig) -> list[Layer]:
     """The layers in forward order; a layer's name is its trace key."""
     net, c_in = [], 1
@@ -172,7 +153,8 @@ def network(config: ModelConfig) -> list[Layer]:
                 Layer(f"pool{s}", "maxpool")]
         c_in = f
     net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
-            Layer("ln", "layernorm", gamma=(c_in,), beta=(c_in,)), GlobalAvgPool("gap")]
+            Layer("ln", "layernorm", gamma=(c_in,), beta=(c_in,)),
+            Layer("gap", "global_average_pool")]
     width = c_in
     for i, units in enumerate(config.dense_units, start=1):
         net += [Layer(f"fc{i}", "dense", w=(width, units), b=(units,)),
@@ -180,7 +162,7 @@ def network(config: ModelConfig) -> list[Layer]:
                 Dropout(f"drop{i}", config.dropout_rate)]
         width = units
     out = len(config.dense_units) + 1
-    net += [Layer(f"fc{out}", "dense", w=(width, 1), b=(1,)), Sigmoid("probs")]
+    net += [Layer(f"fc{out}", "dense", w=(width, 1), b=(1,)), Layer("probs", "sigmoid")]
     return net
 
 

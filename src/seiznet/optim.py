@@ -21,6 +21,9 @@ IMPROVE_TOL = 1e-4
 
 @dataclass
 class TrainHyper:
+    """Training settings. `config.RunConfig` extends this class, so each of
+    these fields is also a config key."""
+
     lr: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 100
@@ -55,7 +58,7 @@ def bce_loss(probs, labels, params=None, l2_lambda=0.0, l2_keys=()):
 
     Returns (loss, gradient of the data term w.r.t. probs). The penalty
     gradient (2 * lambda * W) is added straight onto the parameter gradients
-    by the caller, not routed through this gradient.
+    by `loss_and_grads`, not routed through this gradient.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -100,6 +103,18 @@ class Adam:
             params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def loss_and_grads(config, params, x, y, rng, keys):
+    """Train-mode loss on one batch, its probabilities, and the gradient of
+    every learnable tensor with the L2 term 2 * lambda * W added onto the
+    kernels named in keys. rng draws the dropout masks."""
+    probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
+    loss, grad_probs = bce_loss(probs, y, params, config.l2_lambda, keys)
+    grads = model_backward(config, params, trace, grad_probs)
+    for k in keys:
+        grads[k] += 2.0 * config.l2_lambda * params[k]
+    return loss, probs, grads
+
+
 def _batch_slices(n, batch_size, perm):
     """Index batches for one epoch; a trailing singleton is folded into the
     previous batch so batch normalization always sees at least 2 samples."""
@@ -128,7 +143,6 @@ def train(config, features, labels, hyper: TrainHyper):
 
     params = init_params(config, hyper.seed)
     keys = l2_names(config)
-    lam = config.l2_lambda
     adam = Adam(lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
 
@@ -143,18 +157,14 @@ def train(config, features, labels, hyper: TrainHyper):
         correct = 0
         for idx in _batch_slices(n_tr, hyper.batch_size, perm):
             xb, yb = x_tr[idx], y_tr[idx]
-            probs, trace = model_forward(config, params, xb, "train", dropout_rng=rng)
-            loss, grad_probs = bce_loss(probs, yb, params, lam, keys)
-            grads = model_backward(config, params, trace, grad_probs)
-            for k in keys:
-                grads[k] += 2.0 * lam * params[k]
+            loss, probs, grads = loss_and_grads(config, params, xb, yb, rng, keys)
             adam.lr = state.lr
             adam.step(params, grads)
             loss_sum += loss * len(idx)
             correct += int(((probs > 0.5) == (yb == 1)).sum())
 
         val_probs = predict_probs(config, params, x_val)
-        val_loss, _ = bce_loss(val_probs, y_val, params, lam, keys)
+        val_loss, _ = bce_loss(val_probs, y_val, params, config.l2_lambda, keys)
         val_acc = float(((val_probs > 0.5) == (y_val == 1)).mean())
         state.epoch = epoch
         state.history.append(

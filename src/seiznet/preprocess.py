@@ -82,7 +82,7 @@ def parse_policy(policy: str) -> tuple[str, float]:
             t = float(policy[len("fixed:"):])
         except ValueError:
             raise ConfigError(f"bad fixed wavelet threshold in {policy!r}")
-        if t < 0:
+        if not t >= 0:
             raise ConfigError("fixed wavelet threshold must be >= 0")
         return "fixed", t
     raise ConfigError(

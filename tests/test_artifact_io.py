@@ -1,8 +1,11 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
-from seiznet.errors import DataError
+from seiznet.errors import ConfigError, DataError
 from seiznet.model import ModelConfig, init_params, param_names, param_shapes, toy_config
 from seiznet.preprocess import ScalerParams
 
@@ -38,6 +41,18 @@ def test_save_load_save_identical_bytes(tmp_path):
     path2 = tmp_path / "again.bin"
     save_artifact(path2, cfg2, params2, scaler2, policy, meta)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_non_default_config_round_trips(tmp_path):
+    # every field but pool_size, which admits only 2, differs from its default
+    cfg = replace(toy_config(), conv_kernels=(5, 3, 1), dropout_rate=0.25, l2_lambda=0.0)
+    default = ModelConfig()
+    assert [f.name for f in fields(cfg)
+            if getattr(cfg, f.name) == getattr(default, f.name)] == ["pool_size"]
+    scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
+    path = tmp_path / "model.bin"
+    save_artifact(path, cfg, init_params(cfg, 0), scaler, "off")
+    assert load_artifact(path)[0] == cfg
 
 
 def test_fixed_policy_round_trip(tmp_path):
@@ -116,12 +131,27 @@ DEFAULT_INVENTORY = [
 ]
 
 
+# the architecture lines of the default model's header, in order
+DEFAULT_CONFIG_LINES = [
+    "input_len = 178",
+    "conv_filters = 32,64,128",
+    "conv_kernels = 7,5,3",
+    "pool_size = 2",
+    "attn_heads = 4",
+    "attn_key_dim = 32",
+    "dense_units = 128,64",
+    "dropout_rate = 0.5",
+    "l2_lambda = 0.001",
+]
+
+
 def test_default_model_inventory_is_pinned(tmp_path):
     cfg = ModelConfig()
     scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
     path = tmp_path / "model.bin"
     save_artifact(path, cfg, init_params(cfg, 0), scaler, "universal")
     header = path.read_bytes().split(b"==binary==\n", 1)[0].decode("utf-8")
+    assert header.splitlines()[1:10] == DEFAULT_CONFIG_LINES
     stored = []
     for line in header.splitlines():
         if line.startswith("tensor = "):
@@ -130,3 +160,28 @@ def test_default_model_inventory_is_pinned(tmp_path):
     assert len(DEFAULT_INVENTORY) == 40
     assert stored == DEFAULT_INVENTORY
     assert list(param_shapes(cfg).items()) == DEFAULT_INVENTORY[2:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path, *_ = make_artifact(tmp_path_factory.mktemp("fuzz"))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_artifact_fails_with_a_documented_error(fuzz_dir, data):
+    blob = bytearray(fuzz_dir.read_bytes())
+    header_end = blob.find(b"==binary==\n") + len(b"==binary==\n")
+    # half the flips aim at the text header, the part that is parsed
+    positions = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1))
+    for pos, mask in data.draw(st.lists(st.tuples(positions, st.integers(1, 255)),
+                                        max_size=4)):
+        blob[pos] ^= mask
+    blob = blob[:data.draw(st.integers(0, len(blob)))]
+    damaged = fuzz_dir.with_name("damaged.bin")
+    damaged.write_bytes(bytes(blob))
+    try:
+        load_artifact(damaged)
+    except (DataError, ConfigError):
+        pass

@@ -92,6 +92,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "train_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "nan"), ("lr", "inf"), ("min_lr", "nan"), ("wavelet", "fixed:nan")])
+    def test_non_finite_value_names_field(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 3\n")

@@ -1,6 +1,10 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from seiznet.config import parse_config_file
+from seiznet.config import RunConfig, parse_config_file
 from seiznet.errors import ConfigError
 
 
@@ -24,3 +28,12 @@ def test_inline_comment_after_whitespace_is_cut(tmp_path):
 def test_value_glued_to_hash_is_not_a_comment(tmp_path):
     with pytest.raises(ConfigError, match="lr"):
         parse_config_file(write(tmp_path, "lr = 0.01#note\n"))
+
+
+def test_readme_defaults_are_the_run_config_defaults(tmp_path):
+    # the README's ini block is the one hand-written copy of the defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    assert parse_config_file(write(tmp_path, block)) == RunConfig()

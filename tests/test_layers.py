@@ -384,12 +384,12 @@ class TestLayerNorm:
 
 class TestGlobalAveragePool:
     def test_mean(self):
-        out, _ = layers.global_average_pool(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        out, _ = layers.global_average_pool_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         assert out[0].tolist() == [2.0, 3.0]
 
     def test_single_position_identity(self):
         x = np.random.default_rng(15).standard_normal((2, 1, 4))
-        out, _ = layers.global_average_pool(x)
+        out, _ = layers.global_average_pool_forward(x)
         assert np.array_equal(out, x[:, 0, :])
 
     def test_backward_spreads_evenly(self):
@@ -399,7 +399,7 @@ class TestGlobalAveragePool:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            layers.global_average_pool(np.zeros((2, 0, 3)))
+            layers.global_average_pool_forward(np.zeros((2, 0, 3)))
 
     def test_gradient(self):
         assert gradcheck.check_layer("global_avg_pool") < gradcheck.LAYER_BOUND
@@ -456,7 +456,8 @@ class TestDropout:
 
 def test_sigmoid_stable_and_bounded():
     z = np.array([-1000.0, -20.0, 0.0, 20.0, 1000.0])
-    p = layers.sigmoid(z)
+    p, cache = layers.sigmoid_forward(z[:, None])
+    assert cache is p
     assert np.isfinite(p).all()
     assert (p > 0).all() and (p < 1).all() or (p[0] == 0.0 and p[-1] == 1.0)
     assert p[2] == pytest.approx(0.5, abs=1e-12)
