@@ -9,12 +9,13 @@ float64 data. The round trip is bitwise exact.
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig, param_names, param_shapes
+from .model import ModelConfig, param_shapes
 from .preprocess import ScalerParams, parse_policy
 
 VERSION_TAG = "seiznet-model v1"
@@ -32,11 +33,28 @@ def _config_lines(config: ModelConfig):
     return lines
 
 
+@contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temp file beside `path` and rename it onto `path` when the block
+    ends, so a reader never sees a partial file; on any failure the temp file
+    is removed and the error re-raised."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_artifact(path, config, params, scaler, wavelet_policy, metadata=None):
     """Write the artifact atomically (temp file + rename)."""
     parse_policy(wavelet_policy)
     tensors = [("scaler_mean", scaler.mean), ("scaler_std", scaler.std)]
-    tensors += [(name, params[name]) for name in param_names(config)]
+    tensors += [(name, params[name]) for name in param_shapes(config)]
 
     lines = [VERSION_TAG]
     lines += _config_lines(config)
@@ -47,15 +65,13 @@ def save_artifact(path, config, params, scaler, wavelet_policy, metadata=None):
         dims = ",".join(str(d) for d in np.asarray(arr).shape)
         lines.append(f"tensor = {name} {dims}")
 
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines).encode("utf-8") + b"\n")
         fh.write(_DIVIDER)
         for _, arr in tensors:
             data = np.ascontiguousarray(arr, dtype="<f8")
             fh.write(struct.pack("<Q", data.size))
             fh.write(data.tobytes())
-    os.replace(tmp, path)
 
 
 def _parse_header(text):

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, evaluate, predict, gradcheck, synth.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error or an unwritable output, 2 data
+error, 3 numeric failure.
 All output files are written to a temp path and renamed, so failures never
 leave partial artifacts behind.
 """
@@ -31,11 +32,19 @@ def _stage(name):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write `path` as a usage error (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), artifact.atomic_open(path, "w", encoding="utf-8",
+                                              newline="\n") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def format_report(report) -> str:
@@ -113,7 +122,8 @@ def cmd_train(args) -> int:
         report = optim.evaluate(model_cfg, params, x_test, test_ds.labels)
 
     with _stage("write"):
-        os.makedirs(rc.out_dir, exist_ok=True)
+        with _writing(rc.out_dir):
+            os.makedirs(rc.out_dir, exist_ok=True)
         meta = {
             "seed": str(rc.seed),
             "split_seed": str(rc.split_seed),
@@ -124,7 +134,8 @@ def cmd_train(args) -> int:
             "test_f1": f"{report.f1:.6f}",
         }
         model_path = os.path.join(rc.out_dir, "model.bin")
-        artifact.save_artifact(model_path, model_cfg, params, scaler, rc.wavelet, meta)
+        with _writing(model_path):
+            artifact.save_artifact(model_path, model_cfg, params, scaler, rc.wavelet, meta)
         _write_text(os.path.join(rc.out_dir, "curves.csv"), curves_csv(tstate.history))
         _write_text(os.path.join(rc.out_dir, "confusion.csv"),
                     confusion_csv(report.confusion))
@@ -150,7 +161,8 @@ def cmd_evaluate(args) -> int:
     with _stage("evaluate"):
         report = optim.evaluate(cfg, params, x, ds.labels)
     with _stage("write"):
-        os.makedirs(args.out, exist_ok=True)
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
         _write_text(os.path.join(args.out, "metrics.txt"), format_report(report))
         _write_text(os.path.join(args.out, "confusion.csv"),
                     confusion_csv(report.confusion))
@@ -198,7 +210,8 @@ def cmd_synth(args) -> int:
         # raw labels: 1 = seizure; non-seizure rows cycle through 2..5
         raw = 1 if ds.labels[i] == 1 else 2 + i % 4
         lines.append(",".join(repr(float(v)) for v in ds.features[i]) + f",{raw}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _stage("write"):
+        _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(ds)} rows)")
     return EXIT_OK
 

@@ -189,10 +189,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     return {n: s for layer in network(config) for n, s in layer.shapes.items()}
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    return list(param_shapes(config))
-
-
 def learnable_names(config: ModelConfig) -> list[str]:
     return [n for layer in network(config) for n in layer.learnable]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
 from seiznet.errors import ConfigError, DataError
-from seiznet.model import ModelConfig, init_params, param_names, param_shapes, toy_config
+from seiznet.model import ModelConfig, init_params, param_shapes, toy_config
 from seiznet.preprocess import ScalerParams
 
 
@@ -30,7 +30,7 @@ def test_round_trip_is_bitwise(tmp_path):
     assert meta["epochs_run"] == "3"
     assert np.array_equal(scaler2.mean, scaler.mean)
     assert np.array_equal(scaler2.std, scaler.std)
-    assert set(params2) == set(param_names(cfg))
+    assert set(params2) == set(param_shapes(cfg))
     for name in params:
         assert np.array_equal(params2[name], params[name]), name
 

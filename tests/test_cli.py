@@ -225,6 +225,46 @@ class TestPredict:
         assert 0.0 <= prob <= 1.0
 
 
+@pytest.fixture(scope="module")
+def model_and_csv(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    csv, out = root / "data.csv", root / "run"
+    assert main(["synth", "--out", str(csv), "--n-per-class", "30", "--seed", "9"]) == 0
+    assert main(["train", "--data", str(csv), "--out", str(out), "--seed", "9"]) == 0
+    return out / "model.bin", csv
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 naming the path and leaves no
+    temp file behind."""
+
+    @pytest.mark.parametrize("command, target", [
+        ("synth", None),             # --out lies under a regular file
+        ("synth", "."),              # --out is a directory
+        ("train", None),
+        ("train", "model.bin"),      # an output file's path is a directory
+        ("train", "metrics.txt"),
+        ("evaluate", None),
+        ("evaluate", "confusion.csv"),
+    ])
+    def test_exits_one_naming_the_path(self, tmp_path, tiny_config, model_and_csv,
+                                       capsys, command, target):
+        if target is None:
+            (tmp_path / "file").write_text("")
+            out = bad = tmp_path / "file" / "out"
+        else:
+            out = tmp_path / "out"
+            bad = out / target
+            bad.mkdir(parents=True)
+        model, csv = model_and_csv
+        argv = {"synth": ["synth", "--n-per-class", "2"],
+                "train": ["train", "--config", tiny_config],
+                "evaluate": ["evaluate", "--model", str(model), "--data", str(csv)]}[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"error: write: cannot write {bad}: " in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
 class TestGradcheckCommand:
     def test_passes_with_full_table(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -1,8 +1,16 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seiznet import dataset
+from seiznet import dataset, preprocess
+from seiznet.artifact import save_artifact
+from seiznet.cli import main
 from seiznet.errors import ConfigError, DataError
+from seiznet.model import ModelConfig, init_params
 
 
 def make_row(label, value=1.0):
@@ -214,3 +222,80 @@ class TestSynthesize:
     def test_bad_count(self):
         with pytest.raises(ConfigError):
             dataset.synthesize(0, seed=1)
+
+
+# Feature fields of valid rows; csv_file mixes them with the junk lines a
+# damaged or foreign file may hold.
+GOOD_FEATURES = [",".join(repr(float(v)) for v in row)
+                 for row in dataset.synthesize(2, seed=11).features]
+JUNK_KINDS = ["label", "bytes", "count", "value", "empty", "text"]
+
+
+@st.composite
+def csv_line(draw, labelled):
+    """One line as bytes: a good row or one kind of junk."""
+    features = draw(st.sampled_from(GOOD_FEATURES))
+    label = "," + draw(st.sampled_from("12345")) if labelled else ""
+    kind = draw(st.sampled_from(["good", "good"] + JUNK_KINDS))
+    fields = features.split(",")
+    if kind == "good":
+        line = features + label
+    elif kind == "label":
+        line = features + "," + draw(st.sampled_from(
+            ["0", "6", "-1", "1.5", "x", "", " ", "nan", "inf", "1e400", "1e19"]))
+    elif kind == "bytes":
+        raw = (features + label).encode()
+        cut = draw(st.integers(0, len(raw)))
+        return raw[:cut] + draw(st.binary(min_size=1, max_size=4)) + raw[cut:]
+    elif kind == "count":
+        line = ",".join((fields * 2)[:draw(st.integers(0, 2 * len(fields)))])
+    elif kind in ("value", "empty"):
+        bad = ["nan", "-inf", "1e400", "-1e400"] if kind == "value" else ["", " ", "\t"]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(bad))
+        line = ",".join(fields) + label
+    else:
+        line = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    return line.encode()
+
+
+def csv_file(labelled):
+    return st.lists(csv_line(labelled), max_size=8).map(lambda lines: b"\n".join(lines) + b"\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=csv_file(labelled=True))
+def test_junk_csv_loads_or_raises_data_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(content)
+    try:
+        ds = dataset.load_csv(path)
+    except DataError:
+        return
+    assert len(ds) >= 1
+
+
+@pytest.fixture(scope="module")
+def untrained_model(tmp_path_factory):
+    cfg = ModelConfig()
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    scaler = preprocess.fit_scaler(dataset.synthesize(2, seed=11).features)
+    save_artifact(path, cfg, init_params(cfg, 0), scaler, "universal")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=csv_file(labelled=False))
+def test_junk_csv_predicts_good_rows_and_reports_the_rest(tmp_path_factory, untrained_model,
+                                                         content):
+    path = tmp_path_factory.mktemp("fuzz") / "features.csv"
+    path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["predict", "--model", str(untrained_model), "--data", str(path)])
+    assert code in (0, 2)
+    problems = err.getvalue().splitlines()
+    assert bool(problems) == (code == 2)
+    for line in problems:
+        assert re.fullmatch(r"(row \d+|error: load): .+", line), line
+    for line in out.getvalue().splitlines():
+        assert re.fullmatch(r"[01]\.\d{6},[01]", line), line

@@ -3,19 +3,22 @@ import pytest
 
 from seiznet import kernels
 
-# N, L, C_in, K, C_out. The kernels take one GEMM over an im2col patch matrix
-# when K * C_in <= C_out and a per-tap loop otherwise; both sides are covered
-# at batch sizes 1, 32 and 256.
+# N, L, C_in, K, C_out. Patch matrices narrower and wider than the output
+# (K * C_in below, at and above C_out), a single tap, a sequence shorter than
+# the kernel, and the three stages of the default network at batch sizes 1,
+# 32 and 256.
 SHAPES = [
-    (1, 8, 1, 3, 2),        # per-tap
-    (4, 21, 3, 5, 6),       # per-tap, odd length
-    (2, 178, 1, 7, 32),     # im2col
-    (3, 44, 16, 3, 8),      # per-tap
-    (3, 10, 2, 3, 6),       # im2col at the boundary K * C_in == C_out
+    (1, 8, 1, 3, 2),        # K * C_in > C_out
+    (4, 21, 3, 5, 6),       # K * C_in > C_out, odd length
+    (2, 178, 1, 7, 32),     # K * C_in < C_out
+    (3, 44, 16, 3, 8),      # K * C_in > C_out
+    (3, 10, 2, 3, 6),       # K * C_in == C_out
+    (2, 5, 3, 1, 4),        # one tap: no padding
+    (2, 3, 2, 7, 4),        # L < K: every window reaches into the padding
     (1, 178, 1, 7, 32),     # stage 1, one segment
-    (32, 89, 32, 5, 64),    # stage 2, training batch: per-tap
-    (256, 178, 1, 7, 32),   # stage 1, inference chunk: im2col
-    (256, 44, 64, 3, 128),  # stage 3, inference chunk: per-tap
+    (32, 89, 32, 5, 64),    # stage 2, training batch
+    (256, 178, 1, 7, 32),   # stage 1, inference chunk
+    (256, 44, 64, 3, 128),  # stage 3, inference chunk
 ]
 
 # The kernels sum in another order than the references, so float64 results
