@@ -41,6 +41,16 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_out_dir(path):
+    """Fail before any work unless `path`, or its nearest existing ancestor,
+    is a writable directory. Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"write: cannot write {path}: {probe} is not a writable directory")
+
+
 def _write_text(path, text):
     with _writing(path), artifact.atomic_open(path, "w", encoding="utf-8",
                                               newline="\n") as fh:
@@ -96,6 +106,7 @@ def _load_run_config(args) -> RunConfig:
 
 def cmd_train(args) -> int:
     rc = _load_run_config(args)
+    _check_out_dir(rc.out_dir)
 
     with _stage("load"):
         if rc.data:

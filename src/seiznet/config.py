@@ -62,6 +62,8 @@ def parse_config_file(path) -> RunConfig:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     for line_no, line in enumerate(lines, start=1):
         line = re.sub(r"(^|\s)#.*", "", line).strip()
         if not line:

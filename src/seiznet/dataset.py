@@ -65,8 +65,7 @@ def _parse_label(tok: str) -> int:
 
 
 def _bad_feature(tokens) -> str:
-    """Name the first bad value of a row's features, given as strings or
-    as parsed numbers."""
+    """Name the first bad value among a row's feature strings."""
     for j, tok in enumerate(tokens, start=1):
         if not _is_number(tok):
             return f"non-numeric feature {tok.strip()!r} (column {j})"
@@ -74,13 +73,12 @@ def _bad_feature(tokens) -> str:
             return f"non-finite feature value (column {j})"
 
 
-def _parse_row(fields: list[str], labelled: bool) -> tuple[list[float], int | None]:
-    """(features, label or None) of one row; DataError names its problem.
+def _parse_row(fields: list[str], labelled: bool, out: np.ndarray) -> int | None:
+    """Write one row's features into `out` and return its label (None when
+    unlabelled); DataError names the row's first problem, its features
+    before its label.
 
-    Fields keep their surrounding whitespace, which float() ignores. A
-    non-finite feature is left for _parse_rows to find over the whole matrix,
-    except in a row that fails here, so the first problem of a row is the
-    one reported.
+    Fields keep their surrounding whitespace, which float() ignores.
     """
     width = N_FEATURES + 1 if labelled else N_FEATURES
     if len(fields) == width + 1 and not _is_number(fields[0]):
@@ -89,17 +87,12 @@ def _parse_row(fields: list[str], labelled: bool) -> tuple[list[float], int | No
         expected = f"{N_FEATURES} features" + (" + 1 label" if labelled else "")
         raise DataError(f"expected {expected}, got {len(fields)} fields")
     try:
-        values = list(map(float, fields[:N_FEATURES]))
+        out[:] = list(map(float, fields[:N_FEATURES]))
     except ValueError:
         raise DataError(_bad_feature(fields[:N_FEATURES]))
-    if not labelled:
-        return values, None
-    try:
-        return values, _parse_label(fields[N_FEATURES])
-    except DataError:
-        if not np.isfinite(values).all():
-            raise DataError(_bad_feature(fields[:N_FEATURES]))
-        raise
+    if not np.isfinite(out).all():
+        raise DataError(_bad_feature(fields[:N_FEATURES]))
+    return _parse_label(fields[N_FEATURES]) if labelled else None
 
 
 def _is_number(tok: str) -> bool:
@@ -140,23 +133,14 @@ def _parse_rows(path, labelled: bool):
         if not (row_nos or problems) and not any(map(_is_number, fields)):
             continue
         try:
-            values, label = _parse_row(fields, labelled)
+            # a failed row's partial values are overwritten by the next row
+            label = _parse_row(fields, labelled, features[len(row_nos)])
         except DataError as exc:
             problems.append((line_no, str(exc)))
             continue
-        features[len(row_nos)] = values
         labels.append(label)
         row_nos.append(line_no)
-    features = features[:len(row_nos)]
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        for i in np.flatnonzero(~finite):
-            problems.append((row_nos[i], _bad_feature(features[i])))
-        problems.sort()
-        features = features[finite]
-        labels = [lab for lab, ok in zip(labels, finite) if ok]
-        row_nos = [r for r, ok in zip(row_nos, finite) if ok]
-    return features, labels, row_nos, problems
+    return features[:len(row_nos)], labels, row_nos, problems
 
 
 def load_csv(path) -> Dataset:

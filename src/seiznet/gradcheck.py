@@ -68,7 +68,7 @@ def check_layer(name, seed=0):
 
     def run():
         # a fresh generator per call keeps the dropout mask fixed
-        return layer.forward(params, x, "train", np.random.default_rng(7))
+        return layer.forward(params, x, np.random.default_rng(7))
 
     y, cache = run()
     r = rng.standard_normal(y.shape)
@@ -87,15 +87,13 @@ def check_model(seed=0):
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((3, cfg.input_len))
     y = np.array([0.0, 1.0, 1.0])
-    keys = model.l2_names(cfg)
 
     def loss_fn():
         probs, _ = model.model_forward(cfg, params, x, "train",
                                        dropout_rng=np.random.default_rng(11))
-        loss, _ = optim.bce_loss(probs, y, params, cfg.l2_lambda, keys)
-        return loss
+        return optim.bce_loss(probs, y)[0] + optim.l2_penalty(cfg, params)
 
-    _, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(11), keys)
+    _, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(11))
     return _worst(loss_fn, [(params[n], grads[n]) for n in model.learnable_names(cfg)])
 
 

@@ -239,12 +239,12 @@ def dense_backward(cache, grad_out):
     return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
-def dropout_forward(x, rate, mode, rng=None):
-    """Inverted dropout: survivors are scaled by 1/(1-rate) during training,
-    so infer mode is an exact identity."""
+def dropout_forward(x, rate, rng):
+    """Inverted dropout: survivors are scaled by 1/(1-rate), so infer mode
+    is an exact identity and never calls this (`model.infer_network`)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode != "train" or rate == 0.0:
+    if rate == 0.0:
         return x, None
     mask = rng.random(x.shape) >= rate
     return x * mask / (1.0 - rate), (mask, rate)

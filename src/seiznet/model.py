@@ -74,7 +74,7 @@ class Layer:
     `shapes` maps the tensors, named `<layer name>_<suffix>`, to their shapes
     in artifact order. `learnable` names those that receive gradients
     (batch-norm running statistics do not) and `l2` the kernels (`_w`) under
-    the weight penalty. forward(params, x, mode, rng) returns (y, cache);
+    the weight penalty. forward(params, x, rng) returns (y, cache);
     backward(cache, g) returns (g w.r.t. x, {tensor name: gradient}). The
     functions are looked up on `layers` at call time, so a function patched
     there is the one every layer runs.
@@ -89,7 +89,7 @@ class Layer:
     def tensors(self, params):
         return [params[n] for n in self.shapes]
 
-    def forward(self, params, x, mode, rng):
+    def forward(self, params, x, rng):
         return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params))
 
     def backward(self, cache, g):
@@ -119,12 +119,14 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
+    """Train mode only: infer_network leaves out this identity at inference."""
+
     def __init__(self, name, rate):
         super().__init__(name, "dropout")
         self.rate = rate
 
-    def forward(self, params, x, mode, rng):
-        return layers.dropout_forward(x, self.rate, mode, rng)
+    def forward(self, params, x, rng):
+        return layers.dropout_forward(x, self.rate, rng)
 
 
 class Attention(Layer):
@@ -134,8 +136,8 @@ class Attention(Layer):
         qkv = (heads, d, d_k)
         super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(d, d))
 
-    def forward(self, params, x, mode, rng):
-        attn, cache = super().forward(params, x, mode, rng)
+    def forward(self, params, x, rng):
+        attn, cache = super().forward(params, x, rng)
         return x + attn, cache
 
     def backward(self, cache, g):
@@ -145,7 +147,7 @@ class Attention(Layer):
 
 
 def network(config: ModelConfig) -> list[Layer]:
-    """The layers in forward order; a layer's name is its trace key."""
+    """The layers in forward order."""
     net, c_in = [], 1
     for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
         net += [Layer(f"conv{s}", "conv1d", w=(k, c_in, f), b=(f,)),
@@ -169,13 +171,13 @@ def network(config: ModelConfig) -> list[Layer]:
 def infer_network(config: ModelConfig, params):
     """The layers infer mode runs and the tensors they read: each BatchNorm
     is folded into the conv1d or dense layer before it and left out of the
-    list (Jacob et al. 2018, arXiv:1712.05877, section 3.2). The folded
-    tensors go into a new dict; params is not changed."""
+    list (Jacob et al. 2018, arXiv:1712.05877, section 3.2), and so is each
+    Dropout. The folded tensors go into a new dict; params is not changed."""
     net, folded = [], dict(params)
     for layer in network(config):
         if isinstance(layer, BatchNorm):
             layer.fold_into(net[-1], params, folded)
-        else:
+        elif not isinstance(layer, Dropout):
             net.append(layer)
     return net, folded
 
@@ -218,8 +220,9 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     """Run the network on a batch of signals.
 
     batch: [N, input_len] or [N, input_len, 1]. Returns (probs, trace);
-    trace maps each layer name to its cache and is None in infer mode. Train
-    mode with a nonzero dropout rate requires a dropout_rng.
+    trace is the list of (layer, cache) pairs in forward order, which
+    model_backward walks, and None in infer mode. Train mode with a nonzero
+    dropout rate requires a dropout_rng.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 2:
@@ -229,23 +232,22 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     train = mode == "train"
     if train and config.dropout_rate > 0.0 and dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
-    trace = {} if train else None
+    trace = [] if train else None
     net, tensors = (network(config), params) if train else infer_network(config, params)
     for layer in net:
-        x, cache = layer.forward(tensors, x, mode, dropout_rng)
+        x, cache = layer.forward(tensors, x, dropout_rng)
         if train:
-            trace[layer.name] = cache
+            trace.append((layer, cache))
     if not np.isfinite(x).all():
         raise NumericError("non-finite model output")
     return x, trace
 
 
-def model_backward(config, params, trace, grad_probs):
-    """Gradients of every learnable tensor, given dLoss/dprobs."""
-    grads = {}
-    g = grad_probs
-    for layer in reversed(network(config)):
-        g, layer_grads = layer.backward(trace[layer.name], g)
+def model_backward(trace, grad_probs):
+    """Gradients of every learnable tensor, given the train trace and dLoss/dprobs."""
+    grads, g = {}, grad_probs
+    for layer, cache in reversed(trace):
+        g, layer_grads = layer.backward(cache, g)
         grads.update(layer_grads)
     return grads
 

@@ -47,19 +47,15 @@ class TrainState:
     stopped_early: bool = False
 
 
-def l2_penalty(params, keys, lam):
-    if lam == 0.0 or not keys:
+def l2_penalty(config, params):
+    """The weight penalty: l2_lambda times the squared `l2_names` kernels."""
+    if config.l2_lambda == 0.0:
         return 0.0
-    return lam * sum(float((params[k] ** 2).sum()) for k in keys)
+    return config.l2_lambda * sum(float((params[k] ** 2).sum()) for k in l2_names(config))
 
 
-def bce_loss(probs, labels, params=None, l2_lambda=0.0, l2_keys=()):
-    """Mean binary cross-entropy plus the weight penalty.
-
-    Returns (loss, gradient of the data term w.r.t. probs). The penalty
-    gradient (2 * lambda * W) is added straight onto the parameter gradients
-    by `loss_and_grads`, not routed through this gradient.
-    """
+def bce_loss(probs, labels):
+    """Mean binary cross-entropy: returns (loss, gradient w.r.t. probs)."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
@@ -68,8 +64,7 @@ def bce_loss(probs, labels, params=None, l2_lambda=0.0, l2_keys=()):
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     data = -float(np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
     grad = (p - labels) / (p * (1.0 - p)) / n
-    penalty = l2_penalty(params, l2_keys, l2_lambda) if params is not None else 0.0
-    return data + penalty, grad
+    return data, grad
 
 
 class Adam:
@@ -103,16 +98,17 @@ class Adam:
             params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def loss_and_grads(config, params, x, y, rng, keys):
-    """Train-mode loss on one batch, its probabilities, and the gradient of
-    every learnable tensor with the L2 term 2 * lambda * W added onto the
-    kernels named in keys. rng draws the dropout masks."""
+def loss_and_grads(config, params, x, y, rng):
+    """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, its
+    probabilities, and the gradient of every learnable tensor, with the
+    penalty's 2 * lambda * W added onto the `l2_names` kernels. rng draws
+    the dropout masks."""
     probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
-    loss, grad_probs = bce_loss(probs, y, params, config.l2_lambda, keys)
-    grads = model_backward(config, params, trace, grad_probs)
-    for k in keys:
+    data, grad_probs = bce_loss(probs, y)
+    grads = model_backward(trace, grad_probs)
+    for k in l2_names(config):
         grads[k] += 2.0 * config.l2_lambda * params[k]
-    return loss, probs, grads
+    return data + l2_penalty(config, params), probs, grads
 
 
 def _batch_slices(n, batch_size, perm):
@@ -142,7 +138,6 @@ def train(config, features, labels, hyper: TrainHyper):
     x_val, y_val = x[val_idx], y[val_idx]
 
     params = init_params(config, hyper.seed)
-    keys = l2_names(config)
     adam = Adam(lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
 
@@ -157,14 +152,14 @@ def train(config, features, labels, hyper: TrainHyper):
         correct = 0
         for idx in _batch_slices(n_tr, hyper.batch_size, perm):
             xb, yb = x_tr[idx], y_tr[idx]
-            loss, probs, grads = loss_and_grads(config, params, xb, yb, rng, keys)
+            loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
             adam.lr = state.lr
             adam.step(params, grads)
             loss_sum += loss * len(idx)
             correct += int(((probs > 0.5) == (yb == 1)).sum())
 
         val_probs = predict_probs(config, params, x_val)
-        val_loss, _ = bce_loss(val_probs, y_val, params, config.l2_lambda, keys)
+        val_loss = bce_loss(val_probs, y_val)[0] + l2_penalty(config, params)
         val_acc = float(((val_probs > 0.5) == (y_val == 1)).mean())
         state.epoch = epoch
         state.history.append(

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from seiznet import dataset, gradcheck, layers, preprocess
+from seiznet import dataset, gradcheck, layers, optim, preprocess
 from seiznet.artifact import load_artifact
 from seiznet.cli import main
 
@@ -120,6 +120,12 @@ class TestTrain:
         csv.write_bytes(b"\xff\xfe" + "1,2,3\n".encode("utf-16-le"))
         assert main(["train", "--data", str(csv)]) == 2
         assert f"{csv}: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "seed = 1\n".encode("utf-16-le"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"error: {cfg}: not UTF-8 text (byte 0: " in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -263,6 +269,23 @@ class TestUnwritableOutput:
         assert main(argv + ["--out", str(out)]) == 1
         assert f"error: write: cannot write {bad}: " in capsys.readouterr().err
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("out", ["file/out", "file/a/b", "file"])
+    def test_train_checks_out_before_loading(self, tmp_path, tiny_config, monkeypatch,
+                                             capsys, out):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran although --out cannot be written")
+        monkeypatch.setattr(optim, "train", refuse)
+        monkeypatch.setattr(dataset, "synthesize", refuse)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["train", "--config", tiny_config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: write: cannot write {out}: {tmp_path / 'file'} "
+                "is not a writable directory") in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestGradcheckCommand:

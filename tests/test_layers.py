@@ -166,8 +166,8 @@ class TestBatchNorm:
         bn.fold_into(layer, params, folded)
         for n, a in params.items():
             assert np.array_equal(a, before[n])  # params is not changed
-        out, _ = layer.forward(folded, x, "infer", None)
-        raw, _ = layer.forward(params, x, "infer", None)
+        out, _ = layer.forward(folded, x, None)
+        raw, _ = layer.forward(params, x, None)
         return out, raw
 
     @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
@@ -422,33 +422,39 @@ class TestDense:
 
 class TestDropout:
     def test_infer_is_exact_identity(self):
-        x = np.random.default_rng(17).standard_normal((4, 9))
-        out, cache = layers.dropout_forward(x, 0.5, "infer")
-        assert out is x
-        assert cache is None
+        # infer mode runs the network without its dropout and batch-norm layers
+        cfg = model.ModelConfig()
+        full = model.network(cfg)
+        net, _ = model.infer_network(cfg, model.init_params(cfg, 0))
+        assert any(isinstance(layer, model.Dropout) for layer in full)
+        assert not [layer for layer in net
+                    if isinstance(layer, (model.BatchNorm, model.Dropout))]
+        assert [layer.name for layer in net] == [
+            layer.name for layer in full
+            if not isinstance(layer, (model.BatchNorm, model.Dropout))]
 
     def test_rate_zero_identity(self):
         x = np.random.default_rng(18).standard_normal((4, 9))
-        out, _ = layers.dropout_forward(x, 0.0, "train", np.random.default_rng(0))
+        out, _ = layers.dropout_forward(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_train_statistics(self):
         rng = np.random.default_rng(19)
         x = rng.uniform(0.5, 1.5, size=100_000)
-        out, cache = layers.dropout_forward(x, 0.5, "train", np.random.default_rng(20))
+        out, cache = layers.dropout_forward(x, 0.5, np.random.default_rng(20))
         mask, _ = cache
         assert abs(mask.mean() - 0.5) < 0.01
         assert abs(out.mean() - x.mean()) / x.mean() < 0.02
 
     def test_deterministic_in_seed(self):
         x = np.ones((2, 50))
-        a, _ = layers.dropout_forward(x, 0.5, "train", np.random.default_rng(1))
-        b, _ = layers.dropout_forward(x, 0.5, "train", np.random.default_rng(1))
+        a, _ = layers.dropout_forward(x, 0.5, np.random.default_rng(1))
+        b, _ = layers.dropout_forward(x, 0.5, np.random.default_rng(1))
         assert np.array_equal(a, b)
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            layers.dropout_forward(np.ones(3), 1.0, "train", np.random.default_rng(0))
+            layers.dropout_forward(np.ones(3), 1.0, np.random.default_rng(0))
 
     def test_gradient(self):
         assert gradcheck.check_layer("dropout") < gradcheck.LAYER_BOUND

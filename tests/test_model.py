@@ -36,6 +36,7 @@ class TestShapes:
         cfg, params, x = default_setup(n=3)
         _, trace = model_forward(cfg, params, x, "train",
                                  dropout_rng=np.random.default_rng(0))
+        trace = {layer.name: cache for layer, cache in trace}
         # pool caches hold the pool's input: [N, L_in, C]
         assert trace["pool1"].shape == (3, 178, 32)
         assert trace["pool2"].shape == (3, 89, 64)
@@ -173,7 +174,7 @@ class TestBackward:
         cfg, params, x = default_setup(n=2)
         probs, trace = model_forward(cfg, params, x, "train",
                                      dropout_rng=np.random.default_rng(3))
-        grads = model_backward(cfg, params, trace, np.ones_like(probs))
+        grads = model_backward(trace, np.ones_like(probs))
         assert set(grads) == set(learnable_names(cfg))
         for name, g in grads.items():
             assert g.shape == params[name].shape
@@ -182,7 +183,7 @@ class TestBackward:
         cfg, params, x = default_setup(n=2)
         probs, trace = model_forward(cfg, params, x, "train",
                                      dropout_rng=np.random.default_rng(4))
-        grads = model_backward(cfg, params, trace, np.zeros_like(probs))
+        grads = model_backward(trace, np.zeros_like(probs))
         for g in grads.values():
             assert not g.any()
 
@@ -210,8 +211,37 @@ class TestBackward:
         cfg, params, x = default_setup(n=2)
         probs, trace = model_forward(cfg, params, x, "train",
                                      dropout_rng=np.random.default_rng(5))
-        model_backward(cfg, params, trace, np.ones_like(probs))
+        model_backward(trace, np.ones_like(probs))
         assert calls == expected
+        # infer mode runs each forward of the folded network and nothing else
+        calls.update(dict.fromkeys(calls, 0))
+        model_forward(cfg, params, x, "infer")
+        infer = {fn: n if fn.endswith("_forward") else 0 for fn, n in expected.items()}
+        infer.update(batchnorm_forward=0, dropout_forward=0)
+        assert calls == infer
+
+    def test_backward_needs_only_the_trace(self):
+        # the trace carries its layers: no config, params or network is passed;
+        # the inputs are those of gradcheck.check_model, without the L2 term
+        cfg = toy_config()
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(1).standard_normal((3, cfg.input_len))
+        y = np.array([0.0, 1.0, 1.0])
+
+        def run():
+            return model_forward(cfg, params, x, "train",
+                                 dropout_rng=np.random.default_rng(11))
+
+        probs, trace = run()
+        grads = model_backward(trace, optim.bce_loss(probs, y)[1])
+        assert set(grads) == set(learnable_names(cfg))
+        for name in learnable_names(cfg):
+            numeric = gradcheck.numeric_gradient(lambda: optim.bce_loss(run()[0], y)[0],
+                                                 params[name])
+            # atol: biases ahead of a batch norm have zero gradient, and their
+            # central differences are rounding noise
+            np.testing.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6,
+                                       err_msg=name)
 
     def test_toy_end_to_end_gradient(self):
         assert gradcheck.check_model() < gradcheck.MODEL_BOUND
@@ -231,9 +261,8 @@ def test_hundred_training_steps_stay_finite():
     params = init_params(cfg, 0)
     adam = optim.Adam(lr=1e-3)
     rng = np.random.default_rng(6)
-    keys = l2_names(cfg)
     for step in range(100):
-        _, _, grads = optim.loss_and_grads(cfg, params, x, y, rng, keys)
+        _, _, grads = optim.loss_and_grads(cfg, params, x, y, rng)
         for g in grads.values():
             assert np.isfinite(g).all()
         adam.step(params, grads)

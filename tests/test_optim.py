@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seiznet import optim
 from seiznet.dataset import partition_indices, synthesize
 from seiznet.errors import DataError, NumericError
-from seiznet.model import ModelConfig, init_params, l2_names, predict_probs
-from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, train
+from seiznet.model import (ModelConfig, init_params, l2_names, param_shapes,
+                           predict_probs, toy_config)
+from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
 
 
@@ -26,19 +29,21 @@ class TestBceLoss:
         assert loss <= 1e-6
 
     def test_l2_with_perfect_predictions(self):
-        params = {"fc1_w": np.array([[2.0]])}
-        loss, _ = bce_loss(np.array([1.0]), np.array([1.0]),
-                           params, 0.001, ["fc1_w"])
+        cfg = ModelConfig(l2_lambda=0.001)
+        params = {n: np.zeros(s) for n, s in param_shapes(cfg).items()}
+        params["fc1_w"][0, 0] = 2.0
+        params["fc1_b"][0] = 5.0  # not a kernel: outside the penalty
+        loss = bce_loss(np.array([1.0]), np.array([1.0]))[0] + l2_penalty(cfg, params)
         assert loss == pytest.approx(0.004, abs=1e-5)
 
     def test_doubling_lambda_doubles_penalty(self):
         rng = np.random.default_rng(0)
-        params = {"w": rng.standard_normal((4, 4))}
+        params = init_params(toy_config(), 0)
         probs = rng.uniform(0.1, 0.9, 10)
         labels = (rng.random(10) > 0.5).astype(float)
         data, _ = bce_loss(probs, labels)
-        l1, _ = bce_loss(probs, labels, params, 0.001, ["w"])
-        l2, _ = bce_loss(probs, labels, params, 0.002, ["w"])
+        l1 = data + l2_penalty(replace(toy_config(), l2_lambda=0.001), params)
+        l2 = data + l2_penalty(replace(toy_config(), l2_lambda=0.002), params)
         assert (l2 - data) == pytest.approx(2.0 * (l1 - data), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -53,6 +58,24 @@ class TestBceLoss:
             dn[i] -= h
             num = (bce_loss(up, labels)[0] - bce_loss(dn, labels)[0]) / (2 * h)
             assert grad[i] == pytest.approx(num, rel=1e-5)
+
+    def test_loss_and_grads_adds_the_penalty_onto_the_kernels(self):
+        cfg = replace(toy_config(), l2_lambda=0.25)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4, cfg.input_len))
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        loss, probs, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(3))
+        _, probs0, grads0 = optim.loss_and_grads(replace(cfg, l2_lambda=0.0), params, x, y,
+                                                 np.random.default_rng(3))
+        assert np.array_equal(probs, probs0)
+        assert loss == bce_loss(probs, y)[0] + l2_penalty(cfg, params)
+        assert l2_penalty(cfg, params) > 0
+        kernels = set(l2_names(cfg))
+        assert kernels and set(grads) == set(grads0)
+        for name, g in grads.items():
+            want = grads0[name] + 2.0 * 0.25 * params[name] if name in kernels else grads0[name]
+            assert np.array_equal(g, want), name
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -153,8 +176,7 @@ class TestTrainLoop:
         # returned parameters reproduce the recorded best validation loss
         _, val_idx = partition_indices(y, 1.0 - hyper.val_fraction, hyper.seed, True)
         val_probs = predict_probs(cfg, params, x[val_idx])
-        val_loss, _ = bce_loss(val_probs, y[val_idx], params,
-                               cfg.l2_lambda, l2_names(cfg))
+        val_loss = bce_loss(val_probs, y[val_idx])[0] + l2_penalty(cfg, params)
         assert val_loss == pytest.approx(state.best_val_loss, abs=1e-12)
 
     def test_empty_training_set(self):
