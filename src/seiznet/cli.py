@@ -18,9 +18,7 @@ from .errors import ConfigError, DataError, NumericError
 from .model import ModelConfig, predict_probs
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
+EXIT_CODES = {ConfigError: 1, DataError: 2, NumericError: 3}
 
 
 @contextmanager
@@ -28,7 +26,7 @@ def _stage(name):
     """Prefix any pipeline error with the stage it came from."""
     try:
         yield
-    except (ConfigError, DataError, NumericError) as exc:
+    except tuple(EXIT_CODES) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
 
@@ -89,15 +87,38 @@ def curves_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _prepare(features, policy, scaler):
+    """The model's input: `features` wavelet-denoised under `policy`, then
+    standardised by the training-split `scaler`."""
+    with _stage("denoise"):
+        x = preprocess.wavelet_denoise(features, policy)
+    with _stage("scale"):
+        return preprocess.apply_scaler(x, scaler)
+
+
+def _evaluate_and_report(ds, policy, scaler, cfg, params, out_dir):
+    """Score the labelled dataset `ds` and write metrics.txt and
+    confusion.csv to `out_dir`; returns the EvalReport."""
+    x = _prepare(ds.features, policy, scaler)
+    with _stage("evaluate"):
+        report = optim.evaluate(cfg, params, x, ds.labels)
+    with _stage("write"):
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+        _write_text(os.path.join(out_dir, "metrics.txt"), format_report(report))
+        _write_text(os.path.join(out_dir, "confusion.csv"), confusion_csv(report.confusion))
+    return report
+
+
 def _load_run_config(args) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    if getattr(args, "data", None):
+    if args.data:
         rc.data = args.data
-    if getattr(args, "synthetic", False):
+    if args.synthetic:
         rc.synthetic = True
-    if getattr(args, "out", None):
+    if args.out:
         rc.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         rc.seed = args.seed
         rc.split_seed = args.seed
     validate(rc)
@@ -120,21 +141,17 @@ def cmd_train(args) -> int:
         train_ds, test_ds = dataset.split(ds, spec)
     with _stage("denoise"):
         x_train = preprocess.wavelet_denoise(train_ds.features, rc.wavelet)
-        x_test = preprocess.wavelet_denoise(test_ds.features, rc.wavelet)
     with _stage("scale"):
         scaler = preprocess.fit_scaler(x_train)
         x_train = preprocess.apply_scaler(x_train, scaler)
-        x_test = preprocess.apply_scaler(x_test, scaler)
 
     model_cfg = ModelConfig()
     with _stage("train"):
         params, tstate = optim.train(model_cfg, x_train, train_ds.labels, rc)
-    with _stage("evaluate"):
-        report = optim.evaluate(model_cfg, params, x_test, test_ds.labels)
+    report = _evaluate_and_report(test_ds, rc.wavelet, scaler, model_cfg, params,
+                                  rc.out_dir)
 
     with _stage("write"):
-        with _writing(rc.out_dir):
-            os.makedirs(rc.out_dir, exist_ok=True)
         meta = {
             "seed": str(rc.seed),
             "split_seed": str(rc.split_seed),
@@ -148,9 +165,6 @@ def cmd_train(args) -> int:
         with _writing(model_path):
             artifact.save_artifact(model_path, model_cfg, params, scaler, rc.wavelet, meta)
         _write_text(os.path.join(rc.out_dir, "curves.csv"), curves_csv(tstate.history))
-        _write_text(os.path.join(rc.out_dir, "confusion.csv"),
-                    confusion_csv(report.confusion))
-        _write_text(os.path.join(rc.out_dir, "metrics.txt"), format_report(report))
 
     print(f"trained {tstate.epoch} epochs (best epoch {tstate.best_epoch}) "
           f"on {len(train_ds)} samples [{ds.source}]")
@@ -161,22 +175,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dir(args.out)
     with _stage("load-model"):
         cfg, params, scaler, policy, _ = artifact.load_artifact(args.model)
     with _stage("load"):
         ds = dataset.load_csv(args.data)
-    with _stage("denoise"):
-        x = preprocess.wavelet_denoise(ds.features, policy)
-    with _stage("scale"):
-        x = preprocess.apply_scaler(x, scaler)
-    with _stage("evaluate"):
-        report = optim.evaluate(cfg, params, x, ds.labels)
-    with _stage("write"):
-        with _writing(args.out):
-            os.makedirs(args.out, exist_ok=True)
-        _write_text(os.path.join(args.out, "metrics.txt"), format_report(report))
-        _write_text(os.path.join(args.out, "confusion.csv"),
-                    confusion_csv(report.confusion))
+    report = _evaluate_and_report(ds, policy, scaler, cfg, params, args.out)
     print(format_report(report), end="")
     return EXIT_OK
 
@@ -189,13 +193,12 @@ def cmd_predict(args) -> int:
     for line_no, message in problems:
         print(f"row {line_no}: {message}", file=sys.stderr)
     if features.shape[0]:
+        x = _prepare(features, policy, scaler)
         with _stage("predict"):
-            x = preprocess.apply_scaler(
-                preprocess.wavelet_denoise(features, policy), scaler)
             probs = predict_probs(cfg, params, x)
         for p in probs:
             print(f"{p:.6f},{1 if p > 0.5 else 0}")
-    return EXIT_DATA if problems else EXIT_OK
+    return EXIT_CODES[DataError] if problems else EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
@@ -210,12 +213,12 @@ def cmd_gradcheck(args) -> int:
         print(f"{name:<{width}}  {err:>14.3e}  {bound:>8.0e}  {'ok' if ok else 'FAIL'}")
     if failed:
         print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_CODES[NumericError]
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    ds = dataset.synthesize(args.n_per_class, args.seed if args.seed is not None else 42)
+    ds = dataset.synthesize(args.n_per_class, args.seed)
     lines = []
     for i in range(len(ds)):
         # raw labels: 1 = seizure; non-seizure rows cycle through 2..5
@@ -274,15 +277,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -101,5 +101,5 @@ def validate(rc: RunConfig):
         raise ConfigError(
             f"synthetic_per_class must be >= 1, got {rc.synthetic_per_class}")
     if rc.seed < 0 or rc.split_seed < 0:
-        raise ConfigError("seeds must be non-negative")
+        raise ConfigError(f"seed and split_seed must be >= 0, got {rc.seed}, {rc.split_seed}")
     parse_policy(rc.wavelet)

@@ -199,9 +199,10 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"train_fraction must be strictly between 0 and 1, got {spec.train_fraction}"
         )
-    if len(d) == 0:
-        raise DataError("cannot split an empty dataset")
     tr, te = partition_indices(d.labels, spec.train_fraction, spec.seed, spec.stratified)
+    if len(tr) == 0 or len(te) == 0:
+        raise DataError(f"train_fraction = {spec.train_fraction} on {len(d)} rows "
+                        f"leaves an empty {'train' if len(tr) == 0 else 'test'} split")
     return (
         Dataset(d.features[tr], d.labels[tr], d.source),
         Dataset(d.features[te], d.labels[te], d.source),
@@ -215,6 +216,8 @@ def synthesize(n_per_class: int, seed: int) -> Dataset:
     """
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows = 2 * n_per_class
 

@@ -43,7 +43,6 @@ class TrainState:
     best_val_loss: float = float("inf")
     best_epoch: int = 0
     epochs_since_improvement: int = 0
-    lr: float = 0.0
     stopped_early: bool = False
 
 
@@ -141,7 +140,7 @@ def train(config, features, labels, hyper: TrainHyper):
     adam = Adam(lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
 
-    state = TrainState(lr=hyper.lr)
+    state = TrainState()
     best_params = None
     wait_lr = 0
     n_tr = x_tr.shape[0]
@@ -153,7 +152,6 @@ def train(config, features, labels, hyper: TrainHyper):
         for idx in _batch_slices(n_tr, hyper.batch_size, perm):
             xb, yb = x_tr[idx], y_tr[idx]
             loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
-            adam.lr = state.lr
             adam.step(params, grads)
             loss_sum += loss * len(idx)
             correct += int(((probs > 0.5) == (yb == 1)).sum())
@@ -163,7 +161,7 @@ def train(config, features, labels, hyper: TrainHyper):
         val_acc = float(((val_probs > 0.5) == (y_val == 1)).mean())
         state.epoch = epoch
         state.history.append(
-            (loss_sum / n_tr, correct / n_tr, val_loss, val_acc, state.lr))
+            (loss_sum / n_tr, correct / n_tr, val_loss, val_acc, adam.lr))
 
         improved = val_loss < state.best_val_loss - IMPROVE_TOL
         if val_loss < state.best_val_loss:
@@ -179,7 +177,7 @@ def train(config, features, labels, hyper: TrainHyper):
             state.epochs_since_improvement += 1
             wait_lr += 1
             if wait_lr >= hyper.patience_lr:
-                state.lr = max(state.lr * hyper.lr_factor, hyper.min_lr)
+                adam.lr = max(adam.lr * hyper.lr_factor, hyper.min_lr)
                 wait_lr = 0
             if state.epochs_since_improvement >= hyper.patience_es:
                 state.stopped_early = True

@@ -84,6 +84,26 @@ def test_trailing_garbage(tmp_path):
         load_artifact(path)
 
 
+@pytest.mark.parametrize("damage", ["blank line", "dim", "count"])
+def test_header_and_count_edits(tmp_path, damage):
+    path, cfg, params, _ = make_artifact(tmp_path)
+    blob = path.read_bytes()
+    head, _, body = blob.partition(b"==binary==\n")
+    if damage == "blank line":
+        head = head.replace(b"\ntensor = ", b"\n\ntensor = ", 1)
+    elif damage == "dim":
+        head = head.replace(b"tensor = scaler_mean 16", b"tensor = scaler_mean x", 1)
+    else:
+        body = (17).to_bytes(8, "little") + body[8:]
+    path.write_bytes(head + b"==binary==\n" + body)
+    if damage == "blank line":
+        assert load_artifact(path)[0] == cfg
+    else:
+        match = {"dim": "bad tensor line", "count": "stored 17 values"}[damage]
+        with pytest.raises(DataError, match=match):
+            load_artifact(path)
+
+
 def test_not_an_artifact(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"hello world")

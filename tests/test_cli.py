@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from seiznet import dataset, gradcheck, layers, optim, preprocess
-from seiznet.artifact import load_artifact
+from seiznet import artifact, dataset, gradcheck, layers, optim, preprocess
+from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
+from seiznet.model import init_params, toy_config
 
 TINY_CONFIG = """\
 # fast functional-test configuration
@@ -44,6 +45,12 @@ class TestSynth:
         main(["synth", "--out", str(a), "--n-per-class", "10", "--seed", "5"])
         main(["synth", "--out", str(b), "--n-per-class", "10", "--seed", "5"])
         assert read(a) == read(b)
+
+    def test_negative_seed_names_it_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -93,7 +100,12 @@ class TestTrain:
         assert "train_fraction" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("lr", "nan"), ("lr", "inf"), ("min_lr", "nan"), ("wavelet", "fixed:nan")])
+        ("lr", "nan"), ("lr", "inf"), ("min_lr", "nan"), ("wavelet", "fixed:nan"),
+        # finite but out of range, or not a bool
+        ("val_fraction", "0.5"), ("batch_size", "1"), ("max_epochs", "0"),
+        ("lr", "0"), ("min_lr", "-1e-5"), ("lr_factor", "1.0"),
+        ("patience_es", "0"), ("patience_lr", "0"), ("synthetic_per_class", "0"),
+        ("seed", "-1"), ("split_seed", "-1"), ("stratified", "maybe")])
     def test_non_finite_value_names_field(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
@@ -106,6 +118,37 @@ class TestTrain:
         cfg.write_text("banana = 3\n")
         assert main(["train", "--config", str(cfg)]) == 1
         assert "banana" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["seed 3\n", None])
+    def test_unreadable_config_names_path(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text is None:
+            cfg.mkdir()  # a directory, not a file
+        else:
+            cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_overflowing_lr_is_a_numeric_error(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(TINY_CONFIG + "lr = 1e300\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "error: train: non-finite model output" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text(TINY_CONFIG.replace("synthetic_per_class = 30",
+                                           "synthetic_per_class = 60")
+                       + "train_fraction = 0.999\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained although the test split is empty")
+        monkeypatch.setattr(optim, "train", refuse)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert ("error: split: train_fraction = 0.999 on 120 rows leaves an empty "
+                "test split") in capsys.readouterr().err
 
     def test_no_data_and_no_synthetic(self, capsys):
         assert main(["train"]) == 1
@@ -223,6 +266,17 @@ class TestPredict:
         assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
         assert f"{trained}: model artifact header is not UTF-8" in capsys.readouterr().err
 
+    def test_scaler_width_mismatch_is_reported_by_the_scale_stage(self, tmp_path, capsys):
+        cfg = toy_config()  # input_len 16, so its scaler has 16 columns
+        scaler = preprocess.ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
+        model = tmp_path / "toy.bin"
+        save_artifact(model, cfg, init_params(cfg, 0), scaler, "universal")
+        csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
+        assert main(["predict", "--model", str(model), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert "error: scale: feature count 178 does not match scaler (16)" in captured.err
+        assert captured.out == ""
+
     def test_all_zero_row_is_handled(self, tmp_path, trained, capsys):
         csv = self._feature_csv(tmp_path, [np.zeros(178)])
         assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 0
@@ -282,6 +336,25 @@ class TestUnwritableOutput:
         monkeypatch.setattr(dataset, "synthesize", refuse)
         before = sorted(tmp_path.rglob("*"))
         assert main(["train", "--config", tiny_config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: write: cannot write {out}: {tmp_path / 'file'} "
+                "is not a writable directory") in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["file/out", "file"])
+    def test_evaluate_checks_out_before_loading(self, tmp_path, model_and_csv, monkeypatch,
+                                                capsys, out):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran although --out cannot be written")
+        monkeypatch.setattr(artifact, "load_artifact", refuse)
+        monkeypatch.setattr(optim, "evaluate", refuse)
+        before = sorted(tmp_path.rglob("*"))
+        model, csv = model_and_csv
+        assert main(["evaluate", "--model", str(model), "--data", str(csv),
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert (f"error: write: cannot write {out}: {tmp_path / 'file'} "
                 "is not a writable directory") in err

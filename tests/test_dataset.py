@@ -188,6 +188,16 @@ class TestSplit:
             with pytest.raises(ConfigError, match="train_fraction"):
                 dataset.split(ds, dataset.SplitSpec(frac, 1, True))
 
+    @pytest.mark.parametrize("rows, frac, stratified, side", [
+        (120, 0.999, True, "test"), (120, 0.001, True, "train"),
+        (10, 0.96, False, "test"), (0, 0.8, False, "train")])
+    def test_empty_side_names_fraction_and_rows(self, rows, frac, stratified, side):
+        ds = dataset.synthesize(rows // 2, seed=0) if rows else dataset.Dataset(
+            np.empty((0, 178)), np.empty(0), "synthetic")
+        with pytest.raises(DataError, match=(f"train_fraction = {frac} on {rows} rows "
+                                             f"leaves an empty {side} split")):
+            dataset.split(ds, dataset.SplitSpec(frac, 1, stratified))
+
 
 class TestSynthesize:
     def test_counts_and_labels(self):
@@ -222,6 +232,19 @@ class TestSynthesize:
     def test_bad_count(self):
         with pytest.raises(ConfigError):
             dataset.synthesize(0, seed=1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            dataset.synthesize(1, seed=-1)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.zeros((2, 177)), [0, 1], "rows x 178"),
+        (np.zeros((2, 178)), [0], "label count"),
+        (np.full((1, 178), np.nan), [0], "non-finite"),
+        (np.zeros((1, 178)), [2], "0 or 1")])
+    def test_bad_arrays_rejected(self, features, labels, match):
+        with pytest.raises(DataError, match=match):
+            dataset.Dataset(features, labels, "synthetic")
 
 
 # Feature fields of valid rows; csv_file mixes them with the junk lines a

@@ -26,6 +26,12 @@ class TestConv:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             layers.conv1d_forward(np.zeros((1, 4, 2)), np.zeros((3, 1, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="bias"):
+            layers.conv1d_forward(np.zeros((1, 4, 1)), np.zeros((3, 1, 2)), np.zeros(3))
+        _, cache = layers.conv1d_forward(np.zeros((1, 4, 1)), np.zeros((3, 1, 2)),
+                                         np.zeros(2))
+        with pytest.raises(ValueError, match="grad shape"):
+            layers.conv1d_backward(cache, np.zeros((1, 4, 3)))
 
     def test_identity_kernel_backward_passes_grad(self):
         rng = np.random.default_rng(1)
@@ -187,6 +193,10 @@ class TestMaxPool:
         x = np.array([[[1.0], [3.0], [2.0], [5.0]]])
         out, _ = layers.maxpool_forward(x)
         assert out[0, :, 0].tolist() == [3.0, 5.0]
+
+    def test_length_one_rejected(self):
+        with pytest.raises(ValueError, match="length >= 2"):
+            layers.maxpool_forward(np.zeros((2, 1, 3)))
 
     def test_odd_length_drops_tail(self):
         rng = np.random.default_rng(9)
@@ -416,6 +426,10 @@ class TestDense:
                                       np.array([[1.0], [-1.0]]), np.array([0.5]))
         assert out[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="width"):
+            layers.dense_forward(np.zeros((2, 3)), np.zeros((4, 1)), np.zeros(1))
+
     def test_gradient(self):
         assert gradcheck.check_layer("dense") < gradcheck.LAYER_BOUND
 
@@ -435,8 +449,9 @@ class TestDropout:
 
     def test_rate_zero_identity(self):
         x = np.random.default_rng(18).standard_normal((4, 9))
-        out, _ = layers.dropout_forward(x, 0.0, np.random.default_rng(0))
+        out, cache = layers.dropout_forward(x, 0.0, np.random.default_rng(0))
         assert out is x
+        assert layers.dropout_backward(cache, x) is x
 
     def test_train_statistics(self):
         rng = np.random.default_rng(19)

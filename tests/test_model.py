@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(conv_filters=(32, 64), conv_kernels=(7, 5, 3))
 
+    @pytest.mark.parametrize("change, match", [
+        ({"conv_kernels": (7, 4, 3)}, "odd"),
+        ({"pool_size": 3}, "pool size"),
+        ({"dropout_rate": 1.0}, "dropout_rate"),
+        ({"input_len": 7}, "too short")])
+    def test_out_of_range_field_rejected(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            ModelConfig(**change)
+
 
 class TestShapes:
     def test_pooling_cascade_shapes(self):

@@ -182,6 +182,9 @@ class TestTrainLoop:
     def test_empty_training_set(self):
         with pytest.raises(DataError):
             train(ModelConfig(), np.empty((0, 178)), np.empty(0), TrainHyper())
+        x = np.random.default_rng(0).standard_normal((3, 178))
+        with pytest.raises(DataError, match="at least 4"):
+            train(ModelConfig(), x, np.array([0, 1, 0]), TrainHyper())
 
     def test_single_class_data(self):
         rng = np.random.default_rng(0)
