@@ -12,6 +12,8 @@ import os
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import artifact, dataset, gradcheck, optim, preprocess
 from .config import RunConfig, parse_config_file, validate
 from .errors import ConfigError, DataError, NumericError
@@ -125,10 +127,12 @@ def _load_run_config(args) -> RunConfig:
     return rc
 
 
-def cmd_train(args) -> int:
-    rc = _load_run_config(args)
-    _check_out_dir(rc.out_dir)
-
+def _training_inputs(rc):
+    """What training and the later stages read: (scaled training matrix,
+    its labels, raw test split, scaler, data source). Each stage drops the
+    rows the next one no longer reads, so the loaded dataset, the raw
+    training features and the unscaled denoised matrix are gone before the
+    model is fitted."""
     with _stage("load"):
         if rc.data:
             ds = dataset.load_csv(rc.data)
@@ -139,15 +143,26 @@ def cmd_train(args) -> int:
     with _stage("split"):
         spec = dataset.SplitSpec(rc.train_fraction, rc.split_seed, rc.stratified)
         train_ds, test_ds = dataset.split(ds, spec)
+    source = ds.source
+    del ds
     with _stage("denoise"):
         x_train = preprocess.wavelet_denoise(train_ds.features, rc.wavelet)
+    y_train = train_ds.labels
+    del train_ds
     with _stage("scale"):
         scaler = preprocess.fit_scaler(x_train)
         x_train = preprocess.apply_scaler(x_train, scaler)
+    return x_train, y_train, test_ds, scaler, source
+
+
+def cmd_train(args) -> int:
+    rc = _load_run_config(args)
+    _check_out_dir(rc.out_dir)
+    x_train, y_train, test_ds, scaler, source = _training_inputs(rc)
 
     model_cfg = ModelConfig()
     with _stage("train"):
-        params, tstate = optim.train(model_cfg, x_train, train_ds.labels, rc)
+        params, tstate = optim.train(model_cfg, x_train, y_train, rc)
     report = _evaluate_and_report(test_ds, rc.wavelet, scaler, model_cfg, params,
                                   rc.out_dir)
 
@@ -155,7 +170,7 @@ def cmd_train(args) -> int:
         meta = {
             "seed": str(rc.seed),
             "split_seed": str(rc.split_seed),
-            "data_source": ds.source,
+            "data_source": source,
             "epochs_run": str(tstate.epoch),
             "best_epoch": str(tstate.best_epoch),
             "test_accuracy": f"{report.accuracy:.6f}",
@@ -167,7 +182,7 @@ def cmd_train(args) -> int:
         _write_text(os.path.join(rc.out_dir, "curves.csv"), curves_csv(tstate.history))
 
     print(f"trained {tstate.epoch} epochs (best epoch {tstate.best_epoch}) "
-          f"on {len(train_ds)} samples [{ds.source}]")
+          f"on {len(y_train)} samples [{source}]")
     print(f"test accuracy = {report.accuracy:.6f}, f1 = {report.f1:.6f}")
     for name in ("model.bin", "curves.csv", "confusion.csv", "metrics.txt"):
         print(f"wrote {os.path.join(rc.out_dir, name)}")
@@ -276,7 +291,10 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # the finiteness checks in model_forward and Adam.step report a
+        # numeric failure as one error line, so numpy's own warnings are muted
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]

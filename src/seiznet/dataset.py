@@ -228,18 +228,19 @@ def synthesize(n_per_class: int, seed: int) -> Dataset:
         feat += raw[:, k:k + N_FEATURES]
     feat *= 1.0 / np.sqrt(5.0)
 
-    for i in range(n_per_class, rows):
+    # Spikes alternate +amp, -amp every `period` >= 3 samples, with amp / 2
+    # on each neighbour inside the row; no sample gets two additions.
+    for row in feat[n_per_class:]:
         period = int(rng.integers(3, 7))
         amp = float(rng.uniform(10.0, 20.0))
         start = int(rng.integers(0, period))
-        sign = 1.0
-        for t in range(start, N_FEATURES, period):
-            feat[i, t] += sign * amp
-            if t > 0:
-                feat[i, t - 1] += sign * amp / 2.0
-            if t < N_FEATURES - 1:
-                feat[i, t + 1] += sign * amp / 2.0
-            sign = -sign
+        t = np.arange(start, N_FEATURES, period)
+        spike = np.where(np.arange(t.size) % 2 == 0, amp, -amp)
+        row[t] += spike
+        left = t > 0
+        row[t[left] - 1] += spike[left] / 2.0
+        right = t < N_FEATURES - 1
+        row[t[right] + 1] += spike[right] / 2.0
 
     labels = np.concatenate([np.zeros(n_per_class, dtype=np.int64),
                              np.ones(n_per_class, dtype=np.int64)])

@@ -133,7 +133,7 @@ def train(config, features, labels, hyper: TrainHyper):
         y, 1.0 - hyper.val_fraction, hyper.seed, stratified=True)
     if len(np.unique(y[val_idx])) < 2:
         raise DataError("validation split ended up single-class; need more data")
-    x_tr, y_tr = x[tr_idx], y[tr_idx]
+    # batches are gathered from `x` by index; only the validation rows are copied
     x_val, y_val = x[val_idx], y[val_idx]
 
     params = init_params(config, hyper.seed)
@@ -143,14 +143,15 @@ def train(config, features, labels, hyper: TrainHyper):
     state = TrainState()
     best_params = None
     wait_lr = 0
-    n_tr = x_tr.shape[0]
+    n_tr = len(tr_idx)
 
     for epoch in range(1, hyper.max_epochs + 1):
         perm = rng.permutation(n_tr)
         loss_sum = 0.0
         correct = 0
         for idx in _batch_slices(n_tr, hyper.batch_size, perm):
-            xb, yb = x_tr[idx], y_tr[idx]
+            rows = tr_idx[idx]
+            xb, yb = x[rows], y[rows]
             loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
             adam.step(params, grads)
             loss_sum += loss * len(idx)

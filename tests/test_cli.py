@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import seiznet
 from seiznet import artifact, dataset, gradcheck, layers, optim, preprocess
 from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
@@ -129,13 +134,52 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert str(cfg) in capsys.readouterr().err
 
-    def test_overflowing_lr_is_a_numeric_error(self, tmp_path, capsys):
+    def test_overflowing_lr_is_a_numeric_error(self, tmp_path):
+        # a fresh interpreter, so numpy warnings reach stderr as they would
+        # from the installed `seiznet` command
         cfg = tmp_path / "big.cfg"
         cfg.write_text(TINY_CONFIG + "lr = 1e300\n")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
-        assert "error: train: non-finite model output" in capsys.readouterr().err
+        src = os.path.dirname(os.path.dirname(seiznet.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from seiznet.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "train", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr == "error: train: non-finite model output\n"
         assert not out.exists()
+
+    def test_training_inputs_are_held_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "mem.cfg"
+        cfg.write_text(TINY_CONFIG.replace("synthetic_per_class = 30",
+                                           "synthetic_per_class = 600"))
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def spy(config, features, labels, hyper):
+            seen["live"] = tracemalloc.get_traced_memory()[0]
+            seen["features"] = features
+            raise Stop
+        monkeypatch.setattr(optim, "train", spy)
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        with pytest.raises(Stop):
+            main(argv)  # lazy imports happen untraced
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                main(argv)
+        finally:
+            tracemalloc.stop()
+        x = seen["features"]
+        test_bytes = (2 * 600 - x.shape[0]) * x.shape[1] * x.itemsize
+        # the scaled training matrix and the raw test split, nothing more:
+        # the loaded set, the raw training rows and the unscaled denoised
+        # matrix are gone before training starts
+        assert seen["live"] <= 1.3 * (x.nbytes + test_bytes)
 
     def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "split.cfg"

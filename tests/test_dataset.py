@@ -236,6 +236,39 @@ class TestSynthesize:
             dataset.synthesize(1, seed=-1)
 
 
+def loop_synthesize(n_per_class, seed):
+    """The synthetic generator with its spike trains written one sample at a
+    time: the reference `dataset.synthesize` must match bit for bit."""
+    n = dataset.N_FEATURES
+    rng = np.random.default_rng(seed)
+    rows = 2 * n_per_class
+    raw = rng.standard_normal((rows, n + 4))
+    feat = np.zeros((rows, n))
+    for k in range(5):
+        feat += raw[:, k:k + n]
+    feat *= 1.0 / np.sqrt(5.0)
+    for i in range(n_per_class, rows):
+        period = int(rng.integers(3, 7))
+        amp = float(rng.uniform(10.0, 20.0))
+        start = int(rng.integers(0, period))
+        sign = 1.0
+        for t in range(start, n, period):
+            feat[i, t] += sign * amp
+            if t > 0:
+                feat[i, t - 1] += sign * amp / 2.0
+            if t < n - 1:
+                feat[i, t + 1] += sign * amp / 2.0
+            sign = -sign
+    return feat
+
+
+@pytest.mark.parametrize("n_per_class, seed", [(1, 0), (1, 13), (2, 5), (40, 1),
+                                               (40, 7), (300, 42)])
+def test_synthesize_matches_the_sample_loop(n_per_class, seed):
+    got = dataset.synthesize(n_per_class, seed).features
+    assert got.tobytes() == loop_synthesize(n_per_class, seed).tobytes()
+
+
 class TestDataset:
     @pytest.mark.parametrize("features, labels, match", [
         (np.zeros((2, 177)), [0, 1], "rows x 178"),

@@ -144,3 +144,103 @@ class TestDenoise:
         for bad in ("hard", "fixed:abc", "fixed:-1"):
             with pytest.raises(ConfigError):
                 preprocess.parse_policy(bad)
+
+
+# Reference expressions: each preprocessing step as one out-of-place numpy
+# expression. The module writes into arrays it owns instead; the IEEE
+# operations are the same, so the bits must be too.
+
+def ref_apply_scaler(x, p):
+    return (x - p.mean) / p.std
+
+
+def ref_dwt_haar(s):
+    return (s[..., 0::2] + s[..., 1::2]) / np.sqrt(2.0), \
+        (s[..., 0::2] - s[..., 1::2]) / np.sqrt(2.0)
+
+
+def ref_idwt_haar(a, d):
+    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],))
+    out[..., 0::2] = (a + d) / np.sqrt(2.0)
+    out[..., 1::2] = (a - d) / np.sqrt(2.0)
+    return out
+
+
+def ref_soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def ref_wavelet_denoise(s, policy):
+    if policy == "off":
+        return s.copy()
+    a, d = ref_dwt_haar(s)
+    if policy == "universal":
+        sigma = np.median(np.abs(d), axis=-1, keepdims=True) / 0.6745
+        t = sigma * np.sqrt(2.0 * np.log(s.shape[-1]))
+    else:
+        t = float(policy[len("fixed:"):])
+    return ref_idwt_haar(a, ref_soft_threshold(d, t))
+
+
+def signed_zero_rows():
+    """Random rows plus rows of exact zeros, negative zeros, both mixed into
+    noise, a constant row, and pairs that cancel to +0 / -0 details."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((8, 178)) * 7.0
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, ::3] = 0.0
+    x[2, 1::3] = -0.0
+    x[3] = 4.25
+    x[4, 1::2] = x[4, 0::2]  # every detail coefficient is exactly 0
+    x[5, 0::2] = -0.0
+    x[5, 1::2] = 0.0
+    return x
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestInPlaceMatchesReference:
+    def test_apply_scaler(self):
+        x = signed_zero_rows()
+        p = fit_scaler(np.random.default_rng(22).standard_normal((30, 178)) * 3.0 + 1.0)
+        before = x.copy()
+        assert_same_bits(apply_scaler(x, p), ref_apply_scaler(x, p))
+        assert_same_bits(x, before)
+        assert_same_bits(apply_scaler(x[6], p), ref_apply_scaler(x[6], p))
+
+    def test_haar_split_and_merge(self):
+        x = signed_zero_rows()
+        before = x.copy()
+        c = dwt_haar(x)
+        a, d = ref_dwt_haar(x)
+        assert_same_bits(c.approx, a)
+        assert_same_bits(c.detail, d)
+        assert_same_bits(x, before)
+        a_before, d_before = c.approx.copy(), c.detail.copy()
+        assert_same_bits(idwt_haar(c), ref_idwt_haar(a, d))
+        assert_same_bits(c.approx, a_before)
+        assert_same_bits(c.detail, d_before)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1e6])
+    def test_soft_threshold(self, t):
+        d = dwt_haar(signed_zero_rows()).detail
+        before = d.copy()
+        assert_same_bits(preprocess.soft_threshold(d, t), ref_soft_threshold(d, t))
+        assert_same_bits(d, before)
+
+    def test_soft_threshold_per_row(self):
+        d = dwt_haar(signed_zero_rows()).detail
+        t = np.abs(d).max(axis=-1, keepdims=True) * np.linspace(0.0, 1.5, d.shape[0])[:, None]
+        assert_same_bits(preprocess.soft_threshold(d, t), ref_soft_threshold(d, t))
+
+    @pytest.mark.parametrize("policy", ["off", "universal", "fixed:0.3", "fixed:1e6"])
+    def test_wavelet_denoise(self, policy):
+        x = signed_zero_rows()
+        before = x.copy()
+        assert_same_bits(wavelet_denoise(x, policy), ref_wavelet_denoise(x, policy))
+        assert_same_bits(x, before)
+        assert_same_bits(wavelet_denoise(x[6], policy), ref_wavelet_denoise(x[6], policy))
