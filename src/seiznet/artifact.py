@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig, param_shapes
+from .model import ModelConfig
 from .preprocess import ScalerParams, parse_policy
 
 VERSION_TAG = "seiznet-model v1"
@@ -54,7 +54,7 @@ def save_artifact(path, config, params, scaler, wavelet_policy, metadata=None):
     """Write the artifact atomically (temp file + rename)."""
     parse_policy(wavelet_policy)
     tensors = [("scaler_mean", scaler.mean), ("scaler_std", scaler.std)]
-    tensors += [(name, params[name]) for name in param_shapes(config)]
+    tensors += [(name, params[name]) for name in config.net.shapes]
 
     lines = [VERSION_TAG]
     lines += _config_lines(config)
@@ -137,7 +137,7 @@ def load_artifact(path):
 
     expected = [("scaler_mean", (config.input_len,)),
                 ("scaler_std", (config.input_len,))]
-    expected += list(param_shapes(config).items())
+    expected += list(config.net.shapes.items())
     if [(n, s) for n, s in tensor_specs] != expected:
         raise DataError("model artifact tensor inventory does not match its config")
 

@@ -209,6 +209,7 @@ def cmd_predict(args) -> int:
         print(f"row {line_no}: {message}", file=sys.stderr)
     if features.shape[0]:
         x = _prepare(features, policy, scaler)
+        del features  # only the prepared matrix is scored
         with _stage("predict"):
             probs = predict_probs(cfg, params, x)
         for p in probs:

@@ -9,6 +9,7 @@ error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 import numpy as np
 
 from . import model, optim
+from .model import KERNEL, SCALE, SHIFT, Attention, BatchNorm, Dropout, Layer
 
 H_SCALE = 1e-4
 LAYER_BOUND = 1e-4
@@ -43,17 +44,17 @@ def _worst(f, pairs):
 
 # row name -> (small instance of a model layer, input shape)
 LAYER_CASES = {
-    "conv1d": (model.Layer("conv", "conv1d", w=(3, 2, 3), b=(3,)), (2, 12, 2)),
-    "batchnorm": (model.BatchNorm("bn", 2), (4, 6, 2)),
+    "conv1d": (Layer("conv", "conv1d", w=(KERNEL, (3, 2, 3)), b=(SHIFT, (3,))), (2, 12, 2)),
+    "batchnorm": (BatchNorm("bn", 2), (4, 6, 2)),
     # odd length exercises the floor path
-    "maxpool": (model.Layer("pool", "maxpool"), (2, 9, 3)),
+    "maxpool": (Layer("pool", "maxpool"), (2, 9, 3)),
     # attention plus its skip add
-    "mha": (model.Attention("attn", 2, 8, 4), (2, 5, 8)),
-    "layernorm": (model.Layer("ln", "layernorm", gamma=(5,), beta=(5,)), (3, 4, 5)),
-    "global_avg_pool": (model.Layer("gap", "global_average_pool"), (2, 6, 3)),
-    "dense": (model.Layer("fc", "dense", w=(6, 3), b=(3,)), (4, 6)),
-    "dropout": (model.Dropout("drop", 0.4), (3, 50)),
-    "sigmoid": (model.Layer("probs", "sigmoid"), (5, 1)),
+    "mha": (Attention("attn", 2, 8, 4), (2, 5, 8)),
+    "layernorm": (Layer("ln", "layernorm", gamma=(SCALE, (5,)), beta=(SHIFT, (5,))), (3, 4, 5)),
+    "global_avg_pool": (Layer("gap", "global_average_pool"), (2, 6, 3)),
+    "dense": (Layer("fc", "dense", w=(KERNEL, (6, 3)), b=(SHIFT, (3,))), (4, 6)),
+    "dropout": (Dropout("drop", 0.4), (3, 50)),
+    "sigmoid": (Layer("probs", "sigmoid"), (5, 1)),
 }
 
 
@@ -83,7 +84,7 @@ def check_layer(name, seed=0):
 def check_model(seed=0):
     """End-to-end check of the toy model through the full training loss."""
     cfg = model.toy_config()
-    params = model.init_params(cfg, seed)
+    params = cfg.net.init_params(seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((3, cfg.input_len))
     y = np.array([0.0, 1.0, 1.0])
@@ -94,7 +95,7 @@ def check_model(seed=0):
         return optim.bce_loss(probs, y)[0] + optim.l2_penalty(cfg, params)
 
     _, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(11))
-    return _worst(loss_fn, [(params[n], grads[n]) for n in model.learnable_names(cfg)])
+    return _worst(loss_fn, [(params[n], grads[n]) for n in cfg.net.learnable])
 
 
 def run_all(seed=0):

@@ -49,7 +49,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
 
     This is the training pass. Infer mode never calls it: the model folds
     the running estimates into the conv or dense layer before each
-    batch norm (`model.infer_network`).
+    batch norm (`model.Net.fold`).
     """
     if x.shape[0] < 2:
         raise ValueError("batchnorm train mode needs a batch of at least 2")
@@ -241,7 +241,7 @@ def dense_backward(cache, grad_out):
 
 def dropout_forward(x, rate, rng):
     """Inverted dropout: survivors are scaled by 1/(1-rate), so infer mode
-    is an exact identity and never calls this (`model.infer_network`)."""
+    is an exact identity and never calls this (`model.Net.infer_layers`)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:

@@ -4,11 +4,13 @@ and the full forward/backward passes.
 Architecture: three [Conv -> BatchNorm -> ReLU -> MaxPool] stages, multi-head
 self-attention over the final feature map combined through an additive skip
 connection, LayerNorm, global average pooling, then two [Dense -> BatchNorm
--> ReLU -> Dropout] blocks and a single sigmoid output unit. `network` writes
+-> ReLU -> Dropout] blocks and a single sigmoid output unit. `Net` writes
 that order down once; everything else loops over its list.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,13 +48,10 @@ class ModelConfig:
         if self.input_len // 2 ** len(self.conv_filters) < 1:
             raise ValueError("input too short for the pooling cascade")
 
-    @property
-    def attn_len(self):
-        """Sequence length entering the attention block (178 -> 22)."""
-        n = self.input_len
-        for _ in self.conv_filters:
-            n //= 2
-        return n
+    @cached_property
+    def net(self):
+        """This configuration's network, built on first use and kept."""
+        return Net(self)
 
 
 def toy_config():
@@ -67,24 +66,29 @@ def toy_config():
     )
 
 
+# Tensor roles. A tensor's role alone decides whether gradients update it,
+# whether the L2 penalty covers it and how `Net.init_params` starts it.
+KERNEL, PROJ, SHIFT, SCALE, MEAN, VAR = "kernel", "proj", "shift", "scale", "mean", "var"
+
+
 class Layer:
     """One step of the network: `layers.<op>_forward` and `<op>_backward`
     applied with the layer's own tensors.
 
-    `shapes` maps the tensors, named `<layer name>_<suffix>`, to their shapes
-    in artifact order. `learnable` names those that receive gradients
-    (batch-norm running statistics do not) and `l2` the kernels (`_w`) under
-    the weight penalty. forward(params, x, rng) returns (y, cache);
-    backward(cache, g) returns (g w.r.t. x, {tensor name: gradient}). The
-    functions are looked up on `layers` at call time, so a function patched
-    there is the one every layer runs.
+    Each keyword gives a tensor, named `<layer name>_<keyword>`, as (role,
+    shape). `shapes` and `roles` map the names, in artifact order, to their
+    shapes and roles; `learnable` lists those that receive gradients.
+    forward(params, x, rng) returns (y, cache); backward(cache, g) returns
+    (g w.r.t. x, {tensor name: gradient}). The functions are looked up on
+    `layers` at call time, so a function patched there is the one every
+    layer runs.
     """
 
-    def __init__(self, name, op, **shapes):
+    def __init__(self, name, op, **tensors):
         self.name, self.op = name, op
-        self.shapes = {f"{name}_{suffix}": s for suffix, s in shapes.items()}
-        self.learnable = [n for n in self.shapes if not n.endswith(("_mean", "_var"))]
-        self.l2 = [n for n in self.shapes if n.endswith("_w")]
+        self.shapes = {f"{name}_{key}": shape for key, (_, shape) in tensors.items()}
+        self.roles = {f"{name}_{key}": role for key, (role, _) in tensors.items()}
+        self.learnable = [n for n, role in self.roles.items() if role not in (MEAN, VAR)]
 
     def tensors(self, params):
         return [params[n] for n in self.shapes]
@@ -104,7 +108,8 @@ class BatchNorm(Layer):
     before it (`fold_into`), so only train mode runs it."""
 
     def __init__(self, name, c):
-        super().__init__(name, "batchnorm", gamma=(c,), beta=(c,), mean=(c,), var=(c,))
+        super().__init__(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
+                         mean=(MEAN, (c,)), var=(VAR, (c,)))
 
     def fold_into(self, prev, params, folded):
         """Store in `folded` the kernel and bias of `prev`, a conv1d or dense
@@ -119,7 +124,7 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Train mode only: infer_network leaves out this identity at inference."""
+    """Train mode only: `Net.infer_layers` leaves out this identity."""
 
     def __init__(self, name, rate):
         super().__init__(name, "dropout")
@@ -133,8 +138,8 @@ class Attention(Layer):
     """Multi-head self-attention added back onto its input (the skip)."""
 
     def __init__(self, name, heads, d, d_k):
-        qkv = (heads, d, d_k)
-        super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(d, d))
+        qkv = (PROJ, (heads, d, d_k))
+        super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(PROJ, (d, d)))
 
     def forward(self, params, x, rng):
         attn, cache = super().forward(params, x, rng)
@@ -146,74 +151,64 @@ class Attention(Layer):
         return g + g_attn, grads
 
 
-def network(config: ModelConfig) -> list[Layer]:
-    """The layers in forward order."""
-    net, c_in = [], 1
-    for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
-        net += [Layer(f"conv{s}", "conv1d", w=(k, c_in, f), b=(f,)),
-                BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
-                Layer(f"pool{s}", "maxpool")]
-        c_in = f
-    net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
-            Layer("ln", "layernorm", gamma=(c_in,), beta=(c_in,)),
-            Layer("gap", "global_average_pool")]
-    width = c_in
-    for i, units in enumerate(config.dense_units, start=1):
-        net += [Layer(f"fc{i}", "dense", w=(width, units), b=(units,)),
-                BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
-                Dropout(f"drop{i}", config.dropout_rate)]
-        width = units
-    out = len(config.dense_units) + 1
-    net += [Layer(f"fc{out}", "dense", w=(width, 1), b=(1,)), Layer("probs", "sigmoid")]
-    return net
+class Net:
+    """The network a ModelConfig describes, built once per config object
+    (`ModelConfig.net`). `layers` is the forward order train mode runs;
+    `infer_layers` leaves out batch norm and dropout and runs on the tensors
+    `fold` returns. `shapes` (artifact order) and `roles` are per tensor."""
 
+    def __init__(self, config: ModelConfig):
+        net, c_in = [], 1
+        for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
+            net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)), b=(SHIFT, (f,))),
+                    BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
+                    Layer(f"pool{s}", "maxpool")]
+            c_in = f
+        net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
+                Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,))),
+                Layer("gap", "global_average_pool")]
+        width = c_in
+        for i, units in enumerate(config.dense_units, start=1):
+            net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)), b=(SHIFT, (units,))),
+                    BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
+                    Dropout(f"drop{i}", config.dropout_rate)]
+            width = units
+        out = len(config.dense_units) + 1
+        net += [Layer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
+                Layer("probs", "sigmoid")]
+        self.layers = net
+        self.infer_layers = [m for m in net if not isinstance(m, (BatchNorm, Dropout))]
+        self.shapes = {n: s for layer in net for n, s in layer.shapes.items()}
+        self.roles = {n: r for layer in net for n, r in layer.roles.items()}
+        self.learnable = [n for layer in net for n in layer.learnable]
+        self.l2 = [n for n, role in self.roles.items() if role == KERNEL]
 
-def infer_network(config: ModelConfig, params):
-    """The layers infer mode runs and the tensors they read: each BatchNorm
-    is folded into the conv1d or dense layer before it and left out of the
-    list (Jacob et al. 2018, arXiv:1712.05877, section 3.2), and so is each
-    Dropout. The folded tensors go into a new dict; params is not changed."""
-    net, folded = [], dict(params)
-    for layer in network(config):
-        if isinstance(layer, BatchNorm):
-            layer.fold_into(net[-1], params, folded)
-        elif not isinstance(layer, Dropout):
-            net.append(layer)
-    return net, folded
+    def init_params(self, seed: int) -> dict[str, np.ndarray]:
+        """Kernels and attention projections uniform in +-sqrt(6 / fan_in),
+        drawn in artifact order from one generator seeded with `seed`;
+        scales and running variances 1; shifts and running means 0."""
+        rng = np.random.default_rng(seed)
+        params = {}
+        for name, shape in self.shapes.items():
+            role = self.roles[name]
+            if role in (KERNEL, PROJ):
+                # conv [K, C_in, C_out] and dense [in, out]; attention [H, D, d_k] or [D, D]
+                fan_in = int(np.prod(shape[:-1])) if role == KERNEL else shape[-2]
+                limit = np.sqrt(6.0 / fan_in)
+                params[name] = rng.uniform(-limit, limit, size=shape)
+            else:
+                params[name] = np.full(shape, 1.0 if role in (SCALE, VAR) else 0.0)
+        return params
 
-
-def param_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Every tensor's shape, fully determined by the configuration.
-
-    Keys ending in _mean/_var are batch-norm running statistics: part of the
-    model state and the serialized artifact, but not touched by gradients.
-    """
-    return {n: s for layer in network(config) for n, s in layer.shapes.items()}
-
-
-def learnable_names(config: ModelConfig) -> list[str]:
-    return [n for layer in network(config) for n in layer.learnable]
-
-
-def l2_names(config: ModelConfig) -> list[str]:
-    """Conv and dense kernels: the only tensors the L2 penalty covers."""
-    return [n for layer in network(config) for n in layer.l2]
-
-
-def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Fan-in-scaled uniform weights, zero biases, identity norm parameters."""
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(("_w", "_wq", "_wk", "_wv", "_wo")):
-            fan_in = int(np.prod(shape[:-1])) if name.startswith("conv") else shape[-2]
-            limit = np.sqrt(6.0 / fan_in)
-            params[name] = rng.uniform(-limit, limit, size=shape)
-        elif name.endswith(("_gamma", "_var")):
-            params[name] = np.ones(shape)
-        else:  # biases, betas, running means
-            params[name] = np.zeros(shape)
-    return params
+    def fold(self, params):
+        """The tensors `infer_layers` read, as a read-only mapping: each
+        batch norm folded into the conv1d or dense layer before it (Jacob et
+        al. 2018, arXiv:1712.05877, section 3.2). params is not changed."""
+        folded = dict(params)
+        for prev, layer in zip(self.layers, self.layers[1:]):
+            if isinstance(layer, BatchNorm):
+                layer.fold_into(prev, params, folded)
+        return MappingProxyType(folded)
 
 
 def model_forward(config, params, batch, mode="infer", dropout_rng=None):
@@ -222,7 +217,8 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     batch: [N, input_len] or [N, input_len, 1]. Returns (probs, trace);
     trace is the list of (layer, cache) pairs in forward order, which
     model_backward walks, and None in infer mode. Train mode with a nonzero
-    dropout rate requires a dropout_rng.
+    dropout rate requires a dropout_rng; infer mode requires params to be
+    what `config.net.fold` returned, so batch norm is never skipped.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 2:
@@ -232,10 +228,11 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     train = mode == "train"
     if train and config.dropout_rate > 0.0 and dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
+    if not train and not isinstance(params, MappingProxyType):
+        raise TypeError("infer mode needs the tensors config.net.fold returns")
     trace = [] if train else None
-    net, tensors = (network(config), params) if train else infer_network(config, params)
-    for layer in net:
-        x, cache = layer.forward(tensors, x, dropout_rng)
+    for layer in config.net.layers if train else config.net.infer_layers:
+        x, cache = layer.forward(params, x, dropout_rng)
         if train:
             trace.append((layer, cache))
     if not np.isfinite(x).all():
@@ -253,10 +250,11 @@ def model_backward(trace, grad_probs):
 
 
 def predict_probs(config, params, features, chunk_size=64):
-    """Infer-mode probabilities for a feature matrix, evaluated in chunks."""
+    """Infer-mode probabilities for a feature matrix, folded once, run in chunks."""
     x = np.asarray(features, dtype=np.float64)
+    folded = config.net.fold(params)
     parts = []
     for start in range(0, x.shape[0], chunk_size):
-        p, _ = model_forward(config, params, x[start:start + chunk_size], mode="infer")
+        p, _ = model_forward(config, folded, x[start:start + chunk_size], mode="infer")
         parts.append(p)
     return np.concatenate(parts) if parts else np.empty(0)

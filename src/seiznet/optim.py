@@ -13,7 +13,7 @@ import numpy as np
 from .dataset import partition_indices
 from .errors import DataError, NumericError
 from .metrics import EvalReport, compute_metrics, confusion
-from .model import l2_names, init_params, model_backward, model_forward, predict_probs
+from .model import model_backward, model_forward, predict_probs
 
 PROB_EPS = 1e-7
 IMPROVE_TOL = 1e-4
@@ -47,10 +47,10 @@ class TrainState:
 
 
 def l2_penalty(config, params):
-    """The weight penalty: l2_lambda times the squared `l2_names` kernels."""
+    """The weight penalty: l2_lambda times the squared `config.net.l2` kernels."""
     if config.l2_lambda == 0.0:
         return 0.0
-    return config.l2_lambda * sum(float((params[k] ** 2).sum()) for k in l2_names(config))
+    return config.l2_lambda * sum(float((params[k] ** 2).sum()) for k in config.net.l2)
 
 
 def bce_loss(probs, labels):
@@ -100,12 +100,12 @@ class Adam:
 def loss_and_grads(config, params, x, y, rng):
     """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, its
     probabilities, and the gradient of every learnable tensor, with the
-    penalty's 2 * lambda * W added onto the `l2_names` kernels. rng draws
+    penalty's 2 * lambda * W added onto the `config.net.l2` kernels. rng draws
     the dropout masks."""
     probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
     data, grad_probs = bce_loss(probs, y)
     grads = model_backward(trace, grad_probs)
-    for k in l2_names(config):
+    for k in config.net.l2:
         grads[k] += 2.0 * config.l2_lambda * params[k]
     return data + l2_penalty(config, params), probs, grads
 
@@ -136,7 +136,7 @@ def train(config, features, labels, hyper: TrainHyper):
     # batches are gathered from `x` by index; only the validation rows are copied
     x_val, y_val = x[val_idx], y[val_idx]
 
-    params = init_params(config, hyper.seed)
+    params = config.net.init_params(hyper.seed)
     adam = Adam(lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
 

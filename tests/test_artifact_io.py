@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
 from seiznet.errors import ConfigError, DataError
-from seiznet.model import ModelConfig, init_params, param_shapes, toy_config
+from seiznet.model import ModelConfig, toy_config
 from seiznet.preprocess import ScalerParams
 
 
 def make_artifact(tmp_path, seed=0, policy="universal", metadata=None):
     cfg = toy_config()
-    params = init_params(cfg, seed)
+    params = cfg.net.init_params(seed)
     rng = np.random.default_rng(seed + 50)
     scaler = ScalerParams(rng.standard_normal(cfg.input_len),
                           rng.uniform(0.5, 2.0, cfg.input_len))
@@ -30,7 +30,7 @@ def test_round_trip_is_bitwise(tmp_path):
     assert meta["epochs_run"] == "3"
     assert np.array_equal(scaler2.mean, scaler.mean)
     assert np.array_equal(scaler2.std, scaler.std)
-    assert set(params2) == set(param_shapes(cfg))
+    assert set(params2) == set(cfg.net.shapes)
     for name in params:
         assert np.array_equal(params2[name], params[name]), name
 
@@ -51,7 +51,7 @@ def test_non_default_config_round_trips(tmp_path):
             if getattr(cfg, f.name) == getattr(default, f.name)] == ["pool_size"]
     scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
     path = tmp_path / "model.bin"
-    save_artifact(path, cfg, init_params(cfg, 0), scaler, "off")
+    save_artifact(path, cfg, cfg.net.init_params(0), scaler, "off")
     assert load_artifact(path)[0] == cfg
 
 
@@ -118,7 +118,7 @@ def test_missing_file(tmp_path):
 
 def test_failed_save_leaves_no_file(tmp_path):
     cfg = toy_config()
-    params = init_params(cfg, 0)
+    params = cfg.net.init_params(0)
     scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
     target = tmp_path / "missing-dir" / "model.bin"
     with pytest.raises(OSError):
@@ -169,7 +169,7 @@ def test_default_model_inventory_is_pinned(tmp_path):
     cfg = ModelConfig()
     scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
     path = tmp_path / "model.bin"
-    save_artifact(path, cfg, init_params(cfg, 0), scaler, "universal")
+    save_artifact(path, cfg, cfg.net.init_params(0), scaler, "universal")
     header = path.read_bytes().split(b"==binary==\n", 1)[0].decode("utf-8")
     assert header.splitlines()[1:10] == DEFAULT_CONFIG_LINES
     stored = []
@@ -179,7 +179,7 @@ def test_default_model_inventory_is_pinned(tmp_path):
             stored.append((name, tuple(int(d) for d in dims.split(","))))
     assert len(DEFAULT_INVENTORY) == 40
     assert stored == DEFAULT_INVENTORY
-    assert list(param_shapes(cfg).items()) == DEFAULT_INVENTORY[2:]
+    assert list(cfg.net.shapes.items()) == DEFAULT_INVENTORY[2:]
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ import seiznet
 from seiznet import artifact, dataset, gradcheck, layers, optim, preprocess
 from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
-from seiznet.model import init_params, toy_config
+from seiznet.model import toy_config
 
 TINY_CONFIG = """\
 # fast functional-test configuration
@@ -314,7 +314,7 @@ class TestPredict:
         cfg = toy_config()  # input_len 16, so its scaler has 16 columns
         scaler = preprocess.ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
         model = tmp_path / "toy.bin"
-        save_artifact(model, cfg, init_params(cfg, 0), scaler, "universal")
+        save_artifact(model, cfg, cfg.net.init_params(0), scaler, "universal")
         csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
         assert main(["predict", "--model", str(model), "--data", str(csv)]) == 2
         captured = capsys.readouterr()

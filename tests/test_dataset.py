@@ -10,7 +10,7 @@ from seiznet import dataset, preprocess
 from seiznet.artifact import save_artifact
 from seiznet.cli import main
 from seiznet.errors import ConfigError, DataError
-from seiznet.model import ModelConfig, init_params
+from seiznet.model import ModelConfig
 
 
 def make_row(label, value=1.0):
@@ -335,7 +335,7 @@ def untrained_model(tmp_path_factory):
     cfg = ModelConfig()
     path = tmp_path_factory.mktemp("model") / "model.bin"
     scaler = preprocess.fit_scaler(dataset.synthesize(2, seed=11).features)
-    save_artifact(path, cfg, init_params(cfg, 0), scaler, "universal")
+    save_artifact(path, cfg, cfg.net.init_params(0), scaler, "universal")
     return path
 
 

@@ -78,7 +78,7 @@ class TestBatchNorm:
         # infer mode folds the batch norm into the layer before it; identity
         # statistics leave that layer's output unchanged up to eps
         x = np.random.default_rng(5).standard_normal((4, 6))
-        fc = model.Layer("fc", "dense", w=(6, 2), b=(2,))
+        fc = model.Layer("fc", "dense", w=(model.KERNEL, (6, 2)), b=(model.SHIFT, (2,)))
         out, raw = self._folded(fc, x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         assert np.allclose(out, raw, atol=1e-5)
 
@@ -181,9 +181,10 @@ class TestBatchNorm:
         # a conv (3D input) or dense (2D) layer with the norm folded in
         # against the layer followed by (x - mean) / sqrt(var + eps) * gamma + beta
         _, x, gamma, beta, rm, rv = self._inputs(shape)
-        layer = (model.Layer("conv", "conv1d", w=(3, shape[-1], shape[-1]), b=(shape[-1],))
-                 if len(shape) == 3 else
-                 model.Layer("fc", "dense", w=(shape[-1], shape[-1]), b=(shape[-1],)))
+        c = shape[-1]
+        w, b = (model.KERNEL, (c, c)), (model.SHIFT, (c,))
+        layer = (model.Layer("conv", "conv1d", w=(model.KERNEL, (3, c, c)), b=b)
+                 if len(shape) == 3 else model.Layer("fc", "dense", w=w, b=b))
         out, raw = self._folded(layer, x, gamma, beta, rm, rv)
         self._assert_close(out, (raw - rm) / np.sqrt(rv + 1e-5) * gamma + beta)
 
@@ -438,8 +439,7 @@ class TestDropout:
     def test_infer_is_exact_identity(self):
         # infer mode runs the network without its dropout and batch-norm layers
         cfg = model.ModelConfig()
-        full = model.network(cfg)
-        net, _ = model.infer_network(cfg, model.init_params(cfg, 0))
+        full, net = cfg.net.layers, cfg.net.infer_layers
         assert any(isinstance(layer, model.Dropout) for layer in full)
         assert not [layer for layer in net
                     if isinstance(layer, (model.BatchNorm, model.Dropout))]

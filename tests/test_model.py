@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from seiznet import gradcheck, layers, optim
-from seiznet.model import (ModelConfig, init_params, l2_names, learnable_names,
-                           model_backward, model_forward, param_shapes,
-                           predict_probs, toy_config)
+from seiznet import gradcheck, layers, model, optim
+from seiznet.model import (ModelConfig, model_backward, model_forward, predict_probs,
+                           toy_config)
 
 
 def default_setup(n=4, seed=0):
     cfg = ModelConfig()
-    params = init_params(cfg, seed)
+    params = cfg.net.init_params(seed)
     x = np.random.default_rng(seed + 1).standard_normal((n, cfg.input_len))
     return cfg, params, x
 
@@ -20,7 +19,6 @@ class TestConfig:
         assert cfg.conv_filters == (32, 64, 128)
         assert cfg.conv_kernels == (7, 5, 3)
         assert cfg.attn_heads * cfg.attn_key_dim == 128
-        assert cfg.attn_len == 22
 
     def test_head_width_invariant_enforced(self):
         with pytest.raises(ValueError, match="attn_heads"):
@@ -55,20 +53,20 @@ class TestShapes:
 
     def test_param_shapes_fixed_by_config(self):
         cfg = ModelConfig()
-        shapes = param_shapes(cfg)
+        shapes = cfg.net.shapes
         assert shapes["conv1_w"] == (7, 1, 32)
         assert shapes["conv3_w"] == (3, 64, 128)
         assert shapes["attn_wq"] == (4, 128, 32)
         assert shapes["attn_wo"] == (128, 128)
         assert shapes["fc1_w"] == (128, 128)
         assert shapes["fc3_w"] == (64, 1)
-        params = init_params(cfg, 0)
+        params = cfg.net.init_params(0)
         for name, shape in shapes.items():
             assert params[name].shape == shape
 
     def test_l2_names_cover_kernels_only(self):
         cfg = ModelConfig()
-        names = l2_names(cfg)
+        names = cfg.net.l2
         assert set(names) == {"conv1_w", "conv2_w", "conv3_w",
                               "fc1_w", "fc2_w", "fc3_w"}
 
@@ -76,23 +74,23 @@ class TestShapes:
 class TestForward:
     def test_probs_in_unit_interval(self):
         cfg, params, x = default_setup(n=5)
-        probs, trace = model_forward(cfg, params, x, "infer")
+        probs, trace = model_forward(cfg, cfg.net.fold(params), x, "infer")
         assert trace is None
         assert np.isfinite(probs).all()
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_infer_deterministic_bitwise(self):
         cfg, params, x = default_setup(n=3)
-        p1, _ = model_forward(cfg, params, x, "infer")
-        p2, _ = model_forward(cfg, params, x, "infer")
+        p1, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
+        p2, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
         assert np.array_equal(p1, p2)
 
     def test_infer_ignores_dropout_rate(self):
         x = np.random.default_rng(2).standard_normal((3, 178))
         for rate in (0.0, 0.5):
             cfg = ModelConfig(dropout_rate=rate)
-            params = init_params(cfg, 0)
-            p, _ = model_forward(cfg, params, x, "infer")
+            params = cfg.net.init_params(0)
+            p, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
             if rate == 0.0:
                 base = p
         assert np.array_equal(base, p)
@@ -105,13 +103,54 @@ class TestForward:
     def test_bad_input_length(self):
         cfg, params, _ = default_setup()
         with pytest.raises(ValueError):
-            model_forward(cfg, params, np.zeros((2, 100)), "infer")
+            model_forward(cfg, cfg.net.fold(params), np.zeros((2, 100)), "infer")
 
     def test_chunked_predict_matches_single_batch(self):
         cfg, params, x = default_setup(n=9)
         whole = predict_probs(cfg, params, x, chunk_size=9)
         chunked = predict_probs(cfg, params, x, chunk_size=4)
         assert np.allclose(whole, chunked, atol=1e-12)
+
+
+class TestNet:
+    def test_training_builds_one_net(self, monkeypatch):
+        built = []
+        real_init = model.Net.__init__
+
+        def spy(self, config):
+            built.append(config)
+            real_init(self, config)
+        monkeypatch.setattr(model.Net, "__init__", spy)
+        cfg = toy_config()
+        x = np.random.default_rng(0).standard_normal((24, cfg.input_len))
+        optim.train(cfg, x, np.array([0, 1] * 12),
+                    optim.TrainHyper(batch_size=8, max_epochs=2, seed=3))
+        assert len(built) == 1 and built[0] is cfg
+
+    def test_predict_folds_once_and_runs_each_chunk(self, monkeypatch):
+        cfg, params, x = default_setup(n=9)
+        folds, modes = [], []
+        real_fold, real_forward = model.Net.fold, model.model_forward
+
+        def fold(self, p):
+            folds.append(p)
+            return real_fold(self, p)
+
+        def forward(config, p, batch, mode="infer", dropout_rng=None):
+            modes.append(mode)
+            return real_forward(config, p, batch, mode, dropout_rng)
+        monkeypatch.setattr(model.Net, "fold", fold)
+        monkeypatch.setattr(model, "model_forward", forward)
+        predict_probs(cfg, params, x, chunk_size=4)
+        assert len(folds) == 1 and folds[0] is params
+        assert modes == ["infer"] * 3
+
+    def test_infer_refuses_unfolded_params(self):
+        # raw tensors would run without batch norm and still give probabilities
+        cfg, params, x = default_setup(n=2)
+        for unfolded in (params, dict(cfg.net.fold(params))):
+            with pytest.raises(TypeError, match="fold"):
+                model_forward(cfg, unfolded, x, "infer")
 
 
 def textbook_infer(cfg, params, batch):
@@ -173,7 +212,7 @@ class TestFoldedInference:
         def refuse(*args, **kwargs):
             raise AssertionError("batchnorm_forward called in infer mode")
         monkeypatch.setattr(layers, "batchnorm_forward", refuse)
-        model_forward(cfg, params, x, "infer")
+        model_forward(cfg, cfg.net.fold(params), x, "infer")
         for name, a in params.items():
             assert a.tobytes() == before[name].tobytes(), name
 
@@ -184,7 +223,7 @@ class TestBackward:
         probs, trace = model_forward(cfg, params, x, "train",
                                      dropout_rng=np.random.default_rng(3))
         grads = model_backward(trace, np.ones_like(probs))
-        assert set(grads) == set(learnable_names(cfg))
+        assert set(grads) == set(cfg.net.learnable)
         for name, g in grads.items():
             assert g.shape == params[name].shape
 
@@ -224,7 +263,7 @@ class TestBackward:
         assert calls == expected
         # infer mode runs each forward of the folded network and nothing else
         calls.update(dict.fromkeys(calls, 0))
-        model_forward(cfg, params, x, "infer")
+        model_forward(cfg, cfg.net.fold(params), x, "infer")
         infer = {fn: n if fn.endswith("_forward") else 0 for fn, n in expected.items()}
         infer.update(batchnorm_forward=0, dropout_forward=0)
         assert calls == infer
@@ -233,7 +272,7 @@ class TestBackward:
         # the trace carries its layers: no config, params or network is passed;
         # the inputs are those of gradcheck.check_model, without the L2 term
         cfg = toy_config()
-        params = init_params(cfg, 0)
+        params = cfg.net.init_params(0)
         x = np.random.default_rng(1).standard_normal((3, cfg.input_len))
         y = np.array([0.0, 1.0, 1.0])
 
@@ -243,8 +282,8 @@ class TestBackward:
 
         probs, trace = run()
         grads = model_backward(trace, optim.bce_loss(probs, y)[1])
-        assert set(grads) == set(learnable_names(cfg))
-        for name in learnable_names(cfg):
+        assert set(grads) == set(cfg.net.learnable)
+        for name in cfg.net.learnable:
             numeric = gradcheck.numeric_gradient(lambda: optim.bce_loss(run()[0], y)[0],
                                                  params[name])
             # atol: biases ahead of a batch norm have zero gradient, and their
@@ -267,7 +306,7 @@ def test_hundred_training_steps_stay_finite():
     y = ds.labels.astype(float)
 
     cfg = ModelConfig()
-    params = init_params(cfg, 0)
+    params = cfg.net.init_params(0)
     adam = optim.Adam(lr=1e-3)
     rng = np.random.default_rng(6)
     for step in range(100):

@@ -7,8 +7,7 @@ import pytest
 from seiznet import optim
 from seiznet.dataset import partition_indices, synthesize
 from seiznet.errors import DataError, NumericError
-from seiznet.model import (ModelConfig, init_params, l2_names, param_shapes,
-                           predict_probs, toy_config)
+from seiznet.model import ModelConfig, predict_probs, toy_config
 from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
 
@@ -31,7 +30,7 @@ class TestBceLoss:
 
     def test_l2_with_perfect_predictions(self):
         cfg = ModelConfig(l2_lambda=0.001)
-        params = {n: np.zeros(s) for n, s in param_shapes(cfg).items()}
+        params = {n: np.zeros(s) for n, s in cfg.net.shapes.items()}
         params["fc1_w"][0, 0] = 2.0
         params["fc1_b"][0] = 5.0  # not a kernel: outside the penalty
         loss = bce_loss(np.array([1.0]), np.array([1.0]))[0] + l2_penalty(cfg, params)
@@ -39,7 +38,7 @@ class TestBceLoss:
 
     def test_doubling_lambda_doubles_penalty(self):
         rng = np.random.default_rng(0)
-        params = init_params(toy_config(), 0)
+        params = toy_config().net.init_params(0)
         probs = rng.uniform(0.1, 0.9, 10)
         labels = (rng.random(10) > 0.5).astype(float)
         data, _ = bce_loss(probs, labels)
@@ -62,7 +61,7 @@ class TestBceLoss:
 
     def test_loss_and_grads_adds_the_penalty_onto_the_kernels(self):
         cfg = replace(toy_config(), l2_lambda=0.25)
-        params = init_params(cfg, 0)
+        params = cfg.net.init_params(0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, cfg.input_len))
         y = np.array([0.0, 1.0, 1.0, 0.0])
@@ -72,7 +71,7 @@ class TestBceLoss:
         assert np.array_equal(probs, probs0)
         assert loss == bce_loss(probs, y)[0] + l2_penalty(cfg, params)
         assert l2_penalty(cfg, params) > 0
-        kernels = set(l2_names(cfg))
+        kernels = set(cfg.net.l2)
         assert kernels and set(grads) == set(grads0)
         for name, g in grads.items():
             want = grads0[name] + 2.0 * 0.25 * params[name] if name in kernels else grads0[name]
@@ -225,6 +224,6 @@ class TestEvaluate:
         assert report == manual
 
     def test_empty_dataset(self):
-        params = init_params(ModelConfig(), 0)
+        params = ModelConfig().net.init_params(0)
         with pytest.raises(DataError):
             evaluate(ModelConfig(), params, np.empty((0, 178)), np.empty(0))
