@@ -1,7 +1,9 @@
 """Hot numeric kernels: batched 1D convolution and max-pooling, in numpy.
 
-Conventions: x is [N, L, C_in] float64, w is [K, C_in, C_out] with K odd,
-zero "same" padding of (K-1)//2 per side, so output length equals L.
+Conventions: x is [N, L, C_in], w is [K, C_in, C_out] with K odd, zero
+"same" padding of (K-1)//2 per side, so output length equals L. Every
+buffer takes its dtype from the arrays passed in, so the kernels run in
+float32 or float64 alike.
 
 Every convolution, at every shape, runs its forward pass and grad_w as one
 GEMM over an im2col patch matrix (Chellapilla et al. 2006). The patch matrix

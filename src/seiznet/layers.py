@@ -156,7 +156,7 @@ def mha_backward(cache, grad_out):
 
     dwo = concat.T @ g
     dhead = (g @ wo.T).reshape(n, length, heads, d_k).transpose(0, 2, 1, 3)
-    dqkv = np.empty((n, length, 3, heads, d_k))
+    dqkv = np.empty((n, length, 3, heads, d_k), dtype=grad_out.dtype)
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
     dv[...] = attn.swapaxes(-1, -2) @ dhead
     dscore = dhead @ v.swapaxes(-1, -2)
@@ -202,9 +202,11 @@ def layernorm_backward(cache, grad_out):
 
 
 def global_average_pool_forward(x):
+    """Mean over positions, accumulated and returned in float64 whatever
+    x's dtype, so the dense head runs in float64 after a float32 trunk."""
     if x.shape[1] < 1:
         raise ValueError("global average pool needs at least one position")
-    return x.mean(axis=1), x.shape[1]
+    return x.mean(axis=1, dtype=np.float64), x.shape[1]
 
 
 def global_average_pool_backward(length, grad_out):

@@ -23,7 +23,6 @@ class ModelConfig:
     input_len: int = 178
     conv_filters: tuple = (32, 64, 128)
     conv_kernels: tuple = (7, 5, 3)
-    pool_size: int = 2
     attn_heads: int = 4
     attn_key_dim: int = 32
     dense_units: tuple = (128, 64)
@@ -35,8 +34,6 @@ class ModelConfig:
             raise ValueError("conv_filters and conv_kernels must have equal length")
         if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
             raise ValueError("conv kernel sizes must be odd")
-        if self.pool_size != 2:
-            raise ValueError("only pool size 2 is supported")
         # head concatenation must match the skip connection width
         if self.attn_heads * self.attn_key_dim != self.conv_filters[-1]:
             raise ValueError(
@@ -155,7 +152,9 @@ class Net:
     """The network a ModelConfig describes, built once per config object
     (`ModelConfig.net`). `layers` is the forward order train mode runs;
     `infer_layers` leaves out batch norm and dropout and runs on the tensors
-    `fold` returns. `shapes` (artifact order) and `roles` are per tensor."""
+    `fold` returns. `shapes` (artifact order) and `roles` are per tensor;
+    `trunk` names the tensors of the layers ahead of global average
+    pooling."""
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
@@ -165,8 +164,10 @@ class Net:
                     Layer(f"pool{s}", "maxpool")]
             c_in = f
         net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
-                Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,))),
-                Layer("gap", "global_average_pool")]
+                Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,)))]
+        # every tensor ahead of global average pooling: `fold` casts these
+        self.trunk = frozenset(n for layer in net for n in layer.shapes)
+        net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
             net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)), b=(SHIFT, (units,))),
@@ -203,11 +204,16 @@ class Net:
     def fold(self, params):
         """The tensors `infer_layers` read, as a read-only mapping: each
         batch norm folded into the conv1d or dense layer before it (Jacob et
-        al. 2018, arXiv:1712.05877, section 3.2). params is not changed."""
+        al. 2018, arXiv:1712.05877, section 3.2), in float64, then the
+        `trunk` tensors cast to float32. The head from global average
+        pooling on stays float64: a float32 dense layer rounds differently
+        for one row than for a chunk. params is not changed."""
         folded = dict(params)
         for prev, layer in zip(self.layers, self.layers[1:]):
             if isinstance(layer, BatchNorm):
                 layer.fold_into(prev, params, folded)
+        for name in self.trunk:
+            folded[name] = folded[name].astype(np.float32)
         return MappingProxyType(folded)
 
 
@@ -218,9 +224,11 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     trace is the list of (layer, cache) pairs in forward order, which
     model_backward walks, and None in infer mode. Train mode with a nonzero
     dropout rate requires a dropout_rng; infer mode requires params to be
-    what `config.net.fold` returned, so batch norm is never skipped.
+    what `config.net.fold` returned, so batch norm is never skipped. The
+    batch is cast to the dtype of the first layer's kernel: float64 for
+    the train tensors, float32 for the folded ones.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=config.net.layers[0].tensors(params)[0].dtype)
     if x.ndim == 2:
         x = x[:, :, None]
     if x.shape[1] != config.input_len or x.shape[2] != 1:

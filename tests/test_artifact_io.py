@@ -44,15 +44,28 @@ def test_save_load_save_identical_bytes(tmp_path):
 
 
 def test_non_default_config_round_trips(tmp_path):
-    # every field but pool_size, which admits only 2, differs from its default
+    # every field differs from its default
     cfg = replace(toy_config(), conv_kernels=(5, 3, 1), dropout_rate=0.25, l2_lambda=0.0)
     default = ModelConfig()
     assert [f.name for f in fields(cfg)
-            if getattr(cfg, f.name) == getattr(default, f.name)] == ["pool_size"]
+            if getattr(cfg, f.name) == getattr(default, f.name)] == []
     scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
     path = tmp_path / "model.bin"
     save_artifact(path, cfg, cfg.net.init_params(0), scaler, "off")
     assert load_artifact(path)[0] == cfg
+
+
+def test_header_with_retired_pool_size_line_loads(tmp_path):
+    # artifacts written while pool_size was a config field carry this line
+    path, cfg, params, scaler = make_artifact(tmp_path)
+    blob = path.read_bytes()
+    at = blob.index(b"attn_heads = ")
+    path.write_bytes(blob[:at] + b"pool_size = 2\n" + blob[at:])
+    cfg2, params2, scaler2, _, _ = load_artifact(path)
+    assert cfg2 == cfg
+    assert np.array_equal(scaler2.mean, scaler.mean)
+    for name in params:
+        assert np.array_equal(params2[name], params[name]), name
 
 
 def test_fixed_policy_round_trip(tmp_path):
@@ -156,7 +169,6 @@ DEFAULT_CONFIG_LINES = [
     "input_len = 178",
     "conv_filters = 32,64,128",
     "conv_kernels = 7,5,3",
-    "pool_size = 2",
     "attn_heads = 4",
     "attn_key_dim = 32",
     "dense_units = 128,64",
@@ -171,7 +183,7 @@ def test_default_model_inventory_is_pinned(tmp_path):
     path = tmp_path / "model.bin"
     save_artifact(path, cfg, cfg.net.init_params(0), scaler, "universal")
     header = path.read_bytes().split(b"==binary==\n", 1)[0].decode("utf-8")
-    assert header.splitlines()[1:10] == DEFAULT_CONFIG_LINES
+    assert header.splitlines()[1:1 + len(DEFAULT_CONFIG_LINES)] == DEFAULT_CONFIG_LINES
     stored = []
     for line in header.splitlines():
         if line.startswith("tensor = "):

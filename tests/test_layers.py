@@ -415,6 +415,47 @@ class TestGlobalAveragePool:
     def test_gradient(self):
         assert gradcheck.check_layer("global_avg_pool") < gradcheck.LAYER_BOUND
 
+    def test_float32_input_averages_in_float64(self):
+        x = np.random.default_rng(16).standard_normal((3, 22, 8)).astype(np.float32)
+        out, _ = layers.global_average_pool_forward(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, x.astype(np.float64).mean(axis=1), rtol=1e-12)
+
+
+# The infer-mode trunk runs these layers in float32. Each must keep float32
+# and stay within FLOAT32_RTOL of its float64 result on the same (float32)
+# values, relative to the largest output.
+FLOAT32_RTOL = 1e-5
+TRUNK_CASES = {name: gradcheck.LAYER_CASES[name]
+               for name in ("conv1d", "maxpool", "mha", "layernorm")}
+TRUNK_CASES["relu"] = (model.Layer("relu", "relu"), (2, 9, 3))
+
+
+@pytest.mark.parametrize("name", sorted(TRUNK_CASES))
+def test_trunk_layer_in_float32_matches_float64(name):
+    layer, x_shape = TRUNK_CASES[name]
+    rng = np.random.default_rng(17)
+    x32 = rng.standard_normal(x_shape).astype(np.float32)
+    p32 = {n: (0.5 * rng.standard_normal(s)).astype(np.float32)
+           for n, s in layer.shapes.items()}
+    y32, _ = layer.forward(p32, x32, None)
+    y64, _ = layer.forward({n: a.astype(np.float64) for n, a in p32.items()},
+                           x32.astype(np.float64), None)
+    assert y32.dtype == np.float32 and y64.dtype == np.float64
+    assert np.abs(y32 - y64).max() <= FLOAT32_RTOL * np.abs(y64).max()
+
+
+def test_mha_backward_keeps_float32():
+    layer, x_shape = gradcheck.LAYER_CASES["mha"]
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    params = {n: (0.5 * rng.standard_normal(s)).astype(np.float32)
+              for n, s in layer.shapes.items()}
+    y, cache = layer.forward(params, x, None)
+    gx, grads = layer.backward(cache, np.ones_like(y))
+    assert gx.dtype == np.float32
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
 
 class TestDense:
     def test_identity(self):

@@ -30,7 +30,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("change, match", [
         ({"conv_kernels": (7, 4, 3)}, "odd"),
-        ({"pool_size": 3}, "pool size"),
         ({"dropout_rate": 1.0}, "dropout_rate"),
         ({"input_len": 7}, "too short")])
     def test_out_of_range_field_rejected(self, change, match):
@@ -203,7 +202,10 @@ class TestFoldedInference:
         x = preprocess.apply_scaler(test.features, scaler)
         got = predict_probs(cfg, params, x, chunk_size=7)
         want = textbook_infer(cfg, params, x)
-        assert np.abs(got - want).max() <= 1e-12
+        # the trunk runs in float32 (TestFloat32Trunk); the fold algebra
+        # itself is pinned at 1e-12 by test_layers.py::TestBatchNorm
+        assert np.abs(got - want).max() <= 1e-6
+        assert np.array_equal(got > 0.5, want > 0.5)
 
     def test_infer_runs_no_batchnorm_and_leaves_params(self, monkeypatch):
         cfg, params, x = default_setup(n=3)
@@ -215,6 +217,70 @@ class TestFoldedInference:
         model_forward(cfg, cfg.net.fold(params), x, "infer")
         for name, a in params.items():
             assert a.tobytes() == before[name].tobytes(), name
+
+
+# the tensors of the layers ahead of global average pooling in the default model
+TRUNK = ({f"conv{s}_{k}" for s in (1, 2, 3) for k in ("w", "b")}
+         | {f"bn{s}_{k}" for s in (1, 2, 3) for k in ("gamma", "beta", "mean", "var")}
+         | {"attn_wq", "attn_wk", "attn_wv", "attn_wo", "ln_gamma", "ln_beta"})
+
+
+class TestFloat32Trunk:
+    def _dtypes(self, monkeypatch, layer_list):
+        """(layer name, input dtype, output dtype) of each layer, as run."""
+        seen = []
+        for layer in layer_list:
+            def spy(p, x, rng, _name=layer.name, _real=layer.forward):
+                y, cache = _real(p, x, rng)
+                seen.append((_name, x.dtype, y.dtype))
+                return y, cache
+            monkeypatch.setattr(layer, "forward", spy)
+        return seen
+
+    def test_infer_runs_float32_through_ln_and_float64_from_gap(self, monkeypatch):
+        cfg, params, x = default_setup(n=3)
+        seen = self._dtypes(monkeypatch, cfg.net.infer_layers)
+        probs, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        names = [name for name, *_ in seen]
+        gap = names.index("gap")
+        assert names[gap - 1] == "ln"
+        assert all(d_in == d_out == f32 for _, d_in, d_out in seen[:gap])
+        assert seen[gap][1:] == (f32, f64)
+        assert all(d_in == d_out == f64 for _, d_in, d_out in seen[gap + 1:])
+        assert probs.dtype == f64
+
+    def test_train_stays_float64(self, monkeypatch):
+        cfg, params, x = default_setup(n=3)
+        seen = self._dtypes(monkeypatch, cfg.net.layers)
+        model_forward(cfg, params, x.astype(np.float32), "train",
+                      dropout_rng=np.random.default_rng(0))
+        assert len(seen) == len(cfg.net.layers)
+        assert {d for _, d_in, d_out in seen for d in (d_in, d_out)} == {np.dtype(np.float64)}
+
+    def test_fold_casts_the_trunk_and_keeps_params_and_artifact_float64(self, tmp_path):
+        from seiznet.artifact import load_artifact, save_artifact
+        from seiznet.preprocess import ScalerParams
+        cfg, params, _ = default_setup()
+        assert cfg.net.trunk == TRUNK
+        folded = cfg.net.fold(params)
+        for name, a in folded.items():
+            assert a.dtype == (np.float32 if name in TRUNK else np.float64), name
+        assert {a.dtype for a in params.values()} == {np.dtype(np.float64)}
+        path = tmp_path / "model.bin"
+        save_artifact(path, cfg, params,
+                      ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len)), "off")
+        for name, a in load_artifact(path)[1].items():
+            assert a.dtype == np.float64 and np.array_equal(a, params[name]), name
+
+    def test_each_row_alone_matches_the_chunked_result(self):
+        # a float32 dense layer rounds one row differently from a 64-row
+        # chunk; the float64 head keeps a streamed row on the batch result
+        cfg, params, x = default_setup(n=70)
+        chunked = predict_probs(cfg, params, x)
+        alone = np.concatenate([predict_probs(cfg, params, x[i:i + 1])
+                                for i in range(len(x))])
+        assert np.abs(alone - chunked).max() <= 1e-12
 
 
 class TestBackward:
