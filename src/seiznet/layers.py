@@ -203,15 +203,24 @@ def layernorm_backward(cache, grad_out):
 
 def global_average_pool_forward(x):
     """Mean over positions, accumulated and returned in float64 whatever
-    x's dtype, so the dense head runs in float64 after a float32 trunk."""
+    x's dtype, so the dense head runs in float64 after a float32 trunk.
+    Caches the length and x's dtype."""
     if x.shape[1] < 1:
         raise ValueError("global average pool needs at least one position")
-    return x.mean(axis=1, dtype=np.float64), x.shape[1]
+    return x.mean(axis=1, dtype=np.float64), (x.shape[1], x.dtype)
 
 
-def global_average_pool_backward(length, grad_out):
+def global_average_pool_backward(cache, grad_out):
+    """The float64 head gradient spread evenly over the positions, in the
+    forward input's dtype, so a float32 trunk runs its backward pass in
+    float32 too."""
+    length, dtype = cache
     n, c = grad_out.shape
-    return np.broadcast_to(grad_out[:, None, :] / length, (n, length, c)).copy()
+    # a C-order buffer: astype of the broadcast view would keep its
+    # position-minor strides, and the layers below would sum in another order
+    grad_x = np.empty((n, length, c), dtype=dtype)
+    grad_x[...] = grad_out[:, None, :] / length
+    return grad_x
 
 
 def sigmoid_forward(x):

@@ -153,8 +153,8 @@ class Net:
     (`ModelConfig.net`). `layers` is the forward order train mode runs;
     `infer_layers` leaves out batch norm and dropout and runs on the tensors
     `fold` returns. `shapes` (artifact order) and `roles` are per tensor;
-    `trunk` names the tensors of the layers ahead of global average
-    pooling."""
+    `trunk` names the learnable tensors of the layers ahead of global
+    average pooling, which `cast_trunk` casts."""
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
@@ -165,8 +165,9 @@ class Net:
             c_in = f
         net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,)))]
-        # every tensor ahead of global average pooling: `fold` casts these
-        self.trunk = frozenset(n for layer in net for n in layer.shapes)
+        # the learnable tensors ahead of global average pooling; the running
+        # statistics are left out, because batch norm updates them in place
+        self.trunk = frozenset(n for layer in net for n in layer.learnable)
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
@@ -201,20 +202,28 @@ class Net:
                 params[name] = np.full(shape, 1.0 if role in (SCALE, VAR) else 0.0)
         return params
 
+    def cast_trunk(self, params, dtype):
+        """A new dict of params with the `trunk` tensors in dtype; every
+        other entry is the same array as in params, so the batch-norm
+        running statistics a train pass updates in place are the master
+        arrays. A tensor already in dtype is not copied."""
+        cast = dict(params)
+        for name in self.trunk:
+            cast[name] = params[name].astype(dtype, copy=False)
+        return cast
+
     def fold(self, params):
         """The tensors `infer_layers` read, as a read-only mapping: each
         batch norm folded into the conv1d or dense layer before it (Jacob et
         al. 2018, arXiv:1712.05877, section 3.2), in float64, then the
-        `trunk` tensors cast to float32. The head from global average
-        pooling on stays float64: a float32 dense layer rounds differently
-        for one row than for a chunk. params is not changed."""
+        `trunk` cast to float32. The head from global average pooling on
+        stays float64: a float32 dense layer rounds differently for one row
+        than for a chunk. params is not changed."""
         folded = dict(params)
         for prev, layer in zip(self.layers, self.layers[1:]):
             if isinstance(layer, BatchNorm):
                 layer.fold_into(prev, params, folded)
-        for name in self.trunk:
-            folded[name] = folded[name].astype(np.float32)
-        return MappingProxyType(folded)
+        return MappingProxyType(self.cast_trunk(folded, np.float32))
 
 
 def model_forward(config, params, batch, mode="infer", dropout_rng=None):
@@ -225,8 +234,11 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     model_backward walks, and None in infer mode. Train mode with a nonzero
     dropout rate requires a dropout_rng; infer mode requires params to be
     what `config.net.fold` returned, so batch norm is never skipped. The
-    batch is cast to the dtype of the first layer's kernel: float64 for
-    the train tensors, float32 for the folded ones.
+    batch is cast to the dtype of the first layer's kernel, so the trunk
+    runs in the dtype of the tensors passed: float32 for what `fold` or
+    `cast_trunk(params, np.float32)` returns (inference and training),
+    float64 for `params` itself (`gradcheck`). From global average pooling
+    on, the head runs in float64 either way.
     """
     x = np.asarray(batch, dtype=config.net.layers[0].tensors(params)[0].dtype)
     if x.ndim == 2:

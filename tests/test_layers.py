@@ -405,8 +405,18 @@ class TestGlobalAveragePool:
 
     def test_backward_spreads_evenly(self):
         g = np.array([[6.0, 12.0]])
-        gx = layers.global_average_pool_backward(3, g)
+        gx = layers.global_average_pool_backward((3, np.dtype(np.float64)), g)
         assert np.allclose(gx, np.broadcast_to([2.0, 4.0], (1, 3, 2)))
+        # the gradient takes the forward input's dtype; in float64 it is the
+        # broadcast quotient bit for bit
+        rng = np.random.default_rng(14)
+        g = rng.standard_normal((2, 5))
+        for dtype in (np.float32, np.float64):
+            _, cache = layers.global_average_pool_forward(
+                rng.standard_normal((2, 7, 5)).astype(dtype))
+            gx = layers.global_average_pool_backward(cache, g)
+            assert gx.dtype == dtype
+        assert gx.tobytes() == np.broadcast_to(g[:, None, :] / 7, (2, 7, 5)).tobytes()
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -422,39 +432,56 @@ class TestGlobalAveragePool:
         np.testing.assert_allclose(out, x.astype(np.float64).mean(axis=1), rtol=1e-12)
 
 
-# The infer-mode trunk runs these layers in float32. Each must keep float32
-# and stay within FLOAT32_RTOL of its float64 result on the same (float32)
-# values, relative to the largest output.
+# Training and inference run these layers in float32. Each must keep
+# float32, forward and backward, and stay within FLOAT32_RTOL of its float64
+# result on the same (float32) values, relative to the largest output or
+# gradient. Batch norm runs in train mode, with float64 running statistics
+# as in training.
 FLOAT32_RTOL = 1e-5
 TRUNK_CASES = {name: gradcheck.LAYER_CASES[name]
-               for name in ("conv1d", "maxpool", "mha", "layernorm")}
+               for name in ("conv1d", "batchnorm", "maxpool", "mha", "layernorm")}
 TRUNK_CASES["relu"] = (model.Layer("relu", "relu"), (2, 9, 3))
+
+
+def _float32_case(name, seed):
+    """A TRUNK_CASES layer with a float32 input and float32 learnable
+    tensors (float64 running statistics), and a float64 copy of both."""
+    layer, x_shape = TRUNK_CASES[name]
+    rng = np.random.default_rng(seed)
+    x32 = rng.standard_normal(x_shape).astype(np.float32)
+    p32 = {}
+    for n, s in layer.shapes.items():
+        a = 0.5 * rng.standard_normal(s)
+        p32[n] = a.astype(np.float32) if n in layer.learnable else a
+    p64 = {n: a.astype(np.float64) for n, a in p32.items()}
+    return layer, x32, p32, x32.astype(np.float64), p64
+
+
+def _close(a32, a64):
+    assert a32.dtype == np.float32 and a64.dtype == np.float64
+    assert np.abs(a32 - a64).max() <= FLOAT32_RTOL * np.abs(a64).max()
 
 
 @pytest.mark.parametrize("name", sorted(TRUNK_CASES))
 def test_trunk_layer_in_float32_matches_float64(name):
-    layer, x_shape = TRUNK_CASES[name]
-    rng = np.random.default_rng(17)
-    x32 = rng.standard_normal(x_shape).astype(np.float32)
-    p32 = {n: (0.5 * rng.standard_normal(s)).astype(np.float32)
-           for n, s in layer.shapes.items()}
+    layer, x32, p32, x64, p64 = _float32_case(name, 17)
     y32, _ = layer.forward(p32, x32, None)
-    y64, _ = layer.forward({n: a.astype(np.float64) for n, a in p32.items()},
-                           x32.astype(np.float64), None)
-    assert y32.dtype == np.float32 and y64.dtype == np.float64
-    assert np.abs(y32 - y64).max() <= FLOAT32_RTOL * np.abs(y64).max()
+    y64, _ = layer.forward(p64, x64, None)
+    _close(y32, y64)
 
 
-def test_mha_backward_keeps_float32():
-    layer, x_shape = gradcheck.LAYER_CASES["mha"]
-    rng = np.random.default_rng(18)
-    x = rng.standard_normal(x_shape).astype(np.float32)
-    params = {n: (0.5 * rng.standard_normal(s)).astype(np.float32)
-              for n, s in layer.shapes.items()}
-    y, cache = layer.forward(params, x, None)
-    gx, grads = layer.backward(cache, np.ones_like(y))
-    assert gx.dtype == np.float32
-    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+@pytest.mark.parametrize("name", sorted(TRUNK_CASES))
+def test_trunk_layer_backward_in_float32_matches_float64(name):
+    layer, x32, p32, x64, p64 = _float32_case(name, 18)
+    y32, cache32 = layer.forward(p32, x32, None)
+    _, cache64 = layer.forward(p64, x64, None)
+    g = np.random.default_rng(19).standard_normal(y32.shape).astype(np.float32)
+    gx32, grads32 = layer.backward(cache32, g)
+    gx64, grads64 = layer.backward(cache64, g.astype(np.float64))
+    _close(gx32, gx64)
+    assert set(grads32) == set(grads64) == set(layer.learnable)
+    for n in layer.learnable:
+        _close(grads32[n], grads64[n])
 
 
 class TestDense:

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seiznet import optim
+from seiznet import gradcheck, layers, optim
 from seiznet.dataset import partition_indices, synthesize
 from seiznet.errors import DataError, NumericError
-from seiznet.model import ModelConfig, predict_probs, toy_config
+from seiznet.model import MEAN, VAR, ModelConfig, predict_probs, toy_config
 from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
 
@@ -111,6 +111,100 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Adam().step({"w": np.ones(2)}, {"w": np.ones(3)})
+
+    def test_moments_take_the_master_dtype(self):
+        params = {"w": np.zeros(3)}
+        opt = Adam()
+        opt.step(params, {"w": np.ones(3, dtype=np.float32)})
+        assert opt.m["w"].dtype == opt.v["w"].dtype == params["w"].dtype == np.float64
+
+
+def _spy_dtypes(monkeypatch, net):
+    """Records (layer name, pass, input dtype, output dtype) of every layer
+    call, and the dtype of each tensor gradient a backward pass returns."""
+    seen, grad_dtypes = [], {}
+    for layer in net.layers:
+        def forward(p, x, rng, _name=layer.name, _real=layer.forward):
+            y, cache = _real(p, x, rng)
+            seen.append((_name, "forward", x.dtype, y.dtype))
+            return y, cache
+
+        def backward(cache, g, _name=layer.name, _real=layer.backward):
+            gx, grads = _real(cache, g)
+            seen.append((_name, "backward", g.dtype, gx.dtype))
+            grad_dtypes.update((n, a.dtype) for n, a in grads.items())
+            return gx, grads
+        monkeypatch.setattr(layer, "forward", forward)
+        monkeypatch.setattr(layer, "backward", backward)
+    return seen, grad_dtypes
+
+
+class TestMixedPrecisionStep:
+    def test_float32_batch_trains_the_trunk_against_float64_masters(self, monkeypatch):
+        x, y = prepared_synthetic(16, seed=3)
+        cfg = ModelConfig()
+        params = cfg.net.init_params(0)
+        params64 = {n: a.copy() for n, a in params.items()}
+        loss64, _, grads64 = optim.loss_and_grads(cfg, params64, x, y, np.random.default_rng(1))
+        stats = {n: params[n] for n, role in cfg.net.roles.items() if role in (MEAN, VAR)}
+        stats_before = {n: a.copy() for n, a in stats.items()}
+
+        seen, grad_dtypes = _spy_dtypes(monkeypatch, cfg.net)
+        loss, _, grads = optim.loss_and_grads(cfg, params, x.astype(np.float32), y,
+                                              np.random.default_rng(1))
+        adam = Adam()
+        adam.step(params, grads)
+
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        names = [layer.name for layer in cfg.net.layers]
+        trunk_layers = set(names[:names.index("gap")])
+        assert len(seen) == 2 * len(names)
+        for name, pass_, d_in, d_out in seen:
+            if name in trunk_layers:
+                assert d_in == d_out == f32, (name, pass_)
+            elif name == "gap":
+                assert (d_in, d_out) == ((f32, f64) if pass_ == "forward" else (f64, f32))
+            else:
+                assert d_in == d_out == f64, (name, pass_)
+        assert grad_dtypes == {n: f32 if n in cfg.net.trunk else f64 for n in cfg.net.learnable}
+
+        # float64 masters: gradients, params, Adam moments, running statistics
+        assert {g.dtype for g in grads.values()} == {f64}
+        assert {a.dtype for a in params.values()} == {f64}
+        assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {f64}
+        assert {n.split("_")[0] for n in stats} == {"bn1", "bn2", "bn3", "bnd1", "bnd2"}
+        for n, a in stats.items():
+            assert params[n] is a, n
+            assert not np.array_equal(a, stats_before[n]), n
+
+        # agreement with the float64 step on the same batch and dropout masks
+        assert abs(loss - loss64) <= 1e-5
+        assert set(grads) == set(grads64)
+        for n, g64 in grads64.items():
+            if np.abs(g64).max() > 1e-8:
+                assert np.linalg.norm(grads[n] - g64) <= 1e-4 * np.linalg.norm(g64), n
+            else:
+                # shifts ahead of a batch norm: the exact gradient is 0
+                assert np.abs(grads[n] - g64).max() <= 1e-6, n
+
+    def test_gradcheck_runs_float64_end_to_end(self, monkeypatch):
+        floats = set()
+
+        def record(*arrays):
+            for a in arrays:
+                if isinstance(a, tuple):
+                    record(*a)
+                elif isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                    floats.add(a.dtype)
+
+        for fn in [n for n in vars(layers) if n.endswith(("_forward", "_backward"))]:
+            def spy(*args, _real=getattr(layers, fn), **kwargs):
+                out = _real(*args, **kwargs)
+                record(*args, out)
+                return out
+            monkeypatch.setattr(layers, fn, spy)
+        assert gradcheck.check_model() < gradcheck.MODEL_BOUND
+        assert floats == {np.dtype(np.float64)}
 
 
 def test_batch_slices_fold_trailing_singleton():
