@@ -114,7 +114,8 @@ def _config_from_keys(keys):
 
 
 def load_artifact(path):
-    """Returns (config, params, scaler, wavelet_policy, metadata)."""
+    """Returns (config, params, scaler, wavelet_policy, metadata); params
+    has the dtypes `Net.init_params` gives, the trunk cast from float64."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -161,4 +162,4 @@ def load_artifact(path):
         raise DataError("model artifact has trailing bytes")
 
     scaler = ScalerParams(arrays.pop("scaler_mean"), arrays.pop("scaler_std"))
-    return config, arrays, scaler, policy, metadata
+    return config, config.net.cast_trunk(arrays, np.float32), scaler, policy, metadata

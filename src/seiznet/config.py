@@ -64,6 +64,8 @@ def parse_config_file(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+    if lines:  # one leading byte-order mark, as some Windows editors write
+        lines[0] = lines[0].removeprefix("\ufeff")
     for line_no, line in enumerate(lines, start=1):
         line = re.sub(r"(^|\s)#.*", "", line).strip()
         if not line:
@@ -93,6 +95,9 @@ def validate(rc: RunConfig):
         raise ConfigError(f"lr must be positive, got {rc.lr}")
     if rc.min_lr <= 0:
         raise ConfigError(f"min_lr must be positive, got {rc.min_lr}")
+    if rc.min_lr > rc.lr:
+        # the plateau step max(lr * lr_factor, min_lr) would raise the rate
+        raise ConfigError(f"min_lr must not exceed lr, got min_lr = {rc.min_lr}, lr = {rc.lr}")
     if not 0.0 < rc.lr_factor < 1.0:
         raise ConfigError(f"lr_factor must be in (0, 1), got {rc.lr_factor}")
     if rc.patience_es < 1 or rc.patience_lr < 1:

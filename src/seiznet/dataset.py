@@ -106,7 +106,8 @@ def _is_number(tok: str) -> bool:
 def _read_lines(path) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            # one leading byte-order mark, as Excel's "CSV UTF-8" writes
+            return fh.read().removeprefix("\ufeff").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:

@@ -82,9 +82,10 @@ def check_layer(name, seed=0):
 
 
 def check_model(seed=0):
-    """End-to-end check of the toy model through the full training loss."""
+    """End-to-end check of the toy model through the full training loss,
+    in float64 throughout."""
     cfg = model.toy_config()
-    params = cfg.net.init_params(seed)
+    params = cfg.net.cast_trunk(cfg.net.init_params(seed), np.float64)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((3, cfg.input_len))
     y = np.array([0.0, 1.0, 1.0])

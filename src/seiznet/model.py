@@ -153,8 +153,8 @@ class Net:
     (`ModelConfig.net`). `layers` is the forward order train mode runs;
     `infer_layers` leaves out batch norm and dropout and runs on the tensors
     `fold` returns. `shapes` (artifact order) and `roles` are per tensor;
-    `trunk` names the learnable tensors of the layers ahead of global
-    average pooling, which `cast_trunk` casts."""
+    `trunk` names every tensor of the layers ahead of global average
+    pooling, which `cast_trunk` casts."""
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
@@ -165,9 +165,7 @@ class Net:
             c_in = f
         net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,)))]
-        # the learnable tensors ahead of global average pooling; the running
-        # statistics are left out, because batch norm updates them in place
-        self.trunk = frozenset(n for layer in net for n in layer.learnable)
+        self.trunk = frozenset(n for layer in net for n in layer.shapes)
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
@@ -187,8 +185,9 @@ class Net:
 
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
         """Kernels and attention projections uniform in +-sqrt(6 / fan_in),
-        drawn in artifact order from one generator seeded with `seed`;
-        scales and running variances 1; shifts and running means 0."""
+        drawn in float64 and artifact order from one generator seeded with
+        `seed`; scales and running variances 1; shifts and running means 0.
+        The `trunk` is returned in float32, the head in float64."""
         rng = np.random.default_rng(seed)
         params = {}
         for name, shape in self.shapes.items():
@@ -200,13 +199,12 @@ class Net:
                 params[name] = rng.uniform(-limit, limit, size=shape)
             else:
                 params[name] = np.full(shape, 1.0 if role in (SCALE, VAR) else 0.0)
-        return params
+        return self.cast_trunk(params, np.float32)
 
     def cast_trunk(self, params, dtype):
         """A new dict of params with the `trunk` tensors in dtype; every
-        other entry is the same array as in params, so the batch-norm
-        running statistics a train pass updates in place are the master
-        arrays. A tensor already in dtype is not copied."""
+        other entry is the same array as in params. A tensor already in
+        dtype is not copied."""
         cast = dict(params)
         for name in self.trunk:
             cast[name] = params[name].astype(dtype, copy=False)
@@ -215,8 +213,8 @@ class Net:
     def fold(self, params):
         """The tensors `infer_layers` read, as a read-only mapping: each
         batch norm folded into the conv1d or dense layer before it (Jacob et
-        al. 2018, arXiv:1712.05877, section 3.2), in float64, then the
-        `trunk` cast to float32. The head from global average pooling on
+        al. 2018, arXiv:1712.05877, section 3.2), in its tensors' own dtype,
+        with the `trunk` in float32. The head from global average pooling on
         stays float64: a float32 dense layer rounds differently for one row
         than for a chunk. params is not changed."""
         folded = dict(params)
@@ -235,10 +233,10 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     dropout rate requires a dropout_rng; infer mode requires params to be
     what `config.net.fold` returned, so batch norm is never skipped. The
     batch is cast to the dtype of the first layer's kernel, so the trunk
-    runs in the dtype of the tensors passed: float32 for what `fold` or
-    `cast_trunk(params, np.float32)` returns (inference and training),
-    float64 for `params` itself (`gradcheck`). From global average pooling
-    on, the head runs in float64 either way.
+    runs in the dtype of the tensors passed: float32 for `init_params`,
+    `fold` and `load_artifact` tensors (training and inference), float64
+    for `cast_trunk(params, np.float64)` (`gradcheck`). From global average
+    pooling on, the head runs in float64 either way.
     """
     x = np.asarray(batch, dtype=config.net.layers[0].tensors(params)[0].dtype)
     if x.ndim == 2:

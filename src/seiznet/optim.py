@@ -5,12 +5,10 @@ Training is single-threaded and deterministic: one seeded generator drives
 the epoch shuffles and dropout masks in a fixed consumption order, so
 identical (data, hyperparameters, seed) reproduce identical histories.
 
-Training is mixed precision (Micikevicius et al. 2018, arXiv:1710.03740):
-`train` casts each gathered batch to float32, and `loss_and_grads` runs the
-trunk (every layer ahead of global average pooling) on float32 copies of its
-tensors, while the head stays float64. The master `params`, the batch-norm
-running statistics, every gradient handed to `Adam` and Adam's moments are
-float64. A float64 batch, as `gradcheck` passes, runs all in float64.
+Every tensor keeps the dtype `Net.init_params` gives it: the trunk (every
+layer ahead of global average pooling) float32, the head float64. Each
+gradient and each Adam moment takes its tensor's dtype, so training casts
+no tensor and no gradient.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +93,7 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, g in grads.items():
-            # moments in the master tensor's dtype, whatever the gradient's
+            # moments in the tensor's dtype, whatever the gradient's
             m = self.m.setdefault(name, np.zeros_like(params[name]))
             v = self.v.setdefault(name, np.zeros_like(params[name]))
             m *= self.beta1
@@ -109,17 +107,12 @@ def loss_and_grads(config, params, x, y, rng):
     """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, its
     probabilities, and the gradient of every learnable tensor, with the
     penalty's 2 * lambda * W added onto the `config.net.l2` kernels. rng draws
-    the dropout masks.
-
-    The trunk runs on its tensors cast to the batch's floating dtype
-    (`Net.cast_trunk`); the batch-norm running statistics in params are
-    updated in place. Each gradient is returned in its tensor's dtype in
-    params, float64, before the penalty is added."""
-    tensors = config.net.cast_trunk(params, np.result_type(x.dtype, np.float32))
-    probs, trace = model_forward(config, tensors, x, "train", dropout_rng=rng)
+    the dropout masks. Each layer runs in its tensors' dtype, so each
+    gradient comes back in its tensor's dtype; the batch-norm running
+    statistics in params are updated in place."""
+    probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
     data, grad_probs = bce_loss(probs, y)
-    grads = {k: g.astype(params[k].dtype, copy=False)
-             for k, g in model_backward(trace, grad_probs).items()}
+    grads = model_backward(trace, grad_probs)
     for k in config.net.l2:
         grads[k] += 2.0 * config.l2_lambda * params[k]
     return data + l2_penalty(config, params), probs, grads
@@ -148,8 +141,8 @@ def train(config, features, labels, hyper: TrainHyper):
         y, 1.0 - hyper.val_fraction, hyper.seed, stratified=True)
     if len(np.unique(y[val_idx])) < 2:
         raise DataError("validation split ended up single-class; need more data")
-    # batches are gathered from `x` by index and cast to float32 one at a
-    # time; only the validation rows are copied whole
+    # batches are gathered from `x` by index; only the validation rows are
+    # copied whole
     x_val, y_val = x[val_idx], y[val_idx]
 
     params = config.net.init_params(hyper.seed)
@@ -167,7 +160,7 @@ def train(config, features, labels, hyper: TrainHyper):
         correct = 0
         for idx in _batch_slices(n_tr, hyper.batch_size, perm):
             rows = tr_idx[idx]
-            xb, yb = x[rows].astype(np.float32), y[rows]
+            xb, yb = x[rows], y[rows]
             loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
             adam.step(params, grads)
             loss_sum += loss * len(idx)

@@ -139,6 +139,22 @@ def test_failed_save_leaves_no_file(tmp_path):
     assert not target.exists()
 
 
+def test_loaded_model_scores_like_the_trained_params(tmp_path):
+    from seiznet import dataset, optim
+    from seiznet.model import predict_probs
+    ds = dataset.synthesize(20, seed=3)
+    cfg = ModelConfig()
+    params, _ = optim.train(cfg, ds.features, ds.labels,
+                            optim.TrainHyper(max_epochs=2, seed=5))
+    scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
+    path = tmp_path / "model.bin"
+    save_artifact(path, cfg, params, scaler, "off")
+    loaded = load_artifact(path)[1]
+    assert {n: a.dtype for n, a in loaded.items()} == {n: a.dtype for n, a in params.items()}
+    want = predict_probs(cfg, params, ds.features)
+    assert predict_probs(cfg, loaded, ds.features).tobytes() == want.tobytes()
+
+
 def test_no_tmp_residue_after_save(tmp_path):
     path, *_ = make_artifact(tmp_path)
     assert list(tmp_path.glob("*.tmp")) == []

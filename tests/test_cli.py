@@ -108,7 +108,7 @@ class TestTrain:
         ("lr", "nan"), ("lr", "inf"), ("min_lr", "nan"), ("wavelet", "fixed:nan"),
         # finite but out of range, or not a bool
         ("val_fraction", "0.5"), ("batch_size", "1"), ("max_epochs", "0"),
-        ("lr", "0"), ("min_lr", "-1e-5"), ("lr_factor", "1.0"),
+        ("lr", "0"), ("min_lr", "-1e-5"), ("min_lr", "0.5"), ("lr_factor", "1.0"),
         ("patience_es", "0"), ("patience_lr", "0"), ("synthetic_per_class", "0"),
         ("seed", "-1"), ("split_seed", "-1"), ("stratified", "maybe")])
     def test_non_finite_value_names_field(self, tmp_path, capsys, key, value):
@@ -295,6 +295,17 @@ class TestPredict:
         assert "row 2" in captured.err
         assert captured.err.count("row 2") == 1  # the prefix is printed once
         assert len(captured.out.strip().splitlines()) == 4  # good rows still out
+
+    def test_byte_order_mark_predicts_like_the_plain_file(self, tmp_path, trained, capsys):
+        plain = self._feature_csv(tmp_path, dataset.synthesize(2, seed=3).features)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = []
+        for csv in (plain, bom):
+            rc = main(["predict", "--model", str(trained), "--data", str(csv)])
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 4
 
     def test_non_utf8_data_file(self, tmp_path, trained, capsys):
         csv = tmp_path / "latin1.csv"

@@ -37,3 +37,18 @@ def test_readme_defaults_are_the_run_config_defaults(tmp_path):
     keys = [line.partition("=")[0].strip() for line in block.splitlines()]
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
     assert parse_config_file(write(tmp_path, block)) == RunConfig()
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "synthetic = true\nlr = 0.01\n"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert parse_config_file(path) == parse_config_file(write(tmp_path, text))
+
+
+def test_min_lr_above_lr_names_both_keys(tmp_path):
+    # the plateau step max(lr * lr_factor, min_lr) would raise the rate to min_lr
+    with pytest.raises(ConfigError, match=r"min_lr .*\blr\b") as info:
+        parse_config_file(write(tmp_path, "lr = 0.001\nmin_lr = 0.5\n"))
+    assert "0.5" in str(info.value) and "0.001" in str(info.value)
+    assert parse_config_file(write(tmp_path, "lr = 0.001\nmin_lr = 0.001\n")).min_lr == 0.001

@@ -43,6 +43,17 @@ class TestLoadCsv:
         ds = dataset.load_csv(write_csv(tmp_path, text))
         assert ds.labels.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("header", ["", ",".join(f"X{i}" for i in range(1, 179)) + ",y\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with one U+FEFF
+        text = header + make_row(3) + "\n" + make_row(1) + "\n"
+        plain = dataset.load_csv(write_csv(tmp_path, text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        bom = dataset.load_csv(path)
+        assert np.array_equal(bom.features, plain.features)
+        assert bom.labels.tolist() == plain.labels.tolist() == [0, 1]
+
     def test_row_order_preserved(self, tmp_path):
         rows = [",".join(str(float(r)) for _ in range(178)) + ",5" for r in range(4)]
         ds = dataset.load_csv(write_csv(tmp_path, "\n".join(rows)))

@@ -219,10 +219,10 @@ class TestFoldedInference:
             assert a.tobytes() == before[name].tobytes(), name
 
 
-# the learnable tensors of the layers ahead of global average pooling in the
-# default model; the batch-norm running statistics are not among them
+# every tensor of the layers ahead of global average pooling in the default
+# model, the batch-norm running statistics included
 TRUNK = ({f"conv{s}_{k}" for s in (1, 2, 3) for k in ("w", "b")}
-         | {f"bn{s}_{k}" for s in (1, 2, 3) for k in ("gamma", "beta")}
+         | {f"bn{s}_{k}" for s in (1, 2, 3) for k in ("gamma", "beta", "mean", "var")}
          | {"attn_wq", "attn_wk", "attn_wv", "attn_wo", "ln_gamma", "ln_beta"})
 
 
@@ -252,29 +252,39 @@ class TestFloat32Trunk:
         assert probs.dtype == f64
 
     def test_train_stays_float64(self, monkeypatch):
-        # on the float64 params themselves, as gradcheck runs it; training
-        # passes float32 trunk tensors (tests/test_optim.py)
+        # on the trunk cast to float64, as gradcheck runs it; training runs
+        # the float32 trunk of init_params (tests/test_optim.py)
         cfg, params, x = default_setup(n=3)
         seen = self._dtypes(monkeypatch, cfg.net.layers)
-        model_forward(cfg, params, x.astype(np.float32), "train",
+        params64 = cfg.net.cast_trunk(params, np.float64)
+        model_forward(cfg, params64, x.astype(np.float32), "train",
                       dropout_rng=np.random.default_rng(0))
         assert len(seen) == len(cfg.net.layers)
         assert {d for _, d_in, d_out in seen for d in (d_in, d_out)} == {np.dtype(np.float64)}
 
-    def test_fold_casts_the_trunk_and_keeps_params_and_artifact_float64(self, tmp_path):
+    def test_params_fold_and_load_keep_the_trunk_float32_and_the_artifact_float64(
+            self, tmp_path):
         from seiznet.artifact import load_artifact, save_artifact
         from seiznet.preprocess import ScalerParams
         cfg, params, _ = default_setup()
         assert cfg.net.trunk == TRUNK
-        folded = cfg.net.fold(params)
-        for name, a in folded.items():
+        for name, a in params.items():
             assert a.dtype == (np.float32 if name in TRUNK else np.float64), name
-        assert {a.dtype for a in params.values()} == {np.dtype(np.float64)}
+        folded = cfg.net.fold(params)
+        assert {n: a.dtype for n, a in folded.items()} == {n: a.dtype for n, a in params.items()}
         path = tmp_path / "model.bin"
         save_artifact(path, cfg, params,
                       ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len)), "off")
-        for name, a in load_artifact(path)[1].items():
-            assert a.dtype == np.float64 and np.array_equal(a, params[name]), name
+        # model.bin stores float64: every tensor block is its 8-byte count
+        # plus 8 bytes per value
+        blob = path.read_bytes()
+        binary = blob[blob.index(b"==binary==\n") + len(b"==binary==\n"):]
+        sizes = [cfg.input_len] * 2 + [a.size for a in params.values()]
+        assert len(binary) == sum(8 + 8 * n for n in sizes)
+        loaded = load_artifact(path)[1]
+        assert set(loaded) == set(params)
+        for name, a in loaded.items():
+            assert a.dtype == params[name].dtype and np.array_equal(a, params[name]), name
 
     def test_each_row_alone_matches_the_chunked_result(self):
         # a float32 dense layer rounds one row differently from a 64-row
@@ -341,7 +351,7 @@ class TestBackward:
         # the trace carries its layers: no config, params or network is passed;
         # the inputs are those of gradcheck.check_model, without the L2 term
         cfg = toy_config()
-        params = cfg.net.init_params(0)
+        params = cfg.net.cast_trunk(cfg.net.init_params(0), np.float64)
         x = np.random.default_rng(1).standard_normal((3, cfg.input_len))
         y = np.array([0.0, 1.0, 1.0])
 

@@ -113,10 +113,12 @@ class TestAdam:
             Adam().step({"w": np.ones(2)}, {"w": np.ones(3)})
 
     def test_moments_take_the_master_dtype(self):
-        params = {"w": np.zeros(3)}
+        params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32)}
         opt = Adam()
-        opt.step(params, {"w": np.ones(3, dtype=np.float32)})
+        opt.step(params, {"w": np.ones(3, dtype=np.float32),
+                          "w32": np.ones(3, dtype=np.float32)})
         assert opt.m["w"].dtype == opt.v["w"].dtype == params["w"].dtype == np.float64
+        assert opt.m["w32"].dtype == opt.v["w32"].dtype == params["w32"].dtype == np.float32
 
 
 def _spy_dtypes(monkeypatch, net):
@@ -140,18 +142,20 @@ def _spy_dtypes(monkeypatch, net):
 
 
 class TestMixedPrecisionStep:
-    def test_float32_batch_trains_the_trunk_against_float64_masters(self, monkeypatch):
+    def test_trunk_trains_in_float32_with_one_dtype_per_tensor(self, monkeypatch):
         x, y = prepared_synthetic(16, seed=3)
         cfg = ModelConfig()
         params = cfg.net.init_params(0)
-        params64 = {n: a.copy() for n, a in params.items()}
+        dtypes = {n: a.dtype for n, a in params.items()}
+        # on copies, so the reference step leaves every running statistic in
+        # params as it was
+        params64 = cfg.net.cast_trunk({n: a.copy() for n, a in params.items()}, np.float64)
         loss64, _, grads64 = optim.loss_and_grads(cfg, params64, x, y, np.random.default_rng(1))
         stats = {n: params[n] for n, role in cfg.net.roles.items() if role in (MEAN, VAR)}
         stats_before = {n: a.copy() for n, a in stats.items()}
 
         seen, grad_dtypes = _spy_dtypes(monkeypatch, cfg.net)
-        loss, _, grads = optim.loss_and_grads(cfg, params, x.astype(np.float32), y,
-                                              np.random.default_rng(1))
+        loss, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(1))
         adam = Adam()
         adam.step(params, grads)
 
@@ -168,10 +172,12 @@ class TestMixedPrecisionStep:
                 assert d_in == d_out == f64, (name, pass_)
         assert grad_dtypes == {n: f32 if n in cfg.net.trunk else f64 for n in cfg.net.learnable}
 
-        # float64 masters: gradients, params, Adam moments, running statistics
-        assert {g.dtype for g in grads.values()} == {f64}
-        assert {a.dtype for a in params.values()} == {f64}
-        assert {a.dtype for a in [*adam.m.values(), *adam.v.values()]} == {f64}
+        # one dtype per tensor: gradients, params and Adam moments keep it,
+        # and the running statistics are updated in place
+        assert {n: g.dtype for n, g in grads.items()} == {n: dtypes[n] for n in grads}
+        assert {n: a.dtype for n, a in params.items()} == dtypes
+        for moments in (adam.m, adam.v):
+            assert {n: a.dtype for n, a in moments.items()} == {n: dtypes[n] for n in grads}
         assert {n.split("_")[0] for n in stats} == {"bn1", "bn2", "bn3", "bnd1", "bnd2"}
         for n, a in stats.items():
             assert params[n] is a, n
