@@ -115,7 +115,7 @@ def _config_from_keys(keys):
 
 def load_artifact(path):
     """Returns (config, params, scaler, wavelet_policy, metadata); params
-    has the dtypes `Net.init_params` gives, the trunk cast from float64."""
+    are cast to float32, as `Net.init_params` gives them, the scaler not."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -162,4 +162,5 @@ def load_artifact(path):
         raise DataError("model artifact has trailing bytes")
 
     scaler = ScalerParams(arrays.pop("scaler_mean"), arrays.pop("scaler_std"))
-    return config, config.net.cast_trunk(arrays, np.float32), scaler, policy, metadata
+    params = {name: a.astype(np.float32) for name, a in arrays.items()}
+    return config, params, scaler, policy, metadata

@@ -44,6 +44,8 @@ def _writing(path):
 def _check_out_dir(path):
     """Fail before any work unless `path`, or its nearest existing ancestor,
     is a writable directory. Creates nothing."""
+    if not path:
+        raise ConfigError("write: the output directory path is empty")
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)

@@ -85,7 +85,7 @@ def check_model(seed=0):
     """End-to-end check of the toy model through the full training loss,
     in float64 throughout."""
     cfg = model.toy_config()
-    params = cfg.net.cast_trunk(cfg.net.init_params(seed), np.float64)
+    params = {n: a.astype(np.float64) for n, a in cfg.net.init_params(seed).items()}
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((3, cfg.input_len))
     y = np.array([0.0, 1.0, 1.0])

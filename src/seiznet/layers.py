@@ -203,17 +203,18 @@ def layernorm_backward(cache, grad_out):
 
 def global_average_pool_forward(x):
     """Mean over positions, accumulated and returned in float64 whatever
-    x's dtype, so the dense head runs in float64 after a float32 trunk.
-    Caches the length and x's dtype."""
+    x's dtype: the one source of the head's float64, so the dense head
+    computes in float64 on its float32 tensors and a row scored alone
+    rounds like its chunk. Caches the length and x's dtype."""
     if x.shape[1] < 1:
         raise ValueError("global average pool needs at least one position")
     return x.mean(axis=1, dtype=np.float64), (x.shape[1], x.dtype)
 
 
 def global_average_pool_backward(cache, grad_out):
-    """The float64 head gradient spread evenly over the positions, in the
-    forward input's dtype, so a float32 trunk runs its backward pass in
-    float32 too."""
+    """The float64 head gradient spread evenly over the positions, cast to
+    the forward input's dtype, so the float32 trunk runs its backward pass
+    in float32 too."""
     length, dtype = cache
     n, c = grad_out.shape
     # a C-order buffer: astype of the broadcast view would keep its

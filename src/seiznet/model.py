@@ -30,6 +30,11 @@ class ModelConfig:
     l2_lambda: float = 0.001
 
     def __post_init__(self):
+        sizes = (self.input_len, *self.conv_filters, self.attn_heads, self.attn_key_dim,
+                 *self.dense_units)
+        if any(n < 1 for n in sizes):
+            raise ValueError("input_len, conv_filters, attn_heads, attn_key_dim and "
+                             "dense_units must be at least 1")
         if len(self.conv_filters) != len(self.conv_kernels):
             raise ValueError("conv_filters and conv_kernels must have equal length")
         if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
@@ -152,9 +157,10 @@ class Net:
     """The network a ModelConfig describes, built once per config object
     (`ModelConfig.net`). `layers` is the forward order train mode runs;
     `infer_layers` leaves out batch norm and dropout and runs on the tensors
-    `fold` returns. `shapes` (artifact order) and `roles` are per tensor;
-    `trunk` names every tensor of the layers ahead of global average
-    pooling, which `cast_trunk` casts."""
+    `fold` returns. `shapes` (artifact order) and `roles` are per tensor.
+    Every tensor is stored in float32; the trunk computes in float32 and
+    the head, from global average pooling on, in float64 (see
+    `layers.global_average_pool_forward`)."""
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
@@ -165,7 +171,6 @@ class Net:
             c_in = f
         net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,)))]
-        self.trunk = frozenset(n for layer in net for n in layer.shapes)
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
@@ -187,7 +192,7 @@ class Net:
         """Kernels and attention projections uniform in +-sqrt(6 / fan_in),
         drawn in float64 and artifact order from one generator seeded with
         `seed`; scales and running variances 1; shifts and running means 0.
-        The `trunk` is returned in float32, the head in float64."""
+        Every tensor is returned in float32."""
         rng = np.random.default_rng(seed)
         params = {}
         for name, shape in self.shapes.items():
@@ -199,29 +204,18 @@ class Net:
                 params[name] = rng.uniform(-limit, limit, size=shape)
             else:
                 params[name] = np.full(shape, 1.0 if role in (SCALE, VAR) else 0.0)
-        return self.cast_trunk(params, np.float32)
-
-    def cast_trunk(self, params, dtype):
-        """A new dict of params with the `trunk` tensors in dtype; every
-        other entry is the same array as in params. A tensor already in
-        dtype is not copied."""
-        cast = dict(params)
-        for name in self.trunk:
-            cast[name] = params[name].astype(dtype, copy=False)
-        return cast
+        return {name: a.astype(np.float32) for name, a in params.items()}
 
     def fold(self, params):
         """The tensors `infer_layers` read, as a read-only mapping: each
         batch norm folded into the conv1d or dense layer before it (Jacob et
-        al. 2018, arXiv:1712.05877, section 3.2), in its tensors' own dtype,
-        with the `trunk` in float32. The head from global average pooling on
-        stays float64: a float32 dense layer rounds differently for one row
-        than for a chunk. params is not changed."""
+        al. 2018, arXiv:1712.05877, section 3.2), in its tensors' own dtype.
+        params is not changed."""
         folded = dict(params)
         for prev, layer in zip(self.layers, self.layers[1:]):
             if isinstance(layer, BatchNorm):
                 layer.fold_into(prev, params, folded)
-        return MappingProxyType(self.cast_trunk(folded, np.float32))
+        return MappingProxyType(folded)
 
 
 def model_forward(config, params, batch, mode="infer", dropout_rng=None):
@@ -235,8 +229,8 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     batch is cast to the dtype of the first layer's kernel, so the trunk
     runs in the dtype of the tensors passed: float32 for `init_params`,
     `fold` and `load_artifact` tensors (training and inference), float64
-    for `cast_trunk(params, np.float64)` (`gradcheck`). From global average
-    pooling on, the head runs in float64 either way.
+    for the upcast tensors `gradcheck` passes. From global average pooling
+    on, the head runs in float64 either way.
     """
     x = np.asarray(batch, dtype=config.net.layers[0].tensors(params)[0].dtype)
     if x.ndim == 2:

@@ -5,10 +5,10 @@ Training is single-threaded and deterministic: one seeded generator drives
 the epoch shuffles and dropout masks in a fixed consumption order, so
 identical (data, hyperparameters, seed) reproduce identical histories.
 
-Every tensor keeps the dtype `Net.init_params` gives it: the trunk (every
-layer ahead of global average pooling) float32, the head float64. Each
-gradient and each Adam moment takes its tensor's dtype, so training casts
-no tensor and no gradient.
+Every tensor is stored in float32, as `Net.init_params` gives it. Each
+gradient comes back in the dtype its layer computes in (float32 in the
+trunk, float64 in the head) and Adam keeps its moments in the tensor's
+dtype, so training casts no tensor and no gradient.
 """
 
 from dataclasses import dataclass, field
@@ -107,9 +107,9 @@ def loss_and_grads(config, params, x, y, rng):
     """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, its
     probabilities, and the gradient of every learnable tensor, with the
     penalty's 2 * lambda * W added onto the `config.net.l2` kernels. rng draws
-    the dropout masks. Each layer runs in its tensors' dtype, so each
-    gradient comes back in its tensor's dtype; the batch-norm running
-    statistics in params are updated in place."""
+    the dropout masks. Each gradient comes back in the dtype its layer
+    computes in (float32 in the trunk, float64 in the head); the batch-norm
+    running statistics in params are updated in place."""
     probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
     data, grad_probs = bce_loss(probs, y)
     grads = model_backward(trace, grad_probs)

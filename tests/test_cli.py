@@ -11,7 +11,7 @@ import seiznet
 from seiznet import artifact, dataset, gradcheck, layers, optim, preprocess
 from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
-from seiznet.model import toy_config
+from seiznet.model import ModelConfig, toy_config
 
 TINY_CONFIG = """\
 # fast functional-test configuration
@@ -332,6 +332,28 @@ class TestPredict:
         assert "error: scale: feature count 178 does not match scaler (16)" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad", [
+        {"conv_filters": (32, 64, 0), "attn_heads": 0},
+        {"conv_filters": (32, 64, 0), "attn_key_dim": 0},
+        {"dense_units": (0, 64)},
+        {"conv_filters": (0, 64, 128)},
+        {"input_len": 0},
+    ], ids=["attn_heads", "attn_key_dim", "dense_units", "conv_filters", "input_len"])
+    def test_zero_size_in_the_header_is_refused(self, tmp_path, capsys, bad):
+        cfg = ModelConfig()
+        for field, value in bad.items():  # before `cfg.net` is first built
+            object.__setattr__(cfg, field, value)
+        params = {n: np.zeros(s, dtype=np.float32) for n, s in cfg.net.shapes.items()}
+        scaler = preprocess.ScalerParams(np.zeros(178), np.ones(178))
+        model = tmp_path / "zero.bin"
+        save_artifact(model, cfg, params, scaler, "off")
+        csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
+        assert main(["predict", "--model", str(model), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: load-model: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_all_zero_row_is_handled(self, tmp_path, trained, capsys):
         csv = self._feature_csv(tmp_path, [np.zeros(178)])
         assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 0
@@ -413,6 +435,30 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert (f"error: write: cannot write {out}: {tmp_path / 'file'} "
                 "is not a writable directory") in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_out_fails_before_loading(self, tmp_path, model_and_csv, monkeypatch,
+                                            capsys, command):
+        # an empty path is no directory, though os.path.abspath("") is the
+        # working directory
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran although the output directory is empty")
+        for module, name in [(artifact, "load_artifact"), (dataset, "load_csv"),
+                             (dataset, "synthesize"), (optim, "train")]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        model, csv = model_and_csv
+        if command == "train":
+            # `--out ""` leaves the config's out_dir, so the config sets it
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(TINY_CONFIG + "out_dir =\n")
+            argv = ["train", "--config", str(cfg)]
+        else:
+            argv = ["evaluate", "--model", str(model), "--data", str(csv), "--out", ""]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: write: the output directory path is empty\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 

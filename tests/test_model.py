@@ -219,13 +219,6 @@ class TestFoldedInference:
             assert a.tobytes() == before[name].tobytes(), name
 
 
-# every tensor of the layers ahead of global average pooling in the default
-# model, the batch-norm running statistics included
-TRUNK = ({f"conv{s}_{k}" for s in (1, 2, 3) for k in ("w", "b")}
-         | {f"bn{s}_{k}" for s in (1, 2, 3) for k in ("gamma", "beta", "mean", "var")}
-         | {"attn_wq", "attn_wk", "attn_wv", "attn_wo", "ln_gamma", "ln_beta"})
-
-
 class TestFloat32Trunk:
     def _dtypes(self, monkeypatch, layer_list):
         """(layer name, input dtype, output dtype) of each layer, as run."""
@@ -252,11 +245,11 @@ class TestFloat32Trunk:
         assert probs.dtype == f64
 
     def test_train_stays_float64(self, monkeypatch):
-        # on the trunk cast to float64, as gradcheck runs it; training runs
-        # the float32 trunk of init_params (tests/test_optim.py)
+        # on every tensor upcast to float64, as gradcheck runs it; training
+        # runs the float32 tensors of init_params (tests/test_optim.py)
         cfg, params, x = default_setup(n=3)
         seen = self._dtypes(monkeypatch, cfg.net.layers)
-        params64 = cfg.net.cast_trunk(params, np.float64)
+        params64 = {n: a.astype(np.float64) for n, a in params.items()}
         model_forward(cfg, params64, x.astype(np.float32), "train",
                       dropout_rng=np.random.default_rng(0))
         assert len(seen) == len(cfg.net.layers)
@@ -266,12 +259,14 @@ class TestFloat32Trunk:
             self, tmp_path):
         from seiznet.artifact import load_artifact, save_artifact
         from seiznet.preprocess import ScalerParams
+        # every tensor is stored in float32, the head's too: the head computes
+        # in float64 because global average pooling hands it float64
         cfg, params, _ = default_setup()
-        assert cfg.net.trunk == TRUNK
-        for name, a in params.items():
-            assert a.dtype == (np.float32 if name in TRUNK else np.float64), name
+        assert set(params) == set(cfg.net.shapes)
+        assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
         folded = cfg.net.fold(params)
-        assert {n: a.dtype for n, a in folded.items()} == {n: a.dtype for n, a in params.items()}
+        assert set(folded) == set(params)
+        assert {a.dtype for a in folded.values()} == {np.dtype(np.float32)}
         path = tmp_path / "model.bin"
         save_artifact(path, cfg, params,
                       ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len)), "off")
@@ -284,7 +279,7 @@ class TestFloat32Trunk:
         loaded = load_artifact(path)[1]
         assert set(loaded) == set(params)
         for name, a in loaded.items():
-            assert a.dtype == params[name].dtype and np.array_equal(a, params[name]), name
+            assert a.dtype == np.float32 and np.array_equal(a, params[name]), name
 
     def test_each_row_alone_matches_the_chunked_result(self):
         # a float32 dense layer rounds one row differently from a 64-row
@@ -351,7 +346,7 @@ class TestBackward:
         # the trace carries its layers: no config, params or network is passed;
         # the inputs are those of gradcheck.check_model, without the L2 term
         cfg = toy_config()
-        params = cfg.net.cast_trunk(cfg.net.init_params(0), np.float64)
+        params = {n: a.astype(np.float64) for n, a in cfg.net.init_params(0).items()}
         x = np.random.default_rng(1).standard_normal((3, cfg.input_len))
         y = np.array([0.0, 1.0, 1.0])
 

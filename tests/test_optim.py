@@ -113,12 +113,20 @@ class TestAdam:
             Adam().step({"w": np.ones(2)}, {"w": np.ones(3)})
 
     def test_moments_take_the_master_dtype(self):
-        params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32)}
+        params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32),
+                  "head": np.zeros(3, dtype=np.float32)}
         opt = Adam()
+        # the head's gradient is float64 (it computes in float64) and its
+        # tensor float32
         opt.step(params, {"w": np.ones(3, dtype=np.float32),
-                          "w32": np.ones(3, dtype=np.float32)})
+                          "w32": np.ones(3, dtype=np.float32),
+                          "head": np.ones(3)})
         assert opt.m["w"].dtype == opt.v["w"].dtype == params["w"].dtype == np.float64
-        assert opt.m["w32"].dtype == opt.v["w32"].dtype == params["w32"].dtype == np.float32
+        for name in ("w32", "head"):
+            assert opt.m[name].dtype == opt.v[name].dtype == params[name].dtype == np.float32
+        # the same step from the same gradient values, whatever their dtype
+        assert np.array_equal(params["head"], params["w32"])
+        np.testing.assert_allclose(params["head"], -opt.lr, rtol=1e-6)
 
 
 def _spy_dtypes(monkeypatch, net):
@@ -146,10 +154,9 @@ class TestMixedPrecisionStep:
         x, y = prepared_synthetic(16, seed=3)
         cfg = ModelConfig()
         params = cfg.net.init_params(0)
-        dtypes = {n: a.dtype for n, a in params.items()}
-        # on copies, so the reference step leaves every running statistic in
-        # params as it was
-        params64 = cfg.net.cast_trunk({n: a.copy() for n, a in params.items()}, np.float64)
+        # on float64 copies, so the reference step leaves every running
+        # statistic in params as it was
+        params64 = {n: a.astype(np.float64) for n, a in params.items()}
         loss64, _, grads64 = optim.loss_and_grads(cfg, params64, x, y, np.random.default_rng(1))
         stats = {n: params[n] for n, role in cfg.net.roles.items() if role in (MEAN, VAR)}
         stats_before = {n: a.copy() for n, a in stats.items()}
@@ -170,14 +177,16 @@ class TestMixedPrecisionStep:
                 assert (d_in, d_out) == ((f32, f64) if pass_ == "forward" else (f64, f32))
             else:
                 assert d_in == d_out == f64, (name, pass_)
-        assert grad_dtypes == {n: f32 if n in cfg.net.trunk else f64 for n in cfg.net.learnable}
+        # each gradient comes back in the dtype its layer computes in
+        trunk = {n for layer in cfg.net.layers[:names.index("gap")] for n in layer.learnable}
+        assert grad_dtypes == {n: f32 if n in trunk else f64 for n in cfg.net.learnable}
+        assert {n: g.dtype for n, g in grads.items()} == grad_dtypes
 
-        # one dtype per tensor: gradients, params and Adam moments keep it,
+        # every tensor is stored in float32: params and Adam moments keep it,
         # and the running statistics are updated in place
-        assert {n: g.dtype for n, g in grads.items()} == {n: dtypes[n] for n in grads}
-        assert {n: a.dtype for n, a in params.items()} == dtypes
+        assert {n: a.dtype for n, a in params.items()} == dict.fromkeys(cfg.net.shapes, f32)
         for moments in (adam.m, adam.v):
-            assert {n: a.dtype for n, a in moments.items()} == {n: dtypes[n] for n in grads}
+            assert {n: a.dtype for n, a in moments.items()} == dict.fromkeys(grads, f32)
         assert {n.split("_")[0] for n in stats} == {"bn1", "bn2", "bn3", "bnd1", "bnd2"}
         for n, a in stats.items():
             assert params[n] is a, n
