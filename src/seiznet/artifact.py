@@ -162,5 +162,13 @@ def load_artifact(path):
         raise DataError("model artifact has trailing bytes")
 
     scaler = ScalerParams(arrays.pop("scaler_mean"), arrays.pop("scaler_std"))
-    params = {name: a.astype(np.float32) for name, a in arrays.items()}
+    with np.errstate(over="ignore"):  # an overflow is reported below by name
+        params = {name: a.astype(np.float32) for name, a in arrays.items()}
+    # checked after the cast, so a value beyond float32's range is caught too
+    for name, a in [("scaler_mean", scaler.mean), ("scaler_std", scaler.std),
+                    *params.items()]:
+        if not np.isfinite(a).all():
+            raise DataError(f"tensor {name} holds a value that is not finite in {a.dtype}")
+    if not (scaler.std > 0).all():
+        raise DataError("tensor scaler_std holds a standard deviation that is not > 0")
     return config, params, scaler, policy, metadata

@@ -116,12 +116,15 @@ def _evaluate_and_report(ds, policy, scaler, cfg, params, out_dir):
 
 def _load_run_config(args) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    if args.data:
+    # a flag given empty is refused, not read as "use the config's value"
+    if args.data is not None:
+        if not args.data:
+            raise ConfigError("--data: the data path is empty")
         rc.data = args.data
     if args.synthetic:
         rc.synthetic = True
-    if args.out:
-        rc.out_dir = args.out
+    if args.out is not None:
+        rc.out_dir = args.out  # an empty one fails _check_out_dir
     if args.seed is not None:
         rc.seed = args.seed
         rc.split_seed = args.seed

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 SQRT2 = np.sqrt(2.0)
+DENOISE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -51,12 +52,15 @@ def apply_scaler(features, p: ScalerParams) -> np.ndarray:
     return out
 
 
+def _check_haar_length(n):
+    if n < 2 or n % 2 != 0:
+        raise DataError(f"wavelet transform needs an even length >= 2, got {n}")
+
+
 def dwt_haar(signal) -> WaveletCoeffs:
     """Orthonormal single-level Haar split along the last axis."""
     s = np.asarray(signal, dtype=np.float64)
-    n = s.shape[-1]
-    if n < 2 or n % 2 != 0:
-        raise DataError(f"wavelet transform needs an even length >= 2, got {n}")
+    _check_haar_length(s.shape[-1])
     approx = s[..., 0::2] + s[..., 1::2]
     approx /= SQRT2
     detail = s[..., 0::2] - s[..., 1::2]
@@ -108,22 +112,40 @@ def soft_threshold(values, t):
     return out
 
 
+def _denoise_rows(rows, kind, t_fixed) -> np.ndarray:
+    """`wavelet_denoise` of a matrix of row signals, all temporaries at its
+    size."""
+    c = dwt_haar(rows)
+    if kind == "universal":
+        sigma = np.median(np.abs(c.detail), axis=-1, keepdims=True,
+                          overwrite_input=True) / 0.6745
+        t = sigma * np.sqrt(2.0 * np.log(rows.shape[-1]))
+    else:
+        t = t_fixed
+    return idwt_haar(WaveletCoeffs(c.approx, soft_threshold(c.detail, t)))
+
+
 def wavelet_denoise(signal, policy: str = "universal") -> np.ndarray:
     """Soft-threshold the detail band and reconstruct.
 
     The universal policy uses t = sigma_hat * sqrt(2 ln n) per signal, with
     sigma_hat = median(|detail|) / 0.6745 and n the signal length. Output
     shape equals input shape.
+
+    Rows (leading axes flattened) are denoised DENOISE_BLOCK_ROWS at a time
+    into one output array, so the temporaries stay at block size; each
+    row's result depends only on that row, so the bits do not depend on
+    the block size.
     """
     kind, t_fixed = parse_policy(policy)
     s = np.asarray(signal, dtype=np.float64)
     if kind == "off":
         return s.copy()
-    c = dwt_haar(s)
-    if kind == "universal":
-        sigma = np.median(np.abs(c.detail), axis=-1, keepdims=True,
-                          overwrite_input=True) / 0.6745
-        t = sigma * np.sqrt(2.0 * np.log(s.shape[-1]))
-    else:
-        t = t_fixed
-    return idwt_haar(WaveletCoeffs(c.approx, soft_threshold(c.detail, t)))
+    n = s.shape[-1]
+    _check_haar_length(n)  # here too: a zero-row input enters no block
+    rows = s.reshape(-1, n)
+    out = np.empty(rows.shape, dtype=np.float64)
+    for i in range(0, rows.shape[0], DENOISE_BLOCK_ROWS):
+        block = slice(i, i + DENOISE_BLOCK_ROWS)
+        out[block] = _denoise_rows(rows[block], kind, t_fixed)
+    return out.reshape(s.shape)

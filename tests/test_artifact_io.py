@@ -1,3 +1,4 @@
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -115,6 +116,31 @@ def test_header_and_count_edits(tmp_path, damage):
         match = {"dim": "bad tensor line", "count": "stored 17 values"}[damage]
         with pytest.raises(DataError, match=match):
             load_artifact(path)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("scaler_std", -1.0, "scaler_std holds a standard deviation that is not > 0"),
+    ("scaler_std", 0.0, "scaler_std holds a standard deviation that is not > 0"),
+    ("scaler_std", np.inf, "scaler_std holds a value that is not finite in float64"),
+    ("scaler_std", np.nan, "scaler_std holds a value that is not finite in float64"),
+    ("scaler_mean", -np.inf, "scaler_mean holds a value that is not finite in float64"),
+    ("conv1_w", np.nan, "conv1_w holds a value that is not finite in float32"),
+    ("fc3_b", 1e300, "fc3_b holds a value that is not finite in float32"),
+], ids=["std-negative", "std-zero", "std-inf", "std-nan", "mean-inf", "weight-nan",
+        "float32-overflow"])
+def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
+    path, cfg, params, _ = make_artifact(tmp_path)
+    blob = bytearray(path.read_bytes())
+    offset = blob.index(b"==binary==\n") + len(b"==binary==\n")
+    for tensor in ["scaler_mean", "scaler_std", *cfg.net.shapes]:
+        if tensor == name:
+            break
+        (count,) = struct.unpack_from("<Q", blob, offset)
+        offset += 8 + 8 * count
+    struct.pack_into("<d", blob, offset + 8, value)  # its first value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=match):
+        load_artifact(path)
 
 
 def test_not_an_artifact(tmp_path):

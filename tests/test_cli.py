@@ -437,28 +437,32 @@ class TestUnwritableOutput:
                 "is not a writable directory") in err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("command", ["train", "train-flag", "evaluate", "train-data"])
     def test_empty_out_fails_before_loading(self, tmp_path, model_and_csv, monkeypatch,
                                             capsys, command):
         # an empty path is no directory, though os.path.abspath("") is the
-        # working directory
+        # working directory; an empty flag does not fall back to the config
         def refuse(*args, **kwargs):
-            raise AssertionError("ran although the output directory is empty")
+            raise AssertionError("ran although a path is empty")
         for module, name in [(artifact, "load_artifact"), (dataset, "load_csv"),
                              (dataset, "synthesize"), (optim, "train")]:
             monkeypatch.setattr(module, name, refuse)
         monkeypatch.chdir(tmp_path)
         model, csv = model_and_csv
-        if command == "train":
-            # `--out ""` leaves the config's out_dir, so the config sets it
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(TINY_CONFIG + "out_dir =\n")
-            argv = ["train", "--config", str(cfg)]
-        else:
-            argv = ["evaluate", "--model", str(model), "--data", str(csv), "--out", ""]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + f"data = {csv}\n"
+                       + ("out_dir =\n" if command == "train" else ""))
+        argv = {"train": ["train", "--config", str(cfg)],
+                "train-flag": ["train", "--config", str(cfg), "--out", ""],
+                "evaluate": ["evaluate", "--model", str(model), "--data", str(csv),
+                             "--out", ""],
+                "train-data": ["train", "--config", str(cfg), "--data", "",
+                               "--out", str(tmp_path / "run")]}[command]
+        expected = ("--data: the data path is empty" if command == "train-data"
+                    else "write: the output directory path is empty")
         before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: write: the output directory path is empty\n"
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 

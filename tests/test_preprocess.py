@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,34 @@ class TestDenoise:
         s = np.random.default_rng(9).standard_normal(178)
         assert wavelet_denoise(s, "universal").shape == s.shape
 
+    @pytest.mark.parametrize("policy", ["universal", "fixed:0.3"])
+    def test_zero_rows_of_odd_length_rejected(self, policy):
+        with pytest.raises(DataError, match="even length >= 2, got 177"):
+            wavelet_denoise(np.empty((0, 177)), policy)
+
+    def test_temporaries_stay_at_block_size(self):
+        # the output plus block-sized temporaries, not matrix-sized ones
+        x = np.random.default_rng(10).standard_normal((9200, 178))
+        tracemalloc.start()
+        try:
+            out = wavelet_denoise(x, "universal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * 2**20
+
+    def test_one_call_is_one_call_of_the_module_function(self, monkeypatch):
+        # a tracer wraps the module attribute; blocks must not re-enter it
+        calls = []
+        inner = preprocess.wavelet_denoise
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(preprocess, "wavelet_denoise", counting)
+        preprocess.wavelet_denoise(np.ones((3000, 178)), "universal")
+        assert calls == [(3000, 178)]
+
     def test_policy_parsing(self):
         assert preprocess.parse_policy("fixed:2.5") == ("fixed", 2.5)
         for bad in ("hard", "fixed:abc", "fixed:-1"):
@@ -244,3 +274,10 @@ class TestInPlaceMatchesReference:
         assert_same_bits(wavelet_denoise(x, policy), ref_wavelet_denoise(x, policy))
         assert_same_bits(x, before)
         assert_same_bits(wavelet_denoise(x[6], policy), ref_wavelet_denoise(x[6], policy))
+        # inputs that span several row blocks, the last one partial
+        rng = np.random.default_rng(23)
+        tall = np.concatenate([np.tile(x, (312, 1)), rng.standard_normal((7, 178)) * 5.0])
+        stack = rng.standard_normal((2, 1300, 178)) * 3.0
+        for big in (tall, stack):
+            assert big.reshape(-1, 178).shape[0] > 2 * preprocess.DENOISE_BLOCK_ROWS
+            assert_same_bits(wavelet_denoise(big, policy), ref_wavelet_denoise(big, policy))
