@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .preprocess import ScalerParams, parse_policy
 
@@ -134,7 +134,10 @@ def load_artifact(path):
     if "wavelet" not in keys:
         raise DataError("model artifact lacks a wavelet policy")
     policy = keys["wavelet"]
-    parse_policy(policy)
+    try:
+        parse_policy(policy)
+    except ConfigError as exc:
+        raise DataError(f"model artifact key wavelet: {exc}")
 
     expected = [("scaler_mean", (config.input_len,)),
                 ("scaler_std", (config.input_len,))]

@@ -9,7 +9,7 @@ error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 import numpy as np
 
 from . import model, optim
-from .model import KERNEL, SCALE, SHIFT, Attention, BatchNorm, Dropout, Layer
+from .model import CANCELLED, KERNEL, SCALE, SHIFT, Attention, BatchNorm, Dropout, Layer
 
 H_SCALE = 1e-4
 LAYER_BOUND = 1e-4
@@ -44,13 +44,14 @@ def _worst(f, pairs):
 
 # row name -> (small instance of a model layer, input shape)
 LAYER_CASES = {
-    "conv1d": (Layer("conv", "conv1d", w=(KERNEL, (3, 2, 3)), b=(SHIFT, (3,))), (2, 12, 2)),
+    "conv1d": (Layer("conv", "conv1d", w=(KERNEL, (3, 2, 3)), b=(CANCELLED, (3,))), (2, 12, 2)),
     "batchnorm": (BatchNorm("bn", 2), (4, 6, 2)),
     # odd length exercises the floor path
     "maxpool": (Layer("pool", "maxpool"), (2, 9, 3)),
     # attention plus its skip add
     "mha": (Attention("attn", 2, 8, 4), (2, 5, 8)),
-    "layernorm": (Layer("ln", "layernorm", gamma=(SCALE, (5,)), beta=(SHIFT, (5,))), (3, 4, 5)),
+    "layernorm": (Layer("ln", "layernorm", gamma=(SCALE, (5,)), beta=(CANCELLED, (5,))),
+                  (3, 4, 5)),
     "global_avg_pool": (Layer("gap", "global_average_pool"), (2, 6, 3)),
     "dense": (Layer("fc", "dense", w=(KERNEL, (6, 3)), b=(SHIFT, (3,))), (4, 6)),
     "dropout": (Dropout("drop", 0.4), (3, 50)),

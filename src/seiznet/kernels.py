@@ -41,20 +41,20 @@ def conv1d_forward(x, w, b):
 
 
 def conv1d_backward(x, w, grad_out):
-    """Returns (grad_x, grad_w, grad_b) of conv1d_forward."""
+    """Returns (grad_x, grad_w) of conv1d_forward. No grad_b: every conv
+    bias sits ahead of a batch norm, which cancels it, so none learns."""
     n, length, c_in = x.shape
     k_size, _, c_out = w.shape
     pad = (k_size - 1) // 2
     go_flat = grad_out.reshape(n * length, c_out)
 
-    grad_b = go_flat.sum(axis=0)
     grad_w = (_im2col(x, k_size).T @ go_flat).reshape(w.shape)
 
     gxp = np.zeros((n, length + k_size - 1, c_in), dtype=x.dtype)
     for k in range(k_size):
         gxp[:, k:k + length, :] += (go_flat @ w[k].T).reshape(n, length, c_in)
     grad_x = gxp[:, pad:pad + length, :]
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w
 
 
 def _pairs(x):

@@ -187,18 +187,18 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
 
 
 def layernorm_backward(cache, grad_out):
+    """Returns (dx, dgamma): no dbeta, as `bnd1` cancels beta (`model.Net`)."""
     xhat, inv, gamma = cache
     c = grad_out.shape[-1]
     axes = tuple(range(grad_out.ndim - 1))
     dgamma = (grad_out * xhat).sum(axis=axes)
-    dbeta = grad_out.sum(axis=axes)
     dxhat = grad_out * gamma
     dx = (inv / c) * (
         c * dxhat
         - dxhat.sum(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
     )
-    return dx, dgamma, dbeta
+    return dx, dgamma
 
 
 def global_average_pool_forward(x):

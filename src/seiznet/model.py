@@ -47,6 +47,8 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if not 0.0 <= self.l2_lambda < float("inf"):
+            raise ValueError("l2_lambda must be finite and >= 0")
         if self.input_len // 2 ** len(self.conv_filters) < 1:
             raise ValueError("input too short for the pooling cascade")
 
@@ -71,6 +73,7 @@ def toy_config():
 # Tensor roles. A tensor's role alone decides whether gradients update it,
 # whether the L2 penalty covers it and how `Net.init_params` starts it.
 KERNEL, PROJ, SHIFT, SCALE, MEAN, VAR = "kernel", "proj", "shift", "scale", "mean", "var"
+CANCELLED = "cancelled"  # a shift that a later normalisation cancels: never learns
 
 
 class Layer:
@@ -81,7 +84,9 @@ class Layer:
     shape). `shapes` and `roles` map the names, in artifact order, to their
     shapes and roles; `learnable` lists those that receive gradients.
     forward(params, x, rng) returns (y, cache); backward(cache, g) returns
-    (g w.r.t. x, {tensor name: gradient}). The functions are looked up on
+    (g w.r.t. x, {learnable tensor name: gradient}). `<op>_backward` returns
+    the input gradient, then one gradient per tensor in declaration order,
+    up to the last it computes. The functions are looked up on
     `layers` at call time, so a function patched there is the one every
     layer runs.
     """
@@ -90,7 +95,7 @@ class Layer:
         self.name, self.op = name, op
         self.shapes = {f"{name}_{key}": shape for key, (_, shape) in tensors.items()}
         self.roles = {f"{name}_{key}": role for key, (role, _) in tensors.items()}
-        self.learnable = [n for n, role in self.roles.items() if role not in (MEAN, VAR)]
+        self.learnable = [n for n, r in self.roles.items() if r not in (MEAN, VAR, CANCELLED)]
 
     def tensors(self, params):
         return [params[n] for n in self.shapes]
@@ -102,7 +107,11 @@ class Layer:
         out = getattr(layers, f"{self.op}_backward")(cache, g)
         if not self.shapes:  # tensor-free ops return the input gradient alone
             return out, {}
-        return out[0], dict(zip(self.learnable, out[1:]))
+        grads = dict(zip(self.shapes, out[1:]))
+        missing = [n for n in self.learnable if n not in grads]
+        if missing:
+            raise ValueError(f"{self.op}_backward returns no gradient for {missing}")
+        return out[0], {n: grads[n] for n in self.learnable}
 
 
 class BatchNorm(Layer):
@@ -117,6 +126,7 @@ class BatchNorm(Layer):
         """Store in `folded` the kernel and bias of `prev`, a conv1d or dense
         layer, with this layer's infer-mode affine map applied:
         w' = w*gamma/sqrt(var+eps), b' = (b-mean)*gamma/sqrt(var+eps) + beta.
+        b, a CANCELLED shift, is 0 unless the artifact predates that role.
         """
         gamma, beta, mean, var = self.tensors(params)
         scale = gamma / np.sqrt(var + layers.BN_EPS)
@@ -160,21 +170,26 @@ class Net:
     `fold` returns. `shapes` (artifact order) and `roles` are per tensor.
     Every tensor is stored in float32; the trunk computes in float32 and
     the head, from global average pooling on, in float64 (see
-    `layers.global_average_pool_forward`)."""
+    `layers.global_average_pool_forward`). The shifts a batch norm's mean
+    subtraction cancels (Ioffe & Szegedy 2015, arXiv:1502.03167, section
+    3.2) are CANCELLED: each conv and hidden dense bias, and `ln_beta`
+    through `gap` and `fc1`. They stay, so `model.bin` keeps its inventory."""
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
         for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
-            net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)), b=(SHIFT, (f,))),
+            net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)),
+                          b=(CANCELLED, (f,))),
                     BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
                     Layer(f"pool{s}", "maxpool")]
             c_in = f
         net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
-                Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(SHIFT, (c_in,)))]
+                Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(CANCELLED, (c_in,)))]
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
-            net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)), b=(SHIFT, (units,))),
+            net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
+                          b=(CANCELLED, (units,))),
                     BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
                     Dropout(f"drop{i}", config.dropout_rate)]
             width = units
@@ -191,8 +206,8 @@ class Net:
     def init_params(self, seed: int) -> dict[str, np.ndarray]:
         """Kernels and attention projections uniform in +-sqrt(6 / fan_in),
         drawn in float64 and artifact order from one generator seeded with
-        `seed`; scales and running variances 1; shifts and running means 0.
-        Every tensor is returned in float32."""
+        `seed`; scales and running variances 1; shifts, cancelled shifts
+        and running means 0. Every tensor is returned in float32."""
         rng = np.random.default_rng(seed)
         params = {}
         for name, shape in self.shapes.items():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
-from seiznet.errors import ConfigError, DataError
-from seiznet.model import ModelConfig, toy_config
+from seiznet.errors import DataError
+from seiznet.model import KERNEL, PROJ, VAR, ModelConfig, toy_config
 from seiznet.preprocess import ScalerParams
 
 
@@ -143,6 +143,27 @@ def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
         load_artifact(path)
 
 
+@pytest.mark.parametrize("line, match", [
+    (b"wavelet = fixed:-1", "wavelet: fixed wavelet threshold must be >= 0"),
+    (b"wavelet = fixed:x", "wavelet: bad fixed wavelet threshold"),
+    (b"wavelet = bogus", "wavelet: unknown wavelet policy 'bogus'"),
+    (b"l2_lambda = nan", "l2_lambda must be finite and >= 0"),
+    (b"l2_lambda = -1.0", "l2_lambda must be finite and >= 0"),
+    (b"l2_lambda = inf", "l2_lambda must be finite and >= 0"),
+    (b"dropout_rate = 2", "dropout_rate must be in"),
+], ids=["wavelet-negative", "wavelet-not-a-number", "wavelet-unknown", "l2-nan",
+        "l2-negative", "l2-inf", "dropout-out-of-range"])
+def test_out_of_range_header_value_is_a_data_error(tmp_path, line, match):
+    path, *_ = make_artifact(tmp_path)
+    head, divider, body = path.read_bytes().partition(b"==binary==\n")
+    key = line.split(b" = ")[0]
+    lines = [line if ln.startswith(key + b" = ") else ln for ln in head.split(b"\n")]
+    assert line in lines
+    path.write_bytes(b"\n".join(lines) + divider + body)
+    with pytest.raises(DataError, match=match):
+        load_artifact(path)
+
+
 def test_not_an_artifact(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"hello world")
@@ -179,6 +200,37 @@ def test_loaded_model_scores_like_the_trained_params(tmp_path):
     assert {n: a.dtype for n, a in loaded.items()} == {n: a.dtype for n, a in params.items()}
     want = predict_probs(cfg, params, ds.features)
     assert predict_probs(cfg, loaded, ds.features).tobytes() == want.tobytes()
+
+
+def test_cancelled_shifts_stored_nonzero_still_score(tmp_path):
+    # an artifact trained while these shifts still learned holds them
+    # nonzero; loading keeps them and fold applies them by its formula
+    from seiznet.layers import BN_EPS
+    from seiznet.model import CANCELLED, predict_probs
+    path, cfg, params, scaler = make_artifact(tmp_path)
+    net = cfg.net
+    rng = np.random.default_rng(8)
+    drifted = dict(params)
+    for n, role in net.roles.items():
+        if role not in (KERNEL, PROJ):  # shifts, scales and running statistics
+            low = 0.5 if role == VAR else -0.1
+            drifted[n] = rng.uniform(low, 1.0, net.shapes[n]).astype(np.float32)
+    cancelled = [n for n, role in net.roles.items() if role == CANCELLED]
+    save_artifact(path, cfg, drifted, scaler, "off")
+    loaded = load_artifact(path)[1]
+    for n in cancelled:
+        assert loaded[n].any() and np.array_equal(loaded[n], drifted[n]), n
+    folded = net.fold(loaded)
+    for conv_or_fc, bn in zip(net.layers, net.layers[1:]):
+        if bn.op == "batchnorm":
+            w, b = conv_or_fc.shapes
+            gamma, beta, mean, var = (loaded[n] for n in bn.shapes)
+            scale = gamma / np.sqrt(var + BN_EPS)
+            assert folded[b].tobytes() == ((loaded[b] - mean) * scale + beta).tobytes(), b
+    x = rng.standard_normal((5, cfg.input_len))
+    zeroed = {n: np.zeros_like(a) if n in cancelled else a for n, a in loaded.items()}
+    assert predict_probs(cfg, loaded, x).tobytes() == predict_probs(cfg, drifted, x).tobytes()
+    assert not np.array_equal(predict_probs(cfg, loaded, x), predict_probs(cfg, zeroed, x))
 
 
 def test_no_tmp_residue_after_save(tmp_path):
@@ -257,5 +309,5 @@ def test_damaged_artifact_fails_with_a_documented_error(fuzz_dir, data):
     damaged.write_bytes(bytes(blob))
     try:
         load_artifact(damaged)
-    except (DataError, ConfigError):
+    except DataError:
         pass

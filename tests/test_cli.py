@@ -1,4 +1,5 @@
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -34,6 +35,38 @@ def tiny_config(tmp_path):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def run_cli(argv, **env):
+    """`seiznet argv` in a fresh interpreter with `env` added to this
+    process's environment."""
+    src = os.path.dirname(os.path.dirname(seiznet.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from seiznet.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, **env),
+        timeout=120)
+
+
+def openblas_kernel_skip_reason():
+    """Why OpenBLAS's Haswell kernel cannot be selected here, or None."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return f"not x86-64 but {platform.machine()}"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = fh.read().split()
+    except OSError:
+        return "no /proc/cpuinfo to show avx2"
+    if "avx2" not in flags:
+        return "the CPU lacks avx2, which the Haswell kernel needs"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "this numpy does not report its BLAS library"
+    return None if "openblas" in blas.lower() else f"numpy uses {blas}, not OpenBLAS"
+
+
+OPENBLAS_KERNEL_SKIP = openblas_kernel_skip_reason()
 
 
 class TestSynth:
@@ -140,13 +173,7 @@ class TestTrain:
         cfg = tmp_path / "big.cfg"
         cfg.write_text(TINY_CONFIG + "lr = 1e300\n")
         out = tmp_path / "run"
-        src = os.path.dirname(os.path.dirname(seiznet.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-c", "import sys; from seiznet.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             "train", "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+        run = run_cli(["train", "--config", str(cfg), "--out", str(out)])
         assert run.returncode == 3
         assert run.stderr == "error: train: non-finite model output\n"
         assert not out.exists()
@@ -213,6 +240,28 @@ class TestTrain:
         cfg.write_bytes(b"\xff\xfe" + "seed = 1\n".encode("utf-16-le"))
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"error: {cfg}: not UTF-8 text (byte 0: " in capsys.readouterr().err
+
+
+@pytest.mark.skipif(OPENBLAS_KERNEL_SKIP is not None, reason=str(OPENBLAS_KERNEL_SKIP))
+def test_val_loss_does_not_depend_on_the_openblas_kernel(tmp_path):
+    # OpenBLAS picks its kernel when numpy loads, so each run is a fresh
+    # interpreter: first the CPU's own choice (an empty OPENBLAS_CORETYPE),
+    # then the AVX2-only Haswell kernel. While the batch-norm-cancelled
+    # shifts still learned, their float32 random walk made the epoch-1 val
+    # loss differ by 1.8e-3 between the two on an AVX-512 Xeon (SkylakeX
+    # kernel); it now differs by 2e-6.
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text("synthetic = true\nsynthetic_per_class = 60\nmax_epochs = 3\nseed = 5\n")
+    val_loss = []
+    for kernel in ("", "Haswell"):
+        out = tmp_path / (kernel or "default")
+        run = run_cli(["train", "--config", str(cfg), "--out", str(out)],
+                      OPENBLAS_CORETYPE=kernel)
+        assert run.returncode == 0, run.stderr
+        rows = (out / "curves.csv").read_text().splitlines()[1:]
+        val_loss.append([float(row.split(",")[3]) for row in rows])
+    assert len(val_loss[0]) == len(val_loss[1]) == 3
+    assert np.abs(np.subtract(*val_loss)).max() <= 2e-5, val_loss
 
 
 class TestEvaluate:

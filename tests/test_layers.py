@@ -40,7 +40,7 @@ class TestConv:
         w[1, 0, 0] = 1.0
         _, cache = layers.conv1d_forward(x, w, np.zeros(1))
         go = rng.standard_normal((1, 8, 1))
-        gx, _, _ = layers.conv1d_backward(cache, go)
+        gx, _ = layers.conv1d_backward(cache, go)
         assert np.allclose(gx, go, atol=1e-12)
 
     def test_zero_grad_out(self):
@@ -48,8 +48,8 @@ class TestConv:
         x = rng.standard_normal((2, 6, 2))
         w = rng.standard_normal((3, 2, 4))
         _, cache = layers.conv1d_forward(x, w, np.zeros(4))
-        gx, gw, gb = layers.conv1d_backward(cache, np.zeros((2, 6, 4)))
-        assert not gx.any() and not gw.any() and not gb.any()
+        gx, gw = layers.conv1d_backward(cache, np.zeros((2, 6, 4)))
+        assert not gx.any() and not gw.any()
 
     def test_gradient(self):
         assert gradcheck.check_layer("conv1d") < gradcheck.LAYER_BOUND

@@ -31,7 +31,10 @@ class TestConfig:
     @pytest.mark.parametrize("change, match", [
         ({"conv_kernels": (7, 4, 3)}, "odd"),
         ({"dropout_rate": 1.0}, "dropout_rate"),
-        ({"input_len": 7}, "too short")])
+        ({"input_len": 7}, "too short"),
+        ({"l2_lambda": -1.0}, "l2_lambda"),
+        ({"l2_lambda": float("nan")}, "l2_lambda"),
+        ({"l2_lambda": float("inf")}, "l2_lambda")])
     def test_out_of_range_field_rejected(self, change, match):
         with pytest.raises(ValueError, match=match):
             ModelConfig(**change)
@@ -68,6 +71,16 @@ class TestShapes:
         names = cfg.net.l2
         assert set(names) == {"conv1_w", "conv2_w", "conv3_w",
                               "fc1_w", "fc2_w", "fc3_w"}
+
+    def test_shifts_a_normalisation_cancels_do_not_learn(self):
+        net = ModelConfig().net
+        cancelled = [n for n, role in net.roles.items() if role == model.CANCELLED]
+        assert cancelled == ["conv1_b", "conv2_b", "conv3_b", "ln_beta", "fc1_b", "fc2_b"]
+        assert [n for n, role in net.roles.items() if role == model.SHIFT] == [
+            "bn1_beta", "bn2_beta", "bn3_beta", "bnd1_beta", "bnd2_beta", "fc3_b"]
+        assert not set(cancelled) & set(net.learnable + net.l2)
+        params = net.init_params(0)
+        assert all(not params[n].any() for n in cancelled)
 
 
 class TestForward:
@@ -360,13 +373,50 @@ class TestBackward:
         for name in cfg.net.learnable:
             numeric = gradcheck.numeric_gradient(lambda: optim.bce_loss(run()[0], y)[0],
                                                  params[name])
-            # atol: biases ahead of a batch norm have zero gradient, and their
-            # central differences are rounding noise
-            np.testing.assert_allclose(grads[name], numeric, rtol=1e-3, atol=1e-6,
+            # no atol: the shifts a batch norm cancels, whose gradient is 0
+            # and whose central differences are rounding noise, do not learn
+            np.testing.assert_allclose(grads[name], numeric, rtol=1e-3,
                                        err_msg=name)
 
     def test_toy_end_to_end_gradient(self):
         assert gradcheck.check_model() < gradcheck.MODEL_BOUND
+
+
+def _gradient_names(layer, params, x):
+    """Run `layer` forward and backward; returns (the names of the
+    gradients it maps, in order, and its output)."""
+    y, cache = layer.forward(params, x, np.random.default_rng(2))
+    _, grads = layer.backward(cache, np.ones_like(y))
+    for n, g in grads.items():
+        assert g.shape == layer.shapes[n], n
+    return list(grads), y
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), toy_config()], ids=["default", "toy"])
+def test_each_network_layer_maps_one_gradient_per_learnable_tensor(cfg):
+    params = {n: a.astype(np.float64) for n, a in cfg.net.init_params(0).items()}
+    x = np.random.default_rng(1).standard_normal((3, cfg.input_len, 1))
+    for layer in cfg.net.layers:
+        names, x = _gradient_names(layer, params, x)
+        assert names == layer.learnable, layer.name
+
+
+@pytest.mark.parametrize("name", list(gradcheck.LAYER_CASES))
+def test_each_gradcheck_layer_maps_one_gradient_per_learnable_tensor(name):
+    layer, shape = gradcheck.LAYER_CASES[name]
+    rng = np.random.default_rng(0)
+    params = {n: 0.5 * rng.standard_normal(s) for n, s in layer.shapes.items()}
+    assert _gradient_names(layer, params, rng.standard_normal(shape))[0] == layer.learnable
+
+
+def test_a_learnable_tensor_without_a_gradient_raises():
+    # conv1d_backward returns no bias gradient, so a learnable conv bias
+    # would never learn
+    conv = model.Layer("conv", "conv1d", w=(model.KERNEL, (3, 2, 3)), b=(model.SHIFT, (3,)))
+    rng = np.random.default_rng(0)
+    params = {"conv_w": rng.standard_normal((3, 2, 3)), "conv_b": np.zeros(3)}
+    with pytest.raises(ValueError, match="no gradient for \\['conv_b'\\]"):
+        _gradient_names(conv, params, rng.standard_normal((2, 12, 2)))
 
 
 def test_hundred_training_steps_stay_finite():

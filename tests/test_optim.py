@@ -7,7 +7,7 @@ import pytest
 from seiznet import gradcheck, layers, optim
 from seiznet.dataset import partition_indices, synthesize
 from seiznet.errors import DataError, NumericError
-from seiznet.model import MEAN, VAR, ModelConfig, predict_probs, toy_config
+from seiznet.model import CANCELLED, MEAN, VAR, ModelConfig, predict_probs, toy_config
 from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
 
@@ -287,6 +287,27 @@ class TestTrainLoop:
         val_probs = predict_probs(cfg, params, x[val_idx])
         val_loss = bce_loss(val_probs, y[val_idx])[0] + l2_penalty(cfg, params)
         assert val_loss == pytest.approx(state.best_val_loss, abs=1e-12)
+
+    def test_cancelled_shifts_stay_zero_and_hold_no_adam_state(self, monkeypatch):
+        # under float32 training, rounding noise in their exactly-zero
+        # gradients used to random-walk these shifts away from 0
+        adams = []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                adams.append(self)
+        monkeypatch.setattr(optim, "Adam", Recorded)
+        x, y = prepared_synthetic(60, seed=5)
+        cfg = ModelConfig()
+        params, _ = train(cfg, x, y, TrainHyper(max_epochs=3, seed=5))
+        cancelled = [n for n, role in cfg.net.roles.items() if role == CANCELLED]
+        assert len(cancelled) == 6
+        (adam,) = adams
+        for n in cancelled:
+            assert params[n].dtype == np.float32 and not params[n].any(), n
+            assert n not in cfg.net.learnable and n not in adam.m and n not in adam.v, n
+        assert set(adam.m) == set(adam.v) == set(cfg.net.learnable)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
