@@ -5,7 +5,7 @@ multi-head self-attention and a skip connection, trained with Adam,
 L2 regularization, dropout, early stopping, and plateau LR reduction.
 """
 
-from .dataset import Dataset, SplitSpec, binarize_label, load_csv, split, synthesize
+from .dataset import Dataset, binarize_label, load_csv, split, synthesize
 from .metrics import ConfusionMatrix, EvalReport, compute_metrics, confusion
 from .model import ModelConfig, Net, model_backward, model_forward, predict_probs
 from .optim import Adam, TrainHyper, TrainState, bce_loss, evaluate, train

@@ -17,6 +17,7 @@ import numpy as np
 from . import artifact, dataset, gradcheck, optim, preprocess
 from .config import RunConfig, parse_config_file, validate
 from .errors import ConfigError, DataError, NumericError
+from .metrics import THRESHOLD
 from .model import ModelConfig, predict_probs
 
 EXIT_OK = 0
@@ -115,11 +116,12 @@ def _evaluate_and_report(ds, policy, scaler, cfg, params, out_dir):
 
 
 def _load_run_config(args) -> RunConfig:
+    # an empty path flag is refused, not read as "use the defaults or the config's"
+    for flag in ("config", "data"):
+        if getattr(args, flag) == "":
+            raise ConfigError(f"--{flag}: the {flag} path is empty")
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    # a flag given empty is refused, not read as "use the config's value"
-    if args.data is not None:
-        if not args.data:
-            raise ConfigError("--data: the data path is empty")
+    if args.data:
         rc.data = args.data
     if args.synthetic:
         rc.synthetic = True
@@ -146,8 +148,7 @@ def _training_inputs(rc):
         else:
             raise ConfigError("no data path given and synthetic fallback is disabled")
     with _stage("split"):
-        spec = dataset.SplitSpec(rc.train_fraction, rc.split_seed, rc.stratified)
-        train_ds, test_ds = dataset.split(ds, spec)
+        train_ds, test_ds = dataset.split(ds, rc.train_fraction, rc.split_seed, rc.stratified)
     source = ds.source
     del ds
     with _stage("denoise"):
@@ -218,7 +219,7 @@ def cmd_predict(args) -> int:
         with _stage("predict"):
             probs = predict_probs(cfg, params, x)
         for p in probs:
-            print(f"{p:.6f},{1 if p > 0.5 else 0}")
+            print(f"{p:.6f},{1 if p > THRESHOLD else 0}")
     return EXIT_CODES[DataError] if problems else EXIT_OK
 
 

@@ -40,13 +40,6 @@ class Dataset:
         return self.features.shape[0]
 
 
-@dataclass
-class SplitSpec:
-    train_fraction: float
-    seed: int
-    stratified: bool = True
-
-
 def binarize_label(raw: int) -> int:
     """Map raw label 1 (seizure) to 1 and labels 2..5 (non-seizure) to 0."""
     if raw not in (1, 2, 3, 4, 5):
@@ -195,14 +188,15 @@ def partition_indices(labels, train_fraction, seed, stratified):
     return np.sort(train), np.sort(test)
 
 
-def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    if not 0.0 < spec.train_fraction < 1.0:
+def split(d: Dataset, train_fraction, seed, stratified) -> tuple[Dataset, Dataset]:
+    """(train, test) by `partition_indices`; neither side may be empty."""
+    if not 0.0 < train_fraction < 1.0:
         raise ConfigError(
-            f"train_fraction must be strictly between 0 and 1, got {spec.train_fraction}"
+            f"train_fraction must be strictly between 0 and 1, got {train_fraction}"
         )
-    tr, te = partition_indices(d.labels, spec.train_fraction, spec.seed, spec.stratified)
+    tr, te = partition_indices(d.labels, train_fraction, seed, stratified)
     if len(tr) == 0 or len(te) == 0:
-        raise DataError(f"train_fraction = {spec.train_fraction} on {len(d)} rows "
+        raise DataError(f"train_fraction = {train_fraction} on {len(d)} rows "
                         f"leaves an empty {'train' if len(tr) == 0 else 'test'} split")
     return (
         Dataset(d.features[tr], d.labels[tr], d.source),

@@ -8,7 +8,9 @@ import numpy as np
 
 from . import kernels
 
-BN_EPS = 1e-5
+BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `BatchNorm.fold_into`
+BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
+LN_EPS = 1e-5  # layer norm's variance floor
 
 
 def relu_forward(x):
@@ -41,11 +43,10 @@ def conv1d_backward(cache, grad_out):
     return kernels.conv1d_backward(x, w, grad_out)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                      momentum=0.9, eps=BN_EPS):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     """Normalize per channel over all leading axes with the batch statistics,
-    and update the running estimates in place (running <- momentum * running
-    + (1 - momentum) * batch).
+    and update the running estimates in place (running <- BN_MOMENTUM *
+    running + (1 - BN_MOMENTUM) * batch).
 
     This is the training pass. Infer mode never calls it: the model folds
     the running estimates into the conv or dense layer before each
@@ -58,9 +59,9 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var,
     mean = flat.mean(axis=0)
     xhat = flat - mean
     var = np.einsum("ij,ij->j", xhat, xhat) / m
-    running_mean[:] = momentum * running_mean + (1.0 - momentum) * mean
-    running_var[:] = momentum * running_var + (1.0 - momentum) * var
-    inv = 1.0 / np.sqrt(var + eps)
+    running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+    running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     out = xhat * gamma
     out += beta
@@ -175,11 +176,11 @@ def mha_backward(cache, grad_out):
     return dx, dwq, dwk, dwv, dwo
 
 
-def layernorm_forward(x, gamma, beta, eps=1e-5):
+def layernorm_forward(x, gamma, beta):
     """Normalize each position's channel vector to zero mean, unit variance."""
     xhat = x - x.mean(axis=-1, keepdims=True)
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gamma
     out += beta

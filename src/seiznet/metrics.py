@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import DataError
 
+THRESHOLD = 0.5  # every label is p > THRESHOLD, so a tie goes negative
+
 
 @dataclass
 class ConfusionMatrix:
@@ -36,13 +38,13 @@ class EvalReport:
     mcc: float
 
 
-def confusion(probs, labels, threshold=0.5) -> ConfusionMatrix:
-    """Tally counts with the strict rule: predict positive iff p > threshold."""
+def confusion(probs, labels) -> ConfusionMatrix:
+    """Tally counts with the strict rule: predict positive iff p > THRESHOLD."""
     probs = np.asarray(probs)
     labels = np.asarray(labels)
     if probs.shape != labels.shape:
         raise DataError(f"probs {probs.shape} and labels {labels.shape} differ in length")
-    pred = probs > threshold
+    pred = probs > THRESHOLD
     pos = labels == 1
     return ConfusionMatrix(
         tp=int((pred & pos).sum()),

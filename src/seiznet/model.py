@@ -17,6 +17,8 @@ import numpy as np
 from . import layers
 from .errors import NumericError
 
+CHUNK_ROWS = 64  # rows per infer-mode forward pass in predict_probs
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -276,12 +278,12 @@ def model_backward(trace, grad_probs):
     return grads
 
 
-def predict_probs(config, params, features, chunk_size=64):
-    """Infer-mode probabilities for a feature matrix, folded once, run in chunks."""
+def predict_probs(config, params, features):
+    """Infer-mode probabilities, folded once, run CHUNK_ROWS rows at a time."""
     x = np.asarray(features, dtype=np.float64)
     folded = config.net.fold(params)
     parts = []
-    for start in range(0, x.shape[0], chunk_size):
-        p, _ = model_forward(config, folded, x[start:start + chunk_size], mode="infer")
+    for start in range(0, x.shape[0], CHUNK_ROWS):
+        p, _ = model_forward(config, folded, x[start:start + CHUNK_ROWS], mode="infer")
         parts.append(p)
     return np.concatenate(parts) if parts else np.empty(0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import partition_indices
 from .errors import DataError, NumericError
-from .metrics import EvalReport, compute_metrics, confusion
+from .metrics import THRESHOLD, EvalReport, compute_metrics, confusion
 from .model import model_backward, model_forward, predict_probs
 
 PROB_EPS = 1e-7
@@ -72,13 +72,14 @@ def bce_loss(probs, labels):
 
 
 class Adam:
-    """Adam with bias correction; epsilon sits outside the root."""
+    """Adam (Kingma & Ba 2015, arXiv:1412.6980), bias-corrected, EPS outside the root."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -90,17 +91,18 @@ class Adam:
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for {name}; step aborted")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, g in grads.items():
-            # moments in the tensor's dtype, whatever the gradient's
-            m = self.m.setdefault(name, np.zeros_like(params[name]))
-            v = self.v.setdefault(name, np.zeros_like(params[name]))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if name not in self.m:  # moments in the tensor's dtype, whatever g's
+                self.m[name] = np.zeros_like(params[name])
+                self.v[name] = np.zeros_like(params[name])
+            m, v = self.m[name], self.v[name]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def loss_and_grads(config, params, x, y, rng):
@@ -151,7 +153,6 @@ def train(config, features, labels, hyper: TrainHyper):
 
     state = TrainState()
     best_params = None
-    wait_lr = 0
     n_tr = len(tr_idx)
 
     for epoch in range(1, hyper.max_epochs + 1):
@@ -164,11 +165,11 @@ def train(config, features, labels, hyper: TrainHyper):
             loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
             adam.step(params, grads)
             loss_sum += loss * len(idx)
-            correct += int(((probs > 0.5) == (yb == 1)).sum())
+            correct += int(((probs > THRESHOLD) == (yb == 1)).sum())
 
         val_probs = predict_probs(config, params, x_val)
         val_loss = bce_loss(val_probs, y_val)[0] + l2_penalty(config, params)
-        val_acc = float(((val_probs > 0.5) == (y_val == 1)).mean())
+        val_acc = float(((val_probs > THRESHOLD) == (y_val == 1)).mean())
         state.epoch = epoch
         state.history.append(
             (loss_sum / n_tr, correct / n_tr, val_loss, val_acc, adam.lr))
@@ -182,13 +183,10 @@ def train(config, features, labels, hyper: TrainHyper):
             best_params = {k: v.copy() for k, v in params.items()}
         if improved:
             state.epochs_since_improvement = 0
-            wait_lr = 0
         else:
             state.epochs_since_improvement += 1
-            wait_lr += 1
-            if wait_lr >= hyper.patience_lr:
+            if state.epochs_since_improvement % hyper.patience_lr == 0:
                 adam.lr = max(adam.lr * hyper.lr_factor, hyper.min_lr)
-                wait_lr = 0
             if state.epochs_since_improvement >= hyper.patience_es:
                 state.stopped_early = True
                 break
@@ -198,10 +196,10 @@ def train(config, features, labels, hyper: TrainHyper):
     return params, state
 
 
-def evaluate(config, params, features, labels, threshold=0.5) -> EvalReport:
-    """Infer-mode evaluation: confusion matrix plus all six metrics."""
+def evaluate(config, params, features, labels) -> EvalReport:
+    """Infer-mode confusion matrix at `metrics.THRESHOLD`, plus all six metrics."""
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] == 0:
         raise DataError("cannot evaluate an empty dataset")
     probs = predict_probs(config, params, x)
-    return compute_metrics(confusion(probs, np.asarray(labels), threshold))
+    return compute_metrics(confusion(probs, np.asarray(labels)))

@@ -123,7 +123,7 @@ class TestTrain:
         main(["train", "--config", tiny_config, "--out", str(out)])
         _, _, scaler, policy, _ = load_artifact(out / "model.bin")
         ds = dataset.synthesize(30, seed=9)
-        train_ds, _ = dataset.split(ds, dataset.SplitSpec(0.8, 9, True))
+        train_ds, _ = dataset.split(ds, 0.8, 9, True)
         denoised = preprocess.wavelet_denoise(train_ds.features, policy)
         expected = preprocess.fit_scaler(denoised)
         assert np.array_equal(scaler.mean, expected.mean)
@@ -277,7 +277,7 @@ class TestEvaluate:
 
     def _write_split_csv(self, tmp_path, csv, which="test"):
         ds = dataset.load_csv(csv)
-        train_ds, test_ds = dataset.split(ds, dataset.SplitSpec(0.8, 9, True))
+        train_ds, test_ds = dataset.split(ds, 0.8, 9, True)
         part = test_ds if which == "test" else train_ds
         lines = []
         for i in range(len(part)):
@@ -486,7 +486,8 @@ class TestUnwritableOutput:
                 "is not a writable directory") in err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("command", ["train", "train-flag", "evaluate", "train-data"])
+    @pytest.mark.parametrize("command", ["train", "train-flag", "evaluate", "train-data",
+                                         "train-config"])
     def test_empty_out_fails_before_loading(self, tmp_path, model_and_csv, monkeypatch,
                                             capsys, command):
         # an empty path is no directory, though os.path.abspath("") is the
@@ -506,9 +507,13 @@ class TestUnwritableOutput:
                 "evaluate": ["evaluate", "--model", str(model), "--data", str(csv),
                              "--out", ""],
                 "train-data": ["train", "--config", str(cfg), "--data", "",
-                               "--out", str(tmp_path / "run")]}[command]
-        expected = ("--data: the data path is empty" if command == "train-data"
-                    else "write: the output directory path is empty")
+                               "--out", str(tmp_path / "run")],
+                # an empty --config would run the defaults: 500 rows, 100 epochs
+                "train-config": ["train", "--config", "", "--synthetic",
+                                 "--out", str(tmp_path / "run")]}[command]
+        expected = {"train-data": "--data: the data path is empty",
+                    "train-config": "--config: the config path is empty"}.get(
+                        command, "write: the output directory path is empty")
         before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"

@@ -145,15 +145,14 @@ def test_binarize_label():
 class TestSplit:
     def test_80_20_sizes_at_full_scale(self):
         ds = dataset.synthesize(5750, seed=3)  # 11500 rows
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 42, True))
+        train, test = dataset.split(ds, 0.8, 42, True)
         assert len(train) == 9200
         assert len(test) == 2300
 
     def test_deterministic(self):
         ds = dataset.synthesize(5, seed=1)  # 10 rows
-        spec = dataset.SplitSpec(0.8, seed=9, stratified=False)
-        a1, b1 = dataset.split(ds, spec)
-        a2, b2 = dataset.split(ds, spec)
+        a1, b1 = dataset.split(ds, 0.8, seed=9, stratified=False)
+        a2, b2 = dataset.split(ds, 0.8, seed=9, stratified=False)
         assert np.array_equal(a1.features, a2.features)
         assert np.array_equal(b1.features, b2.features)
         assert np.array_equal(a1.labels, a2.labels)
@@ -164,7 +163,7 @@ class TestSplit:
         feats = rng.standard_normal((100, 178))
         labels = np.array([1] * 20 + [0] * 80)
         ds = dataset.Dataset(feats, labels, "synthetic")
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 5, True))
+        train, test = dataset.split(ds, 0.8, 5, True)
         assert len(train) == 80
         assert int(train.labels.sum()) == 16
         assert int(test.labels.sum()) == 4
@@ -174,13 +173,13 @@ class TestSplit:
         for n_pos, n_neg, frac in [(7, 13, 0.6), (3, 50, 0.85), (11, 11, 0.5)]:
             labels = np.array([1] * n_pos + [0] * n_neg)
             ds = dataset.Dataset(rng.standard_normal((len(labels), 178)), labels, "synthetic")
-            train, _ = dataset.split(ds, dataset.SplitSpec(frac, 2, True))
+            train, _ = dataset.split(ds, frac, 2, True)
             assert len(train) == int(np.floor(frac * len(labels) + 0.5))
             assert abs(int(train.labels.sum()) - frac * n_pos) <= 1.0
 
     def test_union_is_input_multiset(self):
         ds = dataset.synthesize(30, seed=4)
-        train, test = dataset.split(ds, dataset.SplitSpec(0.7, 11, True))
+        train, test = dataset.split(ds, 0.7, 11, True)
         merged = np.vstack([train.features, test.features])
         key = np.lexsort(merged.T)
         orig_key = np.lexsort(ds.features.T)
@@ -191,13 +190,13 @@ class TestSplit:
         rng = np.random.default_rng(0)
         ds = dataset.Dataset(rng.standard_normal((10, 178)), np.zeros(10, dtype=int), "synthetic")
         with pytest.raises(DataError, match="both classes"):
-            dataset.split(ds, dataset.SplitSpec(0.8, 1, True))
+            dataset.split(ds, 0.8, 1, True)
 
     def test_bad_fraction(self):
         ds = dataset.synthesize(5, seed=0)
         for frac in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ConfigError, match="train_fraction"):
-                dataset.split(ds, dataset.SplitSpec(frac, 1, True))
+                dataset.split(ds, frac, 1, True)
 
     @pytest.mark.parametrize("rows, frac, stratified, side", [
         (120, 0.999, True, "test"), (120, 0.001, True, "train"),
@@ -207,7 +206,7 @@ class TestSplit:
             np.empty((0, 178)), np.empty(0), "synthetic")
         with pytest.raises(DataError, match=(f"train_fraction = {frac} on {rows} rows "
                                              f"leaves an empty {side} split")):
-            dataset.split(ds, dataset.SplitSpec(frac, 1, stratified))
+            dataset.split(ds, frac, 1, stratified)
 
 
 class TestSynthesize:

@@ -142,7 +142,7 @@ class TestBatchNorm:
         want_rm = momentum * rm + (1 - momentum) * mu
         want_rv = momentum * rv + (1 - momentum) * var
 
-        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv, momentum, eps)
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv)
         self._assert_close(out, gamma * xhat + beta)
         self._assert_close(cache[0], xhat)
         self._assert_close(rm, want_rm)

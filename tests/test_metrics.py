@@ -22,20 +22,15 @@ class TestConfusion:
     def test_tally(self):
         probs = np.array([0.9, 0.2, 0.7, 0.4])
         labels = np.array([1, 1, 0, 0])
-        c = confusion(probs, labels, 0.5)
+        c = confusion(probs, labels)
         assert (c.tp, c.tn, c.fp, c.fn) == (1, 1, 1, 1)
 
     def test_all_correct(self):
-        c = confusion(np.array([0.99, 0.01]), np.array([1, 0]), 0.5)
+        c = confusion(np.array([0.99, 0.01]), np.array([1, 0]))
         assert c.fp == 0 and c.fn == 0
 
-    def test_threshold_one_predicts_all_negative(self):
-        c = confusion(np.array([0.3, 1.0, 0.9]), np.array([0, 1, 1]), 1.0)
-        assert c.tp == 0 and c.fp == 0
-        assert c.tn == 1 and c.fn == 2
-
     def test_tie_goes_negative(self):
-        c = confusion(np.array([0.5]), np.array([1]), 0.5)
+        c = confusion(np.array([0.5]), np.array([1]))
         assert c.fn == 1 and c.tp == 0
 
     def test_length_mismatch(self):

@@ -118,10 +118,12 @@ class TestForward:
             model_forward(cfg, cfg.net.fold(params), np.zeros((2, 100)), "infer")
 
     def test_chunked_predict_matches_single_batch(self):
-        cfg, params, x = default_setup(n=9)
-        whole = predict_probs(cfg, params, x, chunk_size=9)
-        chunked = predict_probs(cfg, params, x, chunk_size=4)
-        assert np.allclose(whole, chunked, atol=1e-12)
+        # 150 rows run as chunks of 64, 64 and 22
+        cfg, params, x = default_setup(n=150)
+        chunked = predict_probs(cfg, params, x)
+        parts = [predict_probs(cfg, params, x[a:a + 64]) for a in (0, 64, 128)]
+        assert model.CHUNK_ROWS == 64
+        assert np.array_equal(chunked, np.concatenate(parts))
 
 
 class TestNet:
@@ -140,7 +142,7 @@ class TestNet:
         assert len(built) == 1 and built[0] is cfg
 
     def test_predict_folds_once_and_runs_each_chunk(self, monkeypatch):
-        cfg, params, x = default_setup(n=9)
+        cfg, params, x = default_setup(n=150)
         folds, modes = [], []
         real_fold, real_forward = model.Net.fold, model.model_forward
 
@@ -153,7 +155,7 @@ class TestNet:
             return real_forward(config, p, batch, mode, dropout_rng)
         monkeypatch.setattr(model.Net, "fold", fold)
         monkeypatch.setattr(model, "model_forward", forward)
-        predict_probs(cfg, params, x, chunk_size=4)
+        predict_probs(cfg, params, x)
         assert len(folds) == 1 and folds[0] is params
         assert modes == ["infer"] * 3
 
@@ -203,7 +205,7 @@ class TestFoldedInference:
     def test_trained_model_matches_textbook_on_holdout(self):
         from seiznet import dataset, preprocess
         ds = dataset.synthesize(40, seed=8)
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, seed=2))
+        train, test = dataset.split(ds, 0.8, seed=2, stratified=True)
         scaler = preprocess.fit_scaler(train.features)
         cfg = ModelConfig()
         params, _ = optim.train(cfg, preprocess.apply_scaler(train.features, scaler),
@@ -212,8 +214,9 @@ class TestFoldedInference:
         for bn in ("bn3", "bnd2"):
             assert np.abs(params[f"{bn}_mean"]).max() > 0.1
             assert np.abs(params[f"{bn}_var"] - 1.0).max() > 0.1
-        x = preprocess.apply_scaler(test.features, scaler)
-        got = predict_probs(cfg, params, x, chunk_size=7)
+        # the 16 holdout rows repeated to 150, so scoring runs 3 chunks
+        x = np.resize(preprocess.apply_scaler(test.features, scaler), (150, cfg.input_len))
+        got = predict_probs(cfg, params, x)
         want = textbook_infer(cfg, params, x)
         # the trunk runs in float32 (TestFloat32Trunk); the fold algebra
         # itself is pinned at 1e-12 by test_layers.py::TestBatchNorm

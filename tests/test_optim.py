@@ -112,6 +112,20 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam().step({"w": np.ones(2)}, {"w": np.ones(3)})
 
+    def test_second_step_allocates_no_moments(self, monkeypatch):
+        params = {"w": np.zeros(3, dtype=np.float32), "b": np.zeros(2)}
+        grads = {"w": np.ones(3, dtype=np.float32), "b": np.ones(2)}
+        opt = Adam()
+        opt.step(params, grads)
+        moments = {n: (opt.m[n], opt.v[n]) for n in params}
+        calls = []
+        real = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or real(*a, **k))
+        opt.step(params, grads)
+        assert calls == []
+        for n, (m, v) in moments.items():
+            assert opt.m[n] is m and opt.v[n] is v
+
     def test_moments_take_the_master_dtype(self):
         params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32),
                   "head": np.zeros(3, dtype=np.float32)}
@@ -253,7 +267,7 @@ class TestTrainLoop:
         # the validation loss is bit-identical every epoch after the first
         monkeypatch.setattr(
             optim, "predict_probs",
-            lambda config, params, feats, chunk_size=256: np.full(len(feats), 0.7))
+            lambda config, params, feats: np.full(len(feats), 0.7))
         hyper = TrainHyper(lr=0.0, min_lr=0.0, batch_size=8,
                            patience_es=3, patience_lr=10, max_epochs=50, seed=3)
         _, state = train(ModelConfig(), x, y, hyper)
@@ -267,7 +281,7 @@ class TestTrainLoop:
         x, y = prepared_synthetic(15)
         monkeypatch.setattr(
             optim, "predict_probs",
-            lambda config, params, feats, chunk_size=256: np.full(len(feats), 0.7))
+            lambda config, params, feats: np.full(len(feats), 0.7))
         hyper = TrainHyper(lr=1e-8, min_lr=1e-12, lr_factor=0.5, batch_size=8,
                            patience_es=5, patience_lr=2, max_epochs=50, seed=3)
         _, state = train(ModelConfig(), x, y, hyper)
@@ -275,6 +289,21 @@ class TestTrainLoop:
         assert lrs == [1e-8, 1e-8, 1e-8, 5e-9, 5e-9, 2.5e-9]
         assert lrs == sorted(lrs, reverse=True)  # never increases
         assert min(lrs) >= hyper.min_lr
+
+    def test_improvement_restarts_the_plateau_count(self, monkeypatch):
+        # validation loss: best at epoch 1, flat at epochs 2-3, better at
+        # epoch 4, flat after. The first cut comes patience_lr = 3 flat
+        # epochs after epoch 4, not 3 flat epochs in all, then one every 3.
+        x, y = prepared_synthetic(15)
+        epoch_probs = iter([0.99] * 3 + [0.5] * 8)
+        monkeypatch.setattr(optim, "predict_probs",
+                            lambda config, params, feats: np.full(len(feats), next(epoch_probs)))
+        hyper = TrainHyper(lr=1e-8, min_lr=1e-12, lr_factor=0.5, batch_size=8,
+                           patience_es=20, patience_lr=3, max_epochs=11, seed=3)
+        _, state = train(ModelConfig(), x, y, hyper)
+        assert state.epochs_since_improvement == 7
+        lrs = [row[4] for row in state.history]
+        assert lrs == [1e-8] * 7 + [5e-9] * 3 + [2.5e-9]
 
     def test_restore_best_contract(self):
         x, y = prepared_synthetic(20)
@@ -350,7 +379,7 @@ class TestEvaluate:
         cfg = ModelConfig()
         params, _ = train(cfg, x, y, TrainHyper(max_epochs=3, batch_size=8, seed=2))
         report = evaluate(cfg, params, x, y)
-        manual = compute_metrics(confusion(predict_probs(cfg, params, x), y, 0.5))
+        manual = compute_metrics(confusion(predict_probs(cfg, params, x), y))
         assert report == manual
 
     def test_empty_dataset(self):
