@@ -101,7 +101,9 @@ def _parse_header(text):
 
 def _config_from_keys(keys):
     """Inverse of `_config_lines`: each field parsed with its default's type,
-    a tuple item by item as ints."""
+    a tuple item by item as ints. A key that is no field is ignored: older
+    files carry the retired `pool_size`, `attn_key_dim`, `dropout_rate` and
+    `l2_lambda`, none of which changes what the model computes."""
     values = {}
     try:
         for f in fields(ModelConfig):

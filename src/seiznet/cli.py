@@ -210,16 +210,21 @@ def cmd_predict(args) -> int:
     with _stage("load-model"):
         cfg, params, scaler, policy, _ = artifact.load_artifact(args.model)
     with _stage("load"):
-        features, _, problems = dataset.load_features_csv(args.data)
-    for line_no, message in problems:
-        print(f"row {line_no}: {message}", file=sys.stderr)
-    if features.shape[0]:
-        x = _prepare(features, policy, scaler)
-        del features  # only the prepared matrix is scored
-        with _stage("predict"):
-            probs = predict_probs(cfg, params, x)
-        for p in probs:
-            print(f"{p:.6f},{1 if p > THRESHOLD else 0}")
+        features, row_nos, problems = dataset.load_features_csv(args.data)
+    probs = np.empty(0)
+    try:
+        if features.shape[0]:
+            x = _prepare(features, policy, scaler)
+            del features  # only the prepared matrix is scored
+            with _stage("predict"):
+                probs = predict_probs(cfg, params, x)
+    finally:  # the row problems are reported even when scoring fails
+        scored = np.isfinite(probs)
+        problems += [(row_nos[i], "non-finite model output") for i in np.flatnonzero(~scored)]
+        for line_no, message in sorted(problems):
+            print(f"row {line_no}: {message}", file=sys.stderr)
+    for p in probs[scored]:
+        print(f"{p:.6f},{1 if p > THRESHOLD else 0}")
     return EXIT_CODES[DataError] if problems else EXIT_OK
 
 
@@ -240,6 +245,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not args.out:
+        raise ConfigError("--out: the output path is empty")
     ds = dataset.synthesize(args.n_per_class, args.seed)
     lines = []
     for i in range(len(ds)):
@@ -298,8 +305,8 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # the finiteness checks in model_forward and Adam.step report a
-        # numeric failure as one error line, so numpy's own warnings are muted
+        # the finiteness checks in optim and cmd_predict report a numeric
+        # failure as one error or row line, so numpy's own warnings are muted
         with np.errstate(all="ignore"):
             return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -50,12 +50,12 @@ LAYER_CASES = {
     # odd length exercises the floor path
     "maxpool": (Layer("pool", "maxpool"), (2, 9, 3)),
     # attention plus its skip add
-    "mha": (Attention("attn", 2, 8, 4), (2, 5, 8)),
+    "mha": (Attention("attn", 2, 8), (2, 5, 8)),
     "layernorm": (Layer("ln", "layernorm", gamma=(SCALE, (5,)), beta=(CANCELLED, (5,))),
                   (3, 4, 5)),
     "global_avg_pool": (Layer("gap", "global_average_pool"), (2, 6, 3)),
     "dense": (Layer("fc", "dense", w=(KERNEL, (6, 3)), b=(SHIFT, (3,))), (4, 6)),
-    "dropout": (Dropout("drop", 0.4), (3, 50)),
+    "dropout": (Dropout("drop"), (3, 50)),
     "sigmoid": (Layer("probs", "sigmoid"), (5, 1)),
 }
 

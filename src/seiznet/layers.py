@@ -11,6 +11,7 @@ from . import kernels
 BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `BatchNorm.fold_into`
 BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
 LN_EPS = 1e-5  # layer norm's variance floor
+DROPOUT_RATE = 0.5  # share of units each train-mode dropout zeroes
 
 
 def relu_forward(x):
@@ -252,19 +253,13 @@ def dense_backward(cache, grad_out):
     return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
-def dropout_forward(x, rate, rng):
-    """Inverted dropout: survivors are scaled by 1/(1-rate), so infer mode
-    is an exact identity and never calls this (`model.Net.infer_layers`)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x, None
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate), (mask, rate)
+def dropout_forward(x, rng):
+    """Inverted dropout at DROPOUT_RATE: survivors are scaled by
+    1/(1-DROPOUT_RATE), so infer mode is an exact identity and never calls
+    this (`model.Net.infer_layers`)."""
+    mask = rng.random(x.shape) >= DROPOUT_RATE
+    return x * mask / (1.0 - DROPOUT_RATE), mask
 
 
-def dropout_backward(cache, grad_out):
-    if cache is None:
-        return grad_out
-    mask, rate = cache
-    return grad_out * mask / (1.0 - rate)
+def dropout_backward(mask, grad_out):
+    return grad_out * mask / (1.0 - DROPOUT_RATE)

@@ -15,7 +15,6 @@ from types import MappingProxyType
 import numpy as np
 
 from . import layers
-from .errors import NumericError
 
 CHUNK_ROWS = 64  # rows per infer-mode forward pass in predict_probs
 
@@ -26,31 +25,21 @@ class ModelConfig:
     conv_filters: tuple = (32, 64, 128)
     conv_kernels: tuple = (7, 5, 3)
     attn_heads: int = 4
-    attn_key_dim: int = 32
     dense_units: tuple = (128, 64)
-    dropout_rate: float = 0.5
-    l2_lambda: float = 0.001
 
     def __post_init__(self):
-        sizes = (self.input_len, *self.conv_filters, self.attn_heads, self.attn_key_dim,
-                 *self.dense_units)
+        sizes = (self.input_len, *self.conv_filters, self.attn_heads, *self.dense_units)
         if any(n < 1 for n in sizes):
-            raise ValueError("input_len, conv_filters, attn_heads, attn_key_dim and "
-                             "dense_units must be at least 1")
+            raise ValueError("input_len, conv_filters, attn_heads and dense_units "
+                             "must be at least 1")
         if len(self.conv_filters) != len(self.conv_kernels):
             raise ValueError("conv_filters and conv_kernels must have equal length")
         if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
             raise ValueError("conv kernel sizes must be odd")
-        # head concatenation must match the skip connection width
-        if self.attn_heads * self.attn_key_dim != self.conv_filters[-1]:
-            raise ValueError(
-                f"attn_heads * attn_key_dim must equal the final conv channel "
-                f"count ({self.conv_filters[-1]})"
-            )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if not 0.0 <= self.l2_lambda < float("inf"):
-            raise ValueError("l2_lambda must be finite and >= 0")
+        # the heads split the skip connection's width evenly
+        if self.conv_filters[-1] % self.attn_heads:
+            raise ValueError(f"attn_heads must divide the final conv channel count "
+                             f"({self.conv_filters[-1]})")
         if self.input_len // 2 ** len(self.conv_filters) < 1:
             raise ValueError("input too short for the pooling cascade")
 
@@ -67,7 +56,6 @@ def toy_config():
         conv_filters=(2, 2, 2),
         conv_kernels=(7, 5, 3),
         attn_heads=1,
-        attn_key_dim=2,
         dense_units=(4, 2),
     )
 
@@ -140,19 +128,19 @@ class BatchNorm(Layer):
 class Dropout(Layer):
     """Train mode only: `Net.infer_layers` leaves out this identity."""
 
-    def __init__(self, name, rate):
+    def __init__(self, name):
         super().__init__(name, "dropout")
-        self.rate = rate
 
     def forward(self, params, x, rng):
-        return layers.dropout_forward(x, self.rate, rng)
+        return layers.dropout_forward(x, rng)
 
 
 class Attention(Layer):
-    """Multi-head self-attention added back onto its input (the skip)."""
+    """Multi-head self-attention added back onto its input (the skip); each
+    of the `heads` heads is d // heads wide."""
 
-    def __init__(self, name, heads, d, d_k):
-        qkv = (PROJ, (heads, d, d_k))
+    def __init__(self, name, heads, d):
+        qkv = (PROJ, (heads, d, d // heads))
         super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(PROJ, (d, d)))
 
     def forward(self, params, x, rng):
@@ -185,7 +173,7 @@ class Net:
                     BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
                     Layer(f"pool{s}", "maxpool")]
             c_in = f
-        net += [Attention("attn", config.attn_heads, c_in, config.attn_key_dim),
+        net += [Attention("attn", config.attn_heads, c_in),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(CANCELLED, (c_in,)))]
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
@@ -193,7 +181,7 @@ class Net:
             net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
                           b=(CANCELLED, (units,))),
                     BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
-                    Dropout(f"drop{i}", config.dropout_rate)]
+                    Dropout(f"drop{i}")]
             width = units
         out = len(config.dense_units) + 1
         net += [Layer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
@@ -240,9 +228,10 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
 
     batch: [N, input_len] or [N, input_len, 1]. Returns (probs, trace);
     trace is the list of (layer, cache) pairs in forward order, which
-    model_backward walks, and None in infer mode. Train mode with a nonzero
-    dropout rate requires a dropout_rng; infer mode requires params to be
-    what `config.net.fold` returned, so batch norm is never skipped. The
+    model_backward walks, and None in infer mode. Train mode requires a
+    dropout_rng; infer mode requires params to be what `config.net.fold`
+    returned, so batch norm is never skipped. An output that is not finite
+    is returned as it is; the callers decide what it means. The
     batch is cast to the dtype of the first layer's kernel, so the trunk
     runs in the dtype of the tensors passed: float32 for `init_params`,
     `fold` and `load_artifact` tensors (training and inference), float64
@@ -255,7 +244,7 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     if x.shape[1] != config.input_len or x.shape[2] != 1:
         raise ValueError(f"batch shape {x.shape} does not match input ({config.input_len}, 1)")
     train = mode == "train"
-    if train and config.dropout_rate > 0.0 and dropout_rng is None:
+    if train and dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
     if not train and not isinstance(params, MappingProxyType):
         raise TypeError("infer mode needs the tensors config.net.fold returns")
@@ -264,8 +253,6 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
         x, cache = layer.forward(params, x, dropout_rng)
         if train:
             trace.append((layer, cache))
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite model output")
     return x, trace
 
 
@@ -279,7 +266,9 @@ def model_backward(trace, grad_probs):
 
 
 def predict_probs(config, params, features):
-    """Infer-mode probabilities, folded once, run CHUNK_ROWS rows at a time."""
+    """Infer-mode probabilities, folded once, run CHUNK_ROWS rows at a time.
+    No infer-mode layer mixes rows, so a row whose output is not finite
+    leaves every other row's finite."""
     x = np.asarray(features, dtype=np.float64)
     folded = config.net.fold(params)
     parts = []

@@ -22,6 +22,7 @@ from .model import model_backward, model_forward, predict_probs
 
 PROB_EPS = 1e-7
 IMPROVE_TOL = 1e-4
+L2_LAMBDA = 0.001  # weight of the squared conv and dense kernels in the loss
 
 
 @dataclass
@@ -52,10 +53,15 @@ class TrainState:
 
 
 def l2_penalty(config, params):
-    """The weight penalty: l2_lambda times the squared `config.net.l2` kernels."""
-    if config.l2_lambda == 0.0:
-        return 0.0
-    return config.l2_lambda * sum(float((params[k] ** 2).sum()) for k in config.net.l2)
+    """The weight penalty: L2_LAMBDA times the squared `config.net.l2` kernels."""
+    return L2_LAMBDA * sum(float((params[k] ** 2).sum()) for k in config.net.l2)
+
+
+def _finite(probs):
+    """probs, unless a model output is not finite (NumericError)."""
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite model output")
+    return probs
 
 
 def bce_loss(probs, labels):
@@ -78,7 +84,7 @@ class Adam:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, lr=1e-3):
+    def __init__(self, lr):
         self.lr = lr
         self.t = 0
         self.m = {}
@@ -108,15 +114,15 @@ class Adam:
 def loss_and_grads(config, params, x, y, rng):
     """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, its
     probabilities, and the gradient of every learnable tensor, with the
-    penalty's 2 * lambda * W added onto the `config.net.l2` kernels. rng draws
+    penalty's 2 * L2_LAMBDA * W added onto the `config.net.l2` kernels. rng draws
     the dropout masks. Each gradient comes back in the dtype its layer
     computes in (float32 in the trunk, float64 in the head); the batch-norm
     running statistics in params are updated in place."""
     probs, trace = model_forward(config, params, x, "train", dropout_rng=rng)
-    data, grad_probs = bce_loss(probs, y)
+    data, grad_probs = bce_loss(_finite(probs), y)
     grads = model_backward(trace, grad_probs)
     for k in config.net.l2:
-        grads[k] += 2.0 * config.l2_lambda * params[k]
+        grads[k] += 2.0 * L2_LAMBDA * params[k]
     return data + l2_penalty(config, params), probs, grads
 
 
@@ -167,7 +173,7 @@ def train(config, features, labels, hyper: TrainHyper):
             loss_sum += loss * len(idx)
             correct += int(((probs > THRESHOLD) == (yb == 1)).sum())
 
-        val_probs = predict_probs(config, params, x_val)
+        val_probs = _finite(predict_probs(config, params, x_val))
         val_loss = bce_loss(val_probs, y_val)[0] + l2_penalty(config, params)
         val_acc = float(((val_probs > THRESHOLD) == (y_val == 1)).mean())
         state.epoch = epoch
@@ -201,5 +207,5 @@ def evaluate(config, params, features, labels) -> EvalReport:
     x = np.asarray(features, dtype=np.float64)
     if x.shape[0] == 0:
         raise DataError("cannot evaluate an empty dataset")
-    probs = predict_probs(config, params, x)
+    probs = _finite(predict_probs(config, params, x))
     return compute_metrics(confusion(probs, np.asarray(labels)))

@@ -125,7 +125,7 @@ def _denoise_rows(rows, kind, t_fixed) -> np.ndarray:
     return idwt_haar(WaveletCoeffs(c.approx, soft_threshold(c.detail, t)))
 
 
-def wavelet_denoise(signal, policy: str = "universal") -> np.ndarray:
+def wavelet_denoise(signal, policy: str) -> np.ndarray:
     """Soft-threshold the detail band and reconstruct.
 
     The universal policy uses t = sigma_hat * sqrt(2 ln n) per signal, with

@@ -101,7 +101,7 @@ def test_criterion_5_scaler_properties():
     matrices = [
         rng.standard_normal((37, 178)) * 25.0 + 100.0,
         rng.uniform(-5.0, 5.0, (200, 178)),
-        preprocess.wavelet_denoise(dataset.synthesize(64, seed=2).features),
+        preprocess.wavelet_denoise(dataset.synthesize(64, seed=2).features, "universal"),
     ]
     worst_mean = worst_std = 0.0
     for x in matrices:
@@ -116,7 +116,7 @@ def test_criterion_5_scaler_properties():
 
 def test_criterion_6_capacity_memorizes_64_samples():
     ds = dataset.synthesize(32, seed=3)  # 64 balanced rows
-    x = preprocess.wavelet_denoise(ds.features)
+    x = preprocess.wavelet_denoise(ds.features, "universal")
     x = preprocess.apply_scaler(x, preprocess.fit_scaler(x))
     cfg = ModelConfig()
     hyper = optim.TrainHyper(max_epochs=200, patience_es=200, batch_size=32, seed=3)

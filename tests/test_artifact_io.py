@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
 from seiznet.errors import DataError
-from seiznet.model import KERNEL, PROJ, VAR, ModelConfig, toy_config
+from seiznet.model import KERNEL, PROJ, VAR, ModelConfig, predict_probs, toy_config
 from seiznet.preprocess import ScalerParams
 
 
@@ -46,7 +46,7 @@ def test_save_load_save_identical_bytes(tmp_path):
 
 def test_non_default_config_round_trips(tmp_path):
     # every field differs from its default
-    cfg = replace(toy_config(), conv_kernels=(5, 3, 1), dropout_rate=0.25, l2_lambda=0.0)
+    cfg = replace(toy_config(), conv_kernels=(5, 3, 1))
     default = ModelConfig()
     assert [f.name for f in fields(cfg)
             if getattr(cfg, f.name) == getattr(default, f.name)] == []
@@ -56,17 +56,26 @@ def test_non_default_config_round_trips(tmp_path):
     assert load_artifact(path)[0] == cfg
 
 
-def test_header_with_retired_pool_size_line_loads(tmp_path):
-    # artifacts written while pool_size was a config field carry this line
+@pytest.mark.parametrize("line", [b"pool_size = 2", b"attn_key_dim = 32",
+                                  b"dropout_rate = 0.25", b"l2_lambda = 0.0"],
+                         ids=["pool_size", "attn_key_dim", "dropout_rate", "l2_lambda"])
+def test_header_with_a_retired_key_loads(tmp_path, line):
+    # artifacts written while these were config fields carry their lines;
+    # none of them changes what the loaded model computes
     path, cfg, params, scaler = make_artifact(tmp_path)
     blob = path.read_bytes()
     at = blob.index(b"attn_heads = ")
-    path.write_bytes(blob[:at] + b"pool_size = 2\n" + blob[at:])
-    cfg2, params2, scaler2, _, _ = load_artifact(path)
+    retired = tmp_path / "retired.bin"
+    retired.write_bytes(blob[:at] + line + b"\n" + blob[at:])
+    cfg2, params2, scaler2, _, _ = load_artifact(retired)
     assert cfg2 == cfg
     assert np.array_equal(scaler2.mean, scaler.mean)
     for name in params:
         assert np.array_equal(params2[name], params[name]), name
+    x = np.random.default_rng(3).standard_normal((5, cfg.input_len))
+    _, params_without, *_ = load_artifact(path)
+    assert np.array_equal(predict_probs(cfg2, params2, x),
+                          predict_probs(cfg, params_without, x))
 
 
 def test_fixed_policy_round_trip(tmp_path):
@@ -147,12 +156,7 @@ def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
     (b"wavelet = fixed:-1", "wavelet: fixed wavelet threshold must be >= 0"),
     (b"wavelet = fixed:x", "wavelet: bad fixed wavelet threshold"),
     (b"wavelet = bogus", "wavelet: unknown wavelet policy 'bogus'"),
-    (b"l2_lambda = nan", "l2_lambda must be finite and >= 0"),
-    (b"l2_lambda = -1.0", "l2_lambda must be finite and >= 0"),
-    (b"l2_lambda = inf", "l2_lambda must be finite and >= 0"),
-    (b"dropout_rate = 2", "dropout_rate must be in"),
-], ids=["wavelet-negative", "wavelet-not-a-number", "wavelet-unknown", "l2-nan",
-        "l2-negative", "l2-inf", "dropout-out-of-range"])
+], ids=["wavelet-negative", "wavelet-not-a-number", "wavelet-unknown"])
 def test_out_of_range_header_value_is_a_data_error(tmp_path, line, match):
     path, *_ = make_artifact(tmp_path)
     head, divider, body = path.read_bytes().partition(b"==binary==\n")
@@ -264,10 +268,7 @@ DEFAULT_CONFIG_LINES = [
     "conv_filters = 32,64,128",
     "conv_kernels = 7,5,3",
     "attn_heads = 4",
-    "attn_key_dim = 32",
     "dense_units = 128,64",
-    "dropout_rate = 0.5",
-    "l2_lambda = 0.001",
 ]
 
 

@@ -307,6 +307,17 @@ class TestEvaluate:
         assert "version" in capsys.readouterr().err
         assert not eval_out.exists()
 
+    def test_non_finite_output_fails_the_whole_run(self, tmp_path, tiny_config, capsys):
+        # unlike predict, a report over all rows has no per-row way out
+        csv, out = self._train_on_csv(tmp_path, tiny_config)
+        huge = tmp_path / "huge.csv"
+        huge.write_text(read(csv).decode() + ",".join(["1e20"] * 178) + ",1\n")
+        eval_out = tmp_path / "eval-out"
+        assert main(["evaluate", "--model", str(out / "model.bin"), "--data", str(huge),
+                     "--out", str(eval_out)]) == 3
+        assert capsys.readouterr().err == "error: evaluate: non-finite model output\n"
+        assert not eval_out.exists()
+
 
 class TestPredict:
     @pytest.fixture
@@ -345,6 +356,21 @@ class TestPredict:
         assert captured.err.count("row 2") == 1  # the prefix is printed once
         assert len(captured.out.strip().splitlines()) == 4  # good rows still out
 
+    def test_non_finite_row_is_reported_and_the_rest_print(self, tmp_path, trained, capsys):
+        rows = dataset.synthesize(2, seed=2).features
+        csv = self._feature_csv(tmp_path, rows)
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 0
+        alone = capsys.readouterr().out
+        content = csv.read_text().splitlines()
+        content.insert(2, ",".join(["1e20"] * 178))  # line 3: overflows the float32 trunk
+        content.insert(4, "1.0,2.0,3.0")  # line 5: wrong width
+        csv.write_text("\n".join(content) + "\n")
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("row 3: non-finite model output\n"
+                                "row 5: expected 178 features, got 3 fields\n")
+        assert captured.out == alone
+
     def test_byte_order_mark_predicts_like_the_plain_file(self, tmp_path, trained, capsys):
         plain = self._feature_csv(tmp_path, dataset.synthesize(2, seed=3).features)
         bom = tmp_path / "bom.csv"
@@ -381,21 +407,20 @@ class TestPredict:
         assert "error: scale: feature count 178 does not match scaler (16)" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("bad", [
-        {"conv_filters": (32, 64, 0), "attn_heads": 0},
-        {"conv_filters": (32, 64, 0), "attn_key_dim": 0},
-        {"dense_units": (0, 64)},
-        {"conv_filters": (0, 64, 128)},
-        {"input_len": 0},
-    ], ids=["attn_heads", "attn_key_dim", "dense_units", "conv_filters", "input_len"])
-    def test_zero_size_in_the_header_is_refused(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("line", [b"attn_heads = 0", b"dense_units = 0,64",
+                                      b"conv_filters = 0,64,128", b"input_len = 0"],
+                             ids=["attn_heads", "dense_units", "conv_filters", "input_len"])
+    def test_zero_size_in_the_header_is_refused(self, tmp_path, capsys, line):
         cfg = ModelConfig()
-        for field, value in bad.items():  # before `cfg.net` is first built
-            object.__setattr__(cfg, field, value)
-        params = {n: np.zeros(s, dtype=np.float32) for n, s in cfg.net.shapes.items()}
         scaler = preprocess.ScalerParams(np.zeros(178), np.ones(178))
         model = tmp_path / "zero.bin"
-        save_artifact(model, cfg, params, scaler, "off")
+        save_artifact(model, cfg, cfg.net.init_params(0), scaler, "off")
+        # written by hand: no network can be built from a zero size
+        head, divider, body = model.read_bytes().partition(b"==binary==\n")
+        key = line.split(b" = ")[0]
+        lines = [line if ln.startswith(key + b" = ") else ln for ln in head.split(b"\n")]
+        assert line in lines
+        model.write_bytes(b"\n".join(lines) + divider + body)
         csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
         assert main(["predict", "--model", str(model), "--data", str(csv)]) == 2
         captured = capsys.readouterr()
@@ -487,7 +512,7 @@ class TestUnwritableOutput:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["train", "train-flag", "evaluate", "train-data",
-                                         "train-config"])
+                                         "train-config", "synth"])
     def test_empty_out_fails_before_loading(self, tmp_path, model_and_csv, monkeypatch,
                                             capsys, command):
         # an empty path is no directory, though os.path.abspath("") is the
@@ -510,9 +535,11 @@ class TestUnwritableOutput:
                                "--out", str(tmp_path / "run")],
                 # an empty --config would run the defaults: 500 rows, 100 epochs
                 "train-config": ["train", "--config", "", "--synthetic",
-                                 "--out", str(tmp_path / "run")]}[command]
+                                 "--out", str(tmp_path / "run")],
+                "synth": ["synth", "--n-per-class", "2", "--out", ""]}[command]
         expected = {"train-data": "--data: the data path is empty",
-                    "train-config": "--config: the config path is empty"}.get(
+                    "train-config": "--config: the config path is empty",
+                    "synth": "--out: the output path is empty"}.get(
                         command, "write: the output directory path is empty")
         before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1

@@ -5,7 +5,8 @@ with junk mixed in, and small damaged CSVs.
 Whatever the input, main exits 0, 1, 2 or 3; a failure prints one
 `error: ...` line (for predict, `row N: ...` lines first), a data or numeric
 failure names its stage, nothing escapes as a traceback, and no `.tmp` file
-is left behind.
+is left behind. predict never exits 3, and when it prints no `error: ...`
+line, each data row gets one output line or one `row N: ...` line.
 """
 
 import glob
@@ -17,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from test_dataset import GOOD_FEATURES, csv_line
 
 from seiznet import dataset, preprocess
@@ -154,16 +155,32 @@ def _run_in(root, files, args):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(args=argv(), cfg=config_text(), labelled=csv_text(labelled=True),
        features=csv_text(labelled=False))
+# an overflowing row between good ones, and a malformed row after it
+@example(args=["predict", "--model", "model.bin", "--data", "features.csv"], cfg=b"",
+         labelled=b"", features="\n".join([GOOD_FEATURES[0], HUGE_ROW, GOOD_FEATURES[1],
+                                           "1,2", GOOD_FEATURES[2]]).encode() + b"\n")
 def test_cli_keeps_its_contract(toy_model_bytes, args, cfg, labelled, features):
     files = {"model.bin": toy_model_bytes, "run.cfg": cfg,
              "labelled.csv": labelled, "features.csv": features}
     with tempfile.TemporaryDirectory() as root:
-        code, _, err = _run_in(root, files, args)
+        code, out, err = _run_in(root, files, args)
         left = glob.glob(os.path.join(root, "**", "*.tmp"), recursive=True)
+        lines = err.splitlines()
+        scored = args[0] == "predict" and not any(l.startswith("error: ") for l in lines)
+        if scored:  # --data named a file that loaded: read its rows again
+            _, good, bad = dataset.load_features_csv(
+                os.path.join(root, args[args.index("--data") + 1]))
     assert code in (0, 1, 2, 3), (args, code)
     assert "Traceback" not in err
     assert left == [], left
-    lines = err.splitlines()
+    if args[0] == "predict":  # a row the model cannot score is a row problem
+        assert code != 3, err
+    if scored:
+        # each data row gets one stdout line or one `row N:` line, in line order
+        numbers = [int(re.fullmatch(r"row (\d+): .+", l).group(1)) for l in lines]
+        assert numbers == sorted(set(numbers)), err
+        assert {n for n, _ in bad} <= set(numbers) <= {n for n, _ in bad} | set(good), err
+        assert len(out.splitlines()) + len(numbers) == len(good) + len(bad), (out, err)
     if code == 0:
         assert lines == [], err
         return

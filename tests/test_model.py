@@ -18,7 +18,7 @@ class TestConfig:
         cfg = ModelConfig()
         assert cfg.conv_filters == (32, 64, 128)
         assert cfg.conv_kernels == (7, 5, 3)
-        assert cfg.attn_heads * cfg.attn_key_dim == 128
+        assert (cfg.attn_heads, cfg.conv_filters[-1] // cfg.attn_heads) == (4, 32)
 
     def test_head_width_invariant_enforced(self):
         with pytest.raises(ValueError, match="attn_heads"):
@@ -30,11 +30,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("change, match", [
         ({"conv_kernels": (7, 4, 3)}, "odd"),
-        ({"dropout_rate": 1.0}, "dropout_rate"),
-        ({"input_len": 7}, "too short"),
-        ({"l2_lambda": -1.0}, "l2_lambda"),
-        ({"l2_lambda": float("nan")}, "l2_lambda"),
-        ({"l2_lambda": float("inf")}, "l2_lambda")])
+        ({"attn_heads": 0}, "at least 1"),  # not a ZeroDivisionError in the width check
+        ({"input_len": 7}, "too short")])
     def test_out_of_range_field_rejected(self, change, match):
         with pytest.raises(ValueError, match=match):
             ModelConfig(**change)
@@ -96,16 +93,6 @@ class TestForward:
         p1, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
         p2, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
         assert np.array_equal(p1, p2)
-
-    def test_infer_ignores_dropout_rate(self):
-        x = np.random.default_rng(2).standard_normal((3, 178))
-        for rate in (0.0, 0.5):
-            cfg = ModelConfig(dropout_rate=rate)
-            params = cfg.net.init_params(0)
-            p, _ = model_forward(cfg, cfg.net.fold(params), x, "infer")
-            if rate == 0.0:
-                base = p
-        assert np.array_equal(base, p)
 
     def test_train_needs_rng(self):
         cfg, params, x = default_setup(n=2)
@@ -188,7 +175,7 @@ def textbook_infer(cfg, params, batch):
     heads = []
     for h in range(cfg.attn_heads):
         q, k, v = (x @ params[f"attn_{p}"][h] for p in ("wq", "wk", "wv"))
-        scores = q @ k.swapaxes(1, 2) / np.sqrt(cfg.attn_key_dim)
+        scores = q @ k.swapaxes(1, 2) / np.sqrt(q.shape[-1])
         a = np.exp(scores - scores.max(axis=-1, keepdims=True))
         heads.append(a / a.sum(axis=-1, keepdims=True) @ v)
     x = x + np.concatenate(heads, axis=-1) @ params["attn_wo"]
