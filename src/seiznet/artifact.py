@@ -102,8 +102,10 @@ def _parse_header(text):
 def _config_from_keys(keys):
     """Inverse of `_config_lines`: each field parsed with its default's type,
     a tuple item by item as ints. A key that is no field is ignored: older
-    files carry the retired `pool_size`, `attn_key_dim`, `dropout_rate` and
-    `l2_lambda`, none of which changes what the model computes."""
+    files carry the retired `pool_size`, `attn_key_dim`, `dropout_rate`,
+    `l2_lambda` and `conv_kernels`. None of them changes what the model
+    computes: a file written with kernels other than `CONV_KERNELS` fails
+    the tensor inventory check in `load_artifact`."""
     values = {}
     try:
         for f in fields(ModelConfig):

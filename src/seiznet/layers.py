@@ -8,7 +8,7 @@ import numpy as np
 
 from . import kernels
 
-BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `BatchNorm.fold_into`
+BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `batchnorm_fold`
 BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
 LN_EPS = 1e-5  # layer norm's variance floor
 DROPOUT_RATE = 0.5  # share of units each train-mode dropout zeroes
@@ -51,7 +51,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
 
     This is the training pass. Infer mode never calls it: the model folds
     the running estimates into the conv or dense layer before each
-    batch norm (`model.Net.fold`).
+    batch norm (`batchnorm_fold`, called by `model.Net.fold`).
     """
     if x.shape[0] < 2:
         raise ValueError("batchnorm train mode needs a batch of at least 2")
@@ -90,6 +90,17 @@ def batchnorm_backward(cache, grad_out):
     return dx.reshape(grad_out.shape), dgamma, dbeta
 
 
+def batchnorm_fold(w, b, gamma, beta, mean, var):
+    """The kernel and bias (w', b') of a conv1d or dense layer with the
+    batch norm after it applied in infer mode, its running statistics in
+    place of the batch's (Jacob et al. 2018, arXiv:1712.05877, section 3.2):
+    w' = w*gamma/sqrt(var+eps), b' = (b-mean)*gamma/sqrt(var+eps) + beta.
+    b, a CANCELLED shift (`model.Net`), is 0 unless the artifact predates
+    that role."""
+    scale = gamma / np.sqrt(var + BN_EPS)
+    return w * scale, (b - mean) * scale + beta
+
+
 def maxpool_forward(x):
     """Pool pairs of positions (size 2, floor semantics, ties to lower index).
 
@@ -120,7 +131,8 @@ def _split_heads(qkv, n, length, heads):
 
 
 def mha_forward(x, wq, wk, wv, wo):
-    """Multi-head self-attention.
+    """Multi-head self-attention added back onto its input: the skip
+    connection is part of the op, so it returns x + attention(x).
 
     x: [N, L, D]; wq/wk/wv: [H, D, dk] with H * dk = D; wo: [D, D].
     Per head: A = rowsoftmax(Q K^T / sqrt(dk)), head output A V; heads are
@@ -144,7 +156,7 @@ def mha_forward(x, wq, wk, wv, wo):
     attn *= 1.0 / np.sqrt(d_k)
     _softmax_rows(attn)
     concat = (attn @ v).transpose(0, 2, 1, 3).reshape(n * length, d_model)
-    out = (concat @ wo).reshape(x.shape)
+    out = x + (concat @ wo).reshape(x.shape)
     return out, (x, w_qkv, qkv, concat, attn, wo)
 
 
@@ -174,7 +186,8 @@ def mha_backward(cache, grad_out):
     dwq, dwk, dwv = np.ascontiguousarray(
         dw.reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3))
     dx = (dqkv @ w_qkv.T).reshape(x.shape)
-    return dx, dwq, dwk, dwv, dwo
+    # the skip add routes grad_out to the input unchanged, beside attention
+    return grad_out + dx, dwq, dwk, dwv, dwo
 
 
 def layernorm_forward(x, gamma, beta):

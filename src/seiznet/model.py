@@ -15,15 +15,16 @@ from types import MappingProxyType
 import numpy as np
 
 from . import layers
+from .dataset import N_FEATURES
 
 CHUNK_ROWS = 64  # rows per infer-mode forward pass in predict_probs
+CONV_KERNELS = (7, 5, 3)  # the paper's kernel size per conv stage, each odd
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_len: int = 178
+    input_len: int = N_FEATURES
     conv_filters: tuple = (32, 64, 128)
-    conv_kernels: tuple = (7, 5, 3)
     attn_heads: int = 4
     dense_units: tuple = (128, 64)
 
@@ -32,10 +33,9 @@ class ModelConfig:
         if any(n < 1 for n in sizes):
             raise ValueError("input_len, conv_filters, attn_heads and dense_units "
                              "must be at least 1")
-        if len(self.conv_filters) != len(self.conv_kernels):
-            raise ValueError("conv_filters and conv_kernels must have equal length")
-        if any(k % 2 == 0 or k < 1 for k in self.conv_kernels):
-            raise ValueError("conv kernel sizes must be odd")
+        if len(self.conv_filters) != len(CONV_KERNELS):
+            raise ValueError(f"conv_filters must have {len(CONV_KERNELS)} entries, "
+                             f"one per conv stage, got {len(self.conv_filters)}")
         # the heads split the skip connection's width evenly
         if self.conv_filters[-1] % self.attn_heads:
             raise ValueError(f"attn_heads must divide the final conv channel count "
@@ -54,7 +54,6 @@ def toy_config():
     return ModelConfig(
         input_len=16,
         conv_filters=(2, 2, 2),
-        conv_kernels=(7, 5, 3),
         attn_heads=1,
         dense_units=(4, 2),
     )
@@ -104,53 +103,29 @@ class Layer:
         return out[0], {n: grads[n] for n in self.learnable}
 
 
-class BatchNorm(Layer):
-    """Batch statistics in train mode; in infer mode folded into the layer
-    before it (`fold_into`), so only train mode runs it."""
+def batch_norm(name, c):
+    """A batch norm over c channels. Train mode only: `Net.fold` folds it
+    into the layer before it for infer mode."""
+    return Layer(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
+                 mean=(MEAN, (c,)), var=(VAR, (c,)))
 
-    def __init__(self, name, c):
-        super().__init__(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
-                         mean=(MEAN, (c,)), var=(VAR, (c,)))
 
-    def fold_into(self, prev, params, folded):
-        """Store in `folded` the kernel and bias of `prev`, a conv1d or dense
-        layer, with this layer's infer-mode affine map applied:
-        w' = w*gamma/sqrt(var+eps), b' = (b-mean)*gamma/sqrt(var+eps) + beta.
-        b, a CANCELLED shift, is 0 unless the artifact predates that role.
-        """
-        gamma, beta, mean, var = self.tensors(params)
-        scale = gamma / np.sqrt(var + layers.BN_EPS)
-        w, b = prev.shapes
-        folded[w] = params[w] * scale
-        folded[b] = (params[b] - mean) * scale + beta
+def attention(name, heads, d):
+    """Multi-head self-attention over width d plus its skip add; each of
+    the `heads` heads is d // heads wide."""
+    qkv = (PROJ, (heads, d, d // heads))
+    return Layer(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(PROJ, (d, d)))
 
 
 class Dropout(Layer):
-    """Train mode only: `Net.infer_layers` leaves out this identity."""
+    """Train mode only: `Net.infer_layers` leaves out this identity. The one
+    layer whose op takes the dropout generator, so the one subclass."""
 
     def __init__(self, name):
         super().__init__(name, "dropout")
 
     def forward(self, params, x, rng):
         return layers.dropout_forward(x, rng)
-
-
-class Attention(Layer):
-    """Multi-head self-attention added back onto its input (the skip); each
-    of the `heads` heads is d // heads wide."""
-
-    def __init__(self, name, heads, d):
-        qkv = (PROJ, (heads, d, d // heads))
-        super().__init__(name, "mha", wq=qkv, wk=qkv, wv=qkv, wo=(PROJ, (d, d)))
-
-    def forward(self, params, x, rng):
-        attn, cache = super().forward(params, x, rng)
-        return x + attn, cache
-
-    def backward(self, cache, g):
-        # the skip add routes the same gradient to the input and attention
-        g_attn, grads = super().backward(cache, g)
-        return g + g_attn, grads
 
 
 class Net:
@@ -167,27 +142,27 @@ class Net:
 
     def __init__(self, config: ModelConfig):
         net, c_in = [], 1
-        for s, (f, k) in enumerate(zip(config.conv_filters, config.conv_kernels), start=1):
+        for s, (f, k) in enumerate(zip(config.conv_filters, CONV_KERNELS), start=1):
             net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)),
                           b=(CANCELLED, (f,))),
-                    BatchNorm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
+                    batch_norm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
                     Layer(f"pool{s}", "maxpool")]
             c_in = f
-        net += [Attention("attn", config.attn_heads, c_in),
+        net += [attention("attn", config.attn_heads, c_in),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(CANCELLED, (c_in,)))]
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
             net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
                           b=(CANCELLED, (units,))),
-                    BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
+                    batch_norm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
                     Dropout(f"drop{i}")]
             width = units
         out = len(config.dense_units) + 1
         net += [Layer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
                 Layer("probs", "sigmoid")]
         self.layers = net
-        self.infer_layers = [m for m in net if not isinstance(m, (BatchNorm, Dropout))]
+        self.infer_layers = [m for m in net if m.op not in ("batchnorm", "dropout")]
         self.shapes = {n: s for layer in net for n, s in layer.shapes.items()}
         self.roles = {n: r for layer in net for n, r in layer.roles.items()}
         self.learnable = [n for layer in net for n in layer.learnable]
@@ -218,8 +193,10 @@ class Net:
         params is not changed."""
         folded = dict(params)
         for prev, layer in zip(self.layers, self.layers[1:]):
-            if isinstance(layer, BatchNorm):
-                layer.fold_into(prev, params, folded)
+            if layer.op == "batchnorm":
+                w, b = prev.shapes
+                folded[w], folded[b] = layers.batchnorm_fold(
+                    *prev.tensors(params), *layer.tensors(params))
         return MappingProxyType(folded)
 
 

@@ -140,15 +140,13 @@ def train(config, features, labels, hyper: TrainHyper):
     """Fit the model; returns (params at the best validation epoch, TrainState)."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise DataError("empty training set")
-    if x.shape[0] < 4:
-        raise DataError("training needs at least 4 samples")
-
+    # partition_indices refuses zero rows and one class
     tr_idx, val_idx = partition_indices(
         y, 1.0 - hyper.val_fraction, hyper.seed, stratified=True)
     if len(np.unique(y[val_idx])) < 2:
-        raise DataError("validation split ended up single-class; need more data")
+        raise DataError(f"validation split holds {len(val_idx)} of {len(y)} rows at "
+                        f"val_fraction = {hyper.val_fraction} and needs both classes; "
+                        f"need more data")
     # batches are gathered from `x` by index; only the validation rows are
     # copied whole
     x_val, y_val = x[val_idx], y[val_idx]

@@ -1,10 +1,11 @@
 import struct
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seiznet import model
 from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
 from seiznet.errors import DataError
 from seiznet.model import KERNEL, PROJ, VAR, ModelConfig, predict_probs, toy_config
@@ -46,7 +47,7 @@ def test_save_load_save_identical_bytes(tmp_path):
 
 def test_non_default_config_round_trips(tmp_path):
     # every field differs from its default
-    cfg = replace(toy_config(), conv_kernels=(5, 3, 1))
+    cfg = toy_config()
     default = ModelConfig()
     assert [f.name for f in fields(cfg)
             if getattr(cfg, f.name) == getattr(default, f.name)] == []
@@ -57,8 +58,10 @@ def test_non_default_config_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize("line", [b"pool_size = 2", b"attn_key_dim = 32",
-                                  b"dropout_rate = 0.25", b"l2_lambda = 0.0"],
-                         ids=["pool_size", "attn_key_dim", "dropout_rate", "l2_lambda"])
+                                  b"dropout_rate = 0.25", b"l2_lambda = 0.0",
+                                  b"conv_kernels = 7,5,3"],
+                         ids=["pool_size", "attn_key_dim", "dropout_rate", "l2_lambda",
+                              "conv_kernels"])
 def test_header_with_a_retired_key_loads(tmp_path, line):
     # artifacts written while these were config fields carry their lines;
     # none of them changes what the loaded model computes
@@ -76,6 +79,21 @@ def test_header_with_a_retired_key_loads(tmp_path, line):
     _, params_without, *_ = load_artifact(path)
     assert np.array_equal(predict_probs(cfg2, params2, x),
                           predict_probs(cfg, params_without, x))
+
+
+def test_file_of_other_conv_kernels_is_refused(tmp_path, monkeypatch):
+    # a file written while the kernels were a config field, with 5/3/1 in
+    # its header and its conv tensors, must never load as the 7/5/3 network
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "CONV_KERNELS", (5, 3, 1))
+        path, cfg, *_ = make_artifact(tmp_path)
+        assert cfg.net.shapes["conv1_w"] == (5, 1, 2)
+    blob = path.read_bytes()
+    at = blob.index(b"attn_heads = ")
+    path.write_bytes(blob[:at] + b"conv_kernels = 5,3,1\n" + blob[at:])
+    assert b"tensor = conv3_w 1,2,2\n" in path.read_bytes()
+    with pytest.raises(DataError, match="tensor inventory does not match its config"):
+        load_artifact(path)
 
 
 def test_fixed_policy_round_trip(tmp_path):
@@ -156,13 +174,15 @@ def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
     (b"wavelet = fixed:-1", "wavelet: fixed wavelet threshold must be >= 0"),
     (b"wavelet = fixed:x", "wavelet: bad fixed wavelet threshold"),
     (b"wavelet = bogus", "wavelet: unknown wavelet policy 'bogus'"),
-], ids=["wavelet-negative", "wavelet-not-a-number", "wavelet-unknown"])
+    (None, "model artifact lacks a wavelet policy"),
+], ids=["wavelet-negative", "wavelet-not-a-number", "wavelet-unknown", "wavelet-missing"])
 def test_out_of_range_header_value_is_a_data_error(tmp_path, line, match):
+    # the file's `wavelet = ` line replaced by `line`, or removed for None
     path, *_ = make_artifact(tmp_path)
     head, divider, body = path.read_bytes().partition(b"==binary==\n")
-    key = line.split(b" = ")[0]
-    lines = [line if ln.startswith(key + b" = ") else ln for ln in head.split(b"\n")]
-    assert line in lines
+    lines = head.split(b"\n")
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(b"wavelet = "))
+    lines[at:at + 1] = [] if line is None else [line]
     path.write_bytes(b"\n".join(lines) + divider + body)
     with pytest.raises(DataError, match=match):
         load_artifact(path)
@@ -266,7 +286,6 @@ DEFAULT_INVENTORY = [
 DEFAULT_CONFIG_LINES = [
     "input_len = 178",
     "conv_filters = 32,64,128",
-    "conv_kernels = 7,5,3",
     "attn_heads = 4",
     "dense_units = 128,64",
 ]

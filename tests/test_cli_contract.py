@@ -98,12 +98,14 @@ HUGE_ROW = ",".join(["1e20"] * dataset.N_FEATURES)
 
 @st.composite
 def csv_text(draw, labelled):
-    """Mostly good rows, some of them huge (178 x 1e20), mixed with
+    """Mostly good rows, mixed with huge ones (178 x 1e20) and with
     `test_dataset.csv_line`'s junk."""
     label = st.sampled_from(",1 ,2 ,3".split()) if labelled else st.just("")
     good = st.builds(lambda row, tail: (row + tail).encode(),
-                     usually(GOOD_FEATURES[0], GOOD_FEATURES[1:] + [HUGE_ROW]), label)
-    lines = draw(st.lists(st.one_of(good, good, good, csv_line(labelled)), max_size=12))
+                     usually(GOOD_FEATURES[0], GOOD_FEATURES[1:]), label)
+    huge = st.builds(lambda tail: (HUGE_ROW + tail).encode(), label)
+    lines = draw(st.lists(st.one_of(good, good, good, huge, csv_line(labelled)),
+                          max_size=12))
     return b"\n".join(lines) + b"\n"
 
 

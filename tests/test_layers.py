@@ -164,14 +164,12 @@ class TestBatchNorm:
         """Run `layer` followed by a batch norm in infer mode, folded as the
         model folds it: (folded output, layer output before the norm)."""
         rng = np.random.default_rng(0)
-        bn = model.BatchNorm("bn", gamma.size)
         params = {n: rng.standard_normal(s) for n, s in layer.shapes.items()}
-        params.update(zip(bn.shapes, (gamma, beta, rm, rv)))
-        before = {n: a.copy() for n, a in params.items()}
-        folded = dict(params)
-        bn.fold_into(layer, params, folded)
-        for n, a in params.items():
-            assert np.array_equal(a, before[n])  # params is not changed
+        stats = (gamma, beta, rm, rv)
+        before = [a.copy() for a in (*params.values(), *stats)]
+        folded = dict(zip(layer.shapes, layers.batchnorm_fold(*params.values(), *stats)))
+        for a, b in zip((*params.values(), *stats), before):
+            assert np.array_equal(a, b)  # no input is changed
         out, _ = layer.forward(folded, x, None)
         raw, _ = layer.forward(params, x, None)
         return out, raw
@@ -278,10 +276,10 @@ class TestAttention:
         out, cache = layers.mha_forward(x, wq, wk, wv, wo)
         for a in cache[4]:
             assert np.allclose(a, 1.0 / 6.0, atol=1e-12)
-        # every output row is the V row-mean pushed through the projection
+        # every output row is x plus the V row-mean pushed through the projection
         concat = np.concatenate([(x @ w).mean(axis=1) for w in [wv[0], wv[1]]], axis=-1)
         expected = concat[:, None, :] @ wo
-        assert np.allclose(out, np.broadcast_to(expected, out.shape), atol=1e-9)
+        assert np.allclose(out, x + expected, atol=1e-9)
 
     def test_single_position(self):
         rng = np.random.default_rng(12)
@@ -290,7 +288,7 @@ class TestAttention:
         out, cache = layers.mha_forward(x, wq, wk, wv, wo)
         assert np.allclose(cache[4][0], 1.0)
         concat = np.concatenate([x @ wv[0], x @ wv[1]], axis=-1)
-        assert np.allclose(out, concat @ wo, atol=1e-12)
+        assert np.allclose(out, x + concat @ wo, atol=1e-12)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(13)
@@ -309,8 +307,8 @@ class TestAttention:
 
     def test_uniform_attention_value_path_routing(self):
         # with zero query/key projections the attention stays uniform however
-        # x moves, so grad_x must reduce to the value path: each dV row is the
-        # mean of the upstream head gradient rows
+        # x moves, so grad_x must reduce to the skip and the value path: each
+        # dV row is the mean of the upstream head gradient rows
         rng = np.random.default_rng(21)
         _, _, wv, wo = self._weights(rng)
         wq = np.zeros_like(wv)
@@ -321,7 +319,7 @@ class TestAttention:
         gx = layers.mha_backward(cache, go)[0]
 
         dconcat = go @ wo.T
-        expected = np.zeros_like(x)
+        expected = go.copy()
         for h in range(2):
             dhead = dconcat[:, :, 4 * h:4 * (h + 1)]
             dv = np.broadcast_to(dhead.mean(axis=1, keepdims=True), dhead.shape)
@@ -333,7 +331,8 @@ class TestAttention:
 
     @staticmethod
     def _per_head_reference(x, wq, wk, wv, wo, go):
-        """Textbook per-head attention and its backward, one head at a time."""
+        """Textbook per-head attention plus the skip add, and its backward,
+        one head at a time."""
         heads, _, d_k = wq.shape
         concat, saved = [], []
         for h in range(heads):
@@ -344,10 +343,10 @@ class TestAttention:
             concat.append(a @ v)
             saved.append((q, k, v, a))
         concat = np.concatenate(concat, axis=-1)
-        out = concat @ wo
+        out = x + concat @ wo
         dwo = np.einsum("nli,nlj->ij", concat, go)
         dconcat = go @ wo.T
-        dx = np.zeros_like(x)
+        dx = go.copy()
         dws = [np.empty_like(wq), np.empty_like(wk), np.empty_like(wv)]
         for h, (q, k, v, a) in enumerate(saved):
             dhead = dconcat[:, :, h * d_k:(h + 1) * d_k]
@@ -509,11 +508,9 @@ class TestDropout:
         cfg = model.ModelConfig()
         full, net = cfg.net.layers, cfg.net.infer_layers
         assert any(isinstance(layer, model.Dropout) for layer in full)
-        assert not [layer for layer in net
-                    if isinstance(layer, (model.BatchNorm, model.Dropout))]
+        assert not [layer for layer in net if layer.op in ("batchnorm", "dropout")]
         assert [layer.name for layer in net] == [
-            layer.name for layer in full
-            if not isinstance(layer, (model.BatchNorm, model.Dropout))]
+            layer.name for layer in full if layer.op not in ("batchnorm", "dropout")]
 
     def test_train_statistics(self):
         rng = np.random.default_rng(19)

@@ -17,7 +17,8 @@ class TestConfig:
     def test_defaults_match_architecture(self):
         cfg = ModelConfig()
         assert cfg.conv_filters == (32, 64, 128)
-        assert cfg.conv_kernels == (7, 5, 3)
+        assert model.CONV_KERNELS == (7, 5, 3)
+        assert cfg.input_len == 178
         assert (cfg.attn_heads, cfg.conv_filters[-1] // cfg.attn_heads) == (4, 32)
 
     def test_head_width_invariant_enforced(self):
@@ -25,11 +26,11 @@ class TestConfig:
             ModelConfig(attn_heads=3)
 
     def test_mismatched_conv_lists(self):
-        with pytest.raises(ValueError):
-            ModelConfig(conv_filters=(32, 64), conv_kernels=(7, 5, 3))
+        with pytest.raises(ValueError, match="conv_filters must have 3 entries"):
+            ModelConfig(conv_filters=(32, 64))
 
     @pytest.mark.parametrize("change, match", [
-        ({"conv_kernels": (7, 4, 3)}, "odd"),
+        ({"conv_filters": (32, 64, 128, 256)}, "3 entries"),  # not silently cut to 3 stages
         ({"attn_heads": 0}, "at least 1"),  # not a ZeroDivisionError in the width check
         ({"input_len": 7}, "too short")])
     def test_out_of_range_field_rejected(self, change, match):

@@ -339,8 +339,17 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train(ModelConfig(), np.empty((0, 178)), np.empty(0), TrainHyper())
         x = np.random.default_rng(0).standard_normal((3, 178))
-        with pytest.raises(DataError, match="at least 4"):
+        with pytest.raises(DataError, match="validation split holds 0 of 3 rows"):
             train(ModelConfig(), x, np.array([0, 1, 0]), TrainHyper())
+
+    def test_validation_split_decides_the_minimum_size(self):
+        # 10 rows leave 1 validation row at the default fraction, 3 at 0.3
+        x, y = prepared_synthetic(5)
+        with pytest.raises(DataError, match=r"validation split holds 1 of 10 rows at "
+                                            r"val_fraction = 0\.1 and needs both classes"):
+            train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
+        _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=1, val_fraction=0.3))
+        assert state.epoch == 1
 
     def test_single_class_data(self):
         rng = np.random.default_rng(0)
