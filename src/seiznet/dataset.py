@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 N_FEATURES = 178
+SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 
 
 @dataclass
@@ -217,10 +218,14 @@ def synthesize(n_per_class: int, seed: int) -> Dataset:
     rows = 2 * n_per_class
 
     # 5-point boxcar smoothing band-limits the noise; rescale to unit std.
-    raw = rng.standard_normal((rows, N_FEATURES + 4))
+    # The noise is drawn SYNTH_BLOCK_ROWS rows at a time: the generator
+    # fills row-major, so the blocks hold the numbers of one whole draw.
     feat = np.zeros((rows, N_FEATURES))
-    for k in range(5):
-        feat += raw[:, k:k + N_FEATURES]
+    for i in range(0, rows, SYNTH_BLOCK_ROWS):
+        block = feat[i:i + SYNTH_BLOCK_ROWS]
+        raw = rng.standard_normal((block.shape[0], N_FEATURES + 4))
+        for k in range(5):
+            block += raw[:, k:k + N_FEATURES]
     feat *= 1.0 / np.sqrt(5.0)
 
     # Spikes alternate +amp, -amp every `period` >= 3 samples, with amp / 2

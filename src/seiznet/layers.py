@@ -44,10 +44,22 @@ def conv1d_backward(cache, grad_out):
     return kernels.conv1d_backward(x, w, grad_out)
 
 
+def _per_row(v, rows):
+    """v, one value per channel, tiled along `rows`, a one-row-per-sample
+    view of [N, ..., C]: entry j of a row is channel j % C. numpy applies a
+    vector along a long axis much faster than along a short channel axis."""
+    return np.tile(v, rows.shape[1] // v.shape[0])
+
+
 def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     """Normalize per channel over all leading axes with the batch statistics,
     and update the running estimates in place (running <- BN_MOMENTUM *
     running + (1 - BN_MOMENTUM) * batch).
+
+    The per-channel sum is one GEMV (a ones vector times the [m, C] view),
+    the variance the sum of squares of the centred array, never
+    E[x^2] - E[x]^2, and out = xc * (gamma * inv) + beta is applied to the
+    one-row-per-sample view. Caches (xc, inv, gamma), xc the centred input.
 
     This is the training pass. Infer mode never calls it: the model folds
     the running estimates into the conv or dense layer before each
@@ -57,36 +69,40 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
         raise ValueError("batchnorm train mode needs a batch of at least 2")
     flat = x.reshape(-1, x.shape[-1])
     m = flat.shape[0]
-    mean = flat.mean(axis=0)
-    xhat = flat - mean
-    var = np.einsum("ij,ij->j", xhat, xhat) / m
+    mean = np.ones(m, dtype=x.dtype) @ flat / m
+    rows = x.reshape(x.shape[0], -1)
+    xc = rows - _per_row(mean, rows)
+    xc_flat = xc.reshape(flat.shape)
+    var = np.einsum("ij,ij->j", xc_flat, xc_flat) / m
     running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
     running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv
-    out = xhat * gamma
-    out += beta
-    return out.reshape(x.shape), (xhat.reshape(x.shape), inv, gamma)
+    out = xc * _per_row(gamma * inv, rows)
+    out += _per_row(beta, rows)
+    return out.reshape(x.shape), (xc.reshape(x.shape), inv, gamma)
 
 
 def batchnorm_backward(cache, grad_out):
     """Exact gradient of the train-mode forward, including the dependence of
-    the batch statistics on x. With m rows per channel:
+    the batch statistics on x. With m rows per channel, xhat = xc * inv and
+    S = sum(dy * xc):
 
         dx = (gamma * inv / m) * (m * dy - sum(dy) - xhat * sum(dy * xhat))
-           = (gamma * inv / m) * (m * dy - dbeta - xhat * dgamma)
+           = a * dy - b * xc - c,  a = gamma * inv,
+             b = a * inv * dgamma / m,  c = a * dbeta / m
+
+    with dgamma = inv * S and dbeta = sum(dy), a GEMV like the forward mean.
     """
-    xhat, inv, gamma = cache
-    c = grad_out.shape[-1]
-    dy = grad_out.reshape(-1, c)
-    xhat = xhat.reshape(-1, c)
+    xc, inv, gamma = cache
+    dy = grad_out.reshape(-1, inv.shape[0])
     m = dy.shape[0]
-    dbeta = dy.sum(axis=0)
-    dgamma = np.einsum("ij,ij->j", dy, xhat)
-    dx = dy * m
-    dx -= dbeta
-    dx -= xhat * dgamma
-    dx *= gamma * inv / m
+    dbeta = np.ones(m, dtype=dy.dtype) @ dy
+    dgamma = inv * np.einsum("ij,ij->j", dy, xc.reshape(dy.shape))
+    a = gamma * inv
+    rows = grad_out.reshape(grad_out.shape[0], -1)
+    dx = rows * _per_row(a, rows)
+    dx -= xc.reshape(rows.shape) * _per_row(a * inv * dgamma / m, rows)
+    dx -= _per_row(a * dbeta / m, rows)
     return dx.reshape(grad_out.shape), dgamma, dbeta
 
 

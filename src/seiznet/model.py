@@ -6,6 +6,12 @@ self-attention over the final feature map combined through an additive skip
 connection, LayerNorm, global average pooling, then two [Dense -> BatchNorm
 -> ReLU -> Dropout] blocks and a single sigmoid output unit. `Net` writes
 that order down once; everything else loops over its list.
+
+Each conv stage runs its max-pool ahead of its ReLU, so the ReLU touches
+half the positions. The two orders are the same function bit for bit:
+max(relu(a), relu(b)) == relu(max(a, b)), NaN included, and ReLU never
+outputs -0.0. Their gradients agree too: the pool sends a tie to the even
+position, so a pair of non-positive inputs gets a zero gradient either way.
 """
 
 from dataclasses import dataclass
@@ -145,8 +151,8 @@ class Net:
         for s, (f, k) in enumerate(zip(config.conv_filters, CONV_KERNELS), start=1):
             net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)),
                           b=(CANCELLED, (f,))),
-                    batch_norm(f"bn{s}", f), Layer(f"relu{s}", "relu"),
-                    Layer(f"pool{s}", "maxpool")]
+                    batch_norm(f"bn{s}", f), Layer(f"pool{s}", "maxpool"),
+                    Layer(f"relu{s}", "relu")]
             c_in = f
         net += [attention("attn", config.attn_heads, c_in),
                 Layer("ln", "layernorm", gamma=(SCALE, (c_in,)), beta=(CANCELLED, (c_in,)))]

@@ -7,8 +7,9 @@ identical (data, hyperparameters, seed) reproduce identical histories.
 
 Every tensor is stored in float32, as `Net.init_params` gives it. Each
 gradient comes back in the dtype its layer computes in (float32 in the
-trunk, float64 in the head) and Adam keeps its moments in the tensor's
-dtype, so training casts no tensor and no gradient.
+trunk, float64 in the head). Adam gathers them into one flat float32
+vector, which casts the head's gradients to float32, and keeps its two
+moments as flat float32 vectors; training casts no tensor.
 """
 
 from dataclasses import dataclass, field
@@ -78,7 +79,13 @@ def bce_loss(probs, labels):
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015, arXiv:1412.6980), bias-corrected, EPS outside the root."""
+    """Adam (Kingma & Ba 2015, arXiv:1412.6980), bias-corrected, EPS outside the root.
+
+    Each step gathers the gradients, in the order given, into one flat vector
+    in the tensors' common dtype and updates `m` and `v`, two flat moment
+    vectors allocated by the first step, in one pass each. Every later step
+    must pass gradients with the first step's names and sizes, in its order.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -87,28 +94,43 @@ class Adam:
     def __init__(self, lr):
         self.lr = lr
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = self.v = None
+        self.layout = None  # ((name, size), ...) of the first step
 
     def step(self, params, grads):
         for name, g in grads.items():
             if g.shape != params[name].shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for {name}; step aborted")
+        layout = tuple((name, g.size) for name, g in grads.items())
+        if self.layout is not None and layout != self.layout:
+            raise ValueError("gradient names or sizes differ from the first step's; "
+                             "step aborted")
+        dtype = np.result_type(*(params[name] for name in grads))
+        g = np.concatenate([a.ravel() for a in grads.values()], dtype=dtype)
+        if not np.isfinite(g).all():
+            bad = next(name for name, part in _parts(layout) if not np.isfinite(g[part]).all())
+            raise NumericError(f"non-finite gradient for {bad}; step aborted")
+        if self.m is None:
+            self.m, self.v, self.layout = np.zeros_like(g), np.zeros_like(g), layout
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        for name, g in grads.items():
-            if name not in self.m:  # moments in the tensor's dtype, whatever g's
-                self.m[name] = np.zeros_like(params[name])
-                self.v[name] = np.zeros_like(params[name])
-            m, v = self.m[name], self.v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * (g * g)
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        m, v = self.m, self.v
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        v += (1.0 - self.BETA2) * (g * g)
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        for name, part in _parts(layout):
+            params[name] -= update[part].reshape(params[name].shape)
+
+
+def _parts(layout):
+    """(name, slice of the flat vector) for each (name, size) of an Adam layout."""
+    start = 0
+    for name, size in layout:
+        yield name, slice(start, start + size)
+        start += size
 
 
 def loss_and_grads(config, params, x, y, rng):
@@ -143,6 +165,10 @@ def train(config, features, labels, hyper: TrainHyper):
     # partition_indices refuses zero rows and one class
     tr_idx, val_idx = partition_indices(
         y, 1.0 - hyper.val_fraction, hyper.seed, stratified=True)
+    if len(tr_idx) < 2:
+        raise DataError(f"training split holds {len(tr_idx)} of {len(y)} rows at "
+                        f"val_fraction = {hyper.val_fraction}; batch norm needs at "
+                        f"least 2; need more data or a smaller val_fraction")
     if len(np.unique(y[val_idx])) < 2:
         raise DataError(f"validation split holds {len(val_idx)} of {len(y)} rows at "
                         f"val_fraction = {hyper.val_fraction} and needs both classes; "

@@ -249,7 +249,8 @@ def test_val_loss_does_not_depend_on_the_openblas_kernel(tmp_path):
     # then the AVX2-only Haswell kernel. While the batch-norm-cancelled
     # shifts still learned, their float32 random walk made the epoch-1 val
     # loss differ by 1.8e-3 between the two on an AVX-512 Xeon (SkylakeX
-    # kernel); it now differs by 2e-6.
+    # kernel); it now agrees to the 6 printed decimals (it differed by
+    # 2e-6 before batch norm's sums became GEMVs).
     cfg = tmp_path / "std.cfg"
     cfg.write_text("synthetic = true\nsynthetic_per_class = 60\nmax_epochs = 3\nseed = 5\n")
     val_loss = []

@@ -247,8 +247,9 @@ class TestSynthesize:
 
 
 def loop_synthesize(n_per_class, seed):
-    """The synthetic generator with its spike trains written one sample at a
-    time: the reference `dataset.synthesize` must match bit for bit."""
+    """The synthetic generator with its noise drawn as one whole matrix and
+    its spike trains written one sample at a time: the reference
+    `dataset.synthesize` must match bit for bit."""
     n = dataset.N_FEATURES
     rng = np.random.default_rng(seed)
     rows = 2 * n_per_class
@@ -277,6 +278,17 @@ def loop_synthesize(n_per_class, seed):
 def test_synthesize_matches_the_sample_loop(n_per_class, seed):
     got = dataset.synthesize(n_per_class, seed).features
     assert got.tobytes() == loop_synthesize(n_per_class, seed).tobytes()
+
+
+@pytest.mark.parametrize("block_rows, n_per_class", [
+    (dataset.SYNTH_BLOCK_ROWS, 300), (dataset.SYNTH_BLOCK_ROWS, 512),
+    (dataset.SYNTH_BLOCK_ROWS, 700), (8, 40), (7, 40), (200, 40)])
+def test_synthesize_draws_its_noise_in_blocks_like_one_draw(monkeypatch, block_rows,
+                                                            n_per_class):
+    # 2 * n_per_class rows: below, at and off a multiple of the block
+    monkeypatch.setattr(dataset, "SYNTH_BLOCK_ROWS", block_rows)
+    got = dataset.synthesize(n_per_class, 11).features
+    assert got.tobytes() == loop_synthesize(n_per_class, 11).tobytes()
 
 
 class TestDataset:

@@ -129,35 +129,61 @@ class TestBatchNorm:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
-    @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
-    def test_train_matches_textbook(self, shape):
-        # Ioffe & Szegedy (2015), Algorithm 1 and its backward pass
-        rng, x, gamma, beta, rm, rv = self._inputs(shape)
+    @staticmethod
+    def _textbook(x, gamma, rm, rv, dy):
+        """Ioffe & Szegedy (2015), Algorithm 1 and its backward pass, in
+        float64: (xhat, batch mean, running mean, running var, dx)."""
         momentum, eps = 0.9, 1e-5
         axes = tuple(range(x.ndim - 1))
-        m = x.size // shape[-1]
+        m = x.size // x.shape[-1]
         mu = x.mean(axis=axes)
         var = ((x - mu) ** 2).mean(axis=axes)
         xhat = (x - mu) / np.sqrt(var + eps)
-        want_rm = momentum * rm + (1 - momentum) * mu
-        want_rv = momentum * rv + (1 - momentum) * var
-
-        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv)
-        self._assert_close(out, gamma * xhat + beta)
-        self._assert_close(cache[0], xhat)
-        self._assert_close(rm, want_rm)
-        self._assert_close(rv, want_rv)
-
-        dy = rng.standard_normal(shape)
         dxhat = dy * gamma
         dvar = (dxhat * (x - mu) * -0.5 * (var + eps) ** -1.5).sum(axis=axes)
         dmu = (-dxhat / np.sqrt(var + eps)).sum(axis=axes) \
             + dvar * (-2.0 * (x - mu)).mean(axis=axes)
-        want_dx = dxhat / np.sqrt(var + eps) + dvar * 2.0 * (x - mu) / m + dmu / m
+        dx = dxhat / np.sqrt(var + eps) + dvar * 2.0 * (x - mu) / m + dmu / m
+        return (xhat, mu, momentum * rm + (1 - momentum) * mu,
+                momentum * rv + (1 - momentum) * var, dx)
+
+    @pytest.mark.parametrize("shape", [(8, 20, 3), (16, 5)])
+    def test_train_matches_textbook(self, shape):
+        rng, x, gamma, beta, rm, rv = self._inputs(shape)
+        dy = rng.standard_normal(shape)
+        axes = tuple(range(x.ndim - 1))
+        xhat, mu, want_rm, want_rv, want_dx = self._textbook(x, gamma, rm, rv, dy)
+
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv)
+        self._assert_close(out, gamma * xhat + beta)
+        # the cache holds the centred input and the per-channel 1/sqrt(var+eps)
+        self._assert_close(cache[0], x - mu)
+        self._assert_close(cache[0] * cache[1], xhat)
+        self._assert_close(rm, want_rm)
+        self._assert_close(rv, want_rv)
+
         dx, dgamma, dbeta = layers.batchnorm_backward(cache, dy)
         self._assert_close(dx, want_dx)
         self._assert_close(dgamma, (dy * xhat).sum(axis=axes))
         self._assert_close(dbeta, dy.sum(axis=axes))
+
+    @pytest.mark.parametrize("shape", [(32, 178, 32), (32, 44, 128), (32, 128)])
+    def test_train_in_float32_matches_the_float64_textbook(self, shape):
+        # the trunk's batch norms run in float32, their sums as float32 GEMVs
+        rng, x, gamma, beta, rm, rv = self._inputs(shape)
+        x, gamma, beta, rm, rv, dy = (a.astype(np.float32) for a in
+                                      (x, gamma, beta, rm, rv, rng.standard_normal(shape)))
+        axes = tuple(range(x.ndim - 1))
+        x64, g64, rm64, rv64, dy64 = (a.astype(np.float64) for a in (x, gamma, rm, rv, dy))
+        xhat, _, want_rm, want_rv, want_dx = self._textbook(x64, g64, rm64, rv64, dy64)
+
+        out, cache = layers.batchnorm_forward(x, gamma, beta, rm, rv)
+        dx, dgamma, dbeta = layers.batchnorm_backward(cache, dy)
+        for got, want in [(out, g64 * xhat + beta), (rm, want_rm), (rv, want_rv),
+                          (dx, want_dx), (dgamma, (dy64 * xhat).sum(axis=axes)),
+                          (dbeta, dy64.sum(axis=axes))]:
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
     @staticmethod
     def _folded(layer, x, gamma, beta, rm, rv):
@@ -249,6 +275,34 @@ def test_relu_then_pool_match_mask_and_index_semantics(values, length):
     want[:, 1:2 * half:2] = go * (odd > even)
     assert np.array_equal(g_pool, want)
     assert np.array_equal(layers.relu_backward(relu_cache, g_pool), g_pool * mask)
+
+
+@pytest.mark.parametrize("length", [8, 9])
+@pytest.mark.parametrize("values", ["continuous", "ties", "nan"])
+def test_pool_then_relu_equals_relu_then_pool(values, length):
+    # model.Net pools ahead of each conv stage's ReLU; the values and input
+    # gradients are those of ReLU ahead of the pool, bit for bit
+    x = _relu_pool_input(values, length)
+    if values == "ties":
+        # exact zeros of either sign beside negatives, and negative pairs
+        x[2, :8, 1] = [-0.0, -1.0, -1.0, -0.0, 0.0, -0.0, -3.0, -2.0]
+    go = np.random.default_rng(2).standard_normal((3, length // 2, 4))
+
+    relu_x, relu_cache = layers.relu_forward(x)
+    want, pool_cache = layers.maxpool_forward(relu_x)
+    pooled, pool_first = layers.maxpool_forward(x)
+    got, relu_last = layers.relu_forward(pooled)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+    assert not np.signbit(got[got == 0]).any()
+    if values == "nan":
+        # the orders route a NaN pair's gradient differently, but a NaN
+        # output stops training before any backward pass (optim._finite)
+        return
+
+    want_g = layers.relu_backward(relu_cache, layers.maxpool_backward(pool_cache, go))
+    got_g = layers.maxpool_backward(pool_first, layers.relu_backward(relu_last, go))
+    assert got_g.tobytes() == want_g.tobytes()
 
 
 class TestAttention:

@@ -114,30 +114,82 @@ class TestAdam:
         grads = {"w": np.ones(3, dtype=np.float32), "b": np.ones(2)}
         opt = Adam(lr=1e-3)
         opt.step(params, grads)
-        moments = {n: (opt.m[n], opt.v[n]) for n in params}
+        m, v = opt.m, opt.v
+        assert m.shape == v.shape == (5,)
         calls = []
         real = np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or real(*a, **k))
         opt.step(params, grads)
         assert calls == []
-        for n, (m, v) in moments.items():
-            assert opt.m[n] is m and opt.v[n] is v
+        assert opt.m is m and opt.v is v
 
-    def test_moments_take_the_master_dtype(self):
-        params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32),
-                  "head": np.zeros(3, dtype=np.float32)}
+    def test_moments_take_the_tensors_common_dtype(self):
+        params = {"w32": np.zeros(3, dtype=np.float32), "head": np.zeros(3, dtype=np.float32)}
         opt = Adam(lr=1e-3)
         # the head's gradient is float64 (it computes in float64) and its
-        # tensor float32
-        opt.step(params, {"w": np.ones(3, dtype=np.float32),
-                          "w32": np.ones(3, dtype=np.float32),
-                          "head": np.ones(3)})
-        assert opt.m["w"].dtype == opt.v["w"].dtype == params["w"].dtype == np.float64
-        for name in ("w32", "head"):
-            assert opt.m[name].dtype == opt.v[name].dtype == params[name].dtype == np.float32
+        # tensor float32: it is gathered in float32
+        opt.step(params, {"w32": np.ones(3, dtype=np.float32), "head": np.ones(3)})
+        assert opt.m.dtype == opt.v.dtype == np.float32
+        assert {n: a.dtype for n, a in params.items()} == dict.fromkeys(params, np.float32)
         # the same step from the same gradient values, whatever their dtype
         assert np.array_equal(params["head"], params["w32"])
         np.testing.assert_allclose(params["head"], -opt.lr, rtol=1e-6)
+
+        # a float64 tensor beside float32 ones makes the moments float64;
+        # each tensor keeps its own dtype
+        params = {"w": np.zeros(3), "w32": np.zeros(3, dtype=np.float32)}
+        opt = Adam(lr=1e-3)
+        opt.step(params, {"w": np.ones(3, dtype=np.float32),
+                          "w32": np.ones(3, dtype=np.float32)})
+        assert opt.m.dtype == opt.v.dtype == np.float64
+        assert params["w"].dtype == np.float64 and params["w32"].dtype == np.float32
+
+    def test_flat_update_matches_a_per_tensor_reference(self):
+        # three float32 steps on float32 tensors, float64 head gradients
+        # among them, against Kingma & Ba's update run tensor by tensor
+        rng = np.random.default_rng(4)
+        shapes = {"conv_w": (3, 2, 4), "bn_gamma": (4,), "fc_w": (4, 2), "fc_b": (1,)}
+        params = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+        ref = {n: a.astype(np.float64) for n, a in params.items()}
+        ref_m = {n: np.zeros(s) for n, s in shapes.items()}
+        ref_v = {n: np.zeros(s) for n, s in shapes.items()}
+        opt = Adam(lr=1e-2)
+        for t in range(1, 4):
+            grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+            grads["conv_w"] = grads["conv_w"].astype(np.float32)
+            opt.step(params, grads)
+            for n, g in grads.items():
+                ref_m[n] = 0.9 * ref_m[n] + 0.1 * g
+                ref_v[n] = 0.999 * ref_v[n] + 0.001 * g * g
+                ref[n] -= 1e-2 * (ref_m[n] / (1 - 0.9 ** t)) / (
+                    np.sqrt(ref_v[n] / (1 - 0.999 ** t)) + 1e-8)
+        assert opt.t == 3
+        for n, a in params.items():
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, ref[n], rtol=1e-6, err_msg=n)
+
+    @pytest.mark.parametrize("change", ["renamed", "resized", "dropped", "reordered"])
+    def test_a_step_with_another_layout_is_refused_before_any_change(self, change):
+        params = {"a": np.ones(3, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}
+        grads = {"a": np.full(3, 0.5, dtype=np.float32), "b": np.full(2, 0.5, dtype=np.float32)}
+        opt = Adam(lr=1e-3)
+        opt.step(params, grads)
+        if change == "renamed":
+            params["c"] = params.pop("b")
+            grads["c"] = grads.pop("b")
+        elif change == "resized":
+            params["b"], grads["b"] = np.ones(4, dtype=np.float32), np.ones(4, dtype=np.float32)
+        elif change == "dropped":
+            del grads["b"]
+        else:
+            grads = {"b": grads["b"], "a": grads["a"]}
+        before = ({n: a.copy() for n, a in params.items()}, opt.m.copy(), opt.v.copy())
+        with pytest.raises(ValueError, match="names or sizes differ from the first step"):
+            opt.step(params, grads)
+        assert opt.t == 1
+        assert {n: a.tolist() for n, a in params.items()} == \
+            {n: a.tolist() for n, a in before[0].items()}
+        assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
 
 
 def _spy_dtypes(monkeypatch, net):
@@ -196,8 +248,8 @@ class TestMixedPrecisionStep:
         # every tensor is stored in float32: params and Adam moments keep it,
         # and the running statistics are updated in place
         assert {n: a.dtype for n, a in params.items()} == dict.fromkeys(cfg.net.shapes, f32)
-        for moments in (adam.m, adam.v):
-            assert {n: a.dtype for n, a in moments.items()} == dict.fromkeys(grads, f32)
+        assert adam.m.dtype == adam.v.dtype == f32
+        assert adam.m.size == adam.v.size == sum(g.size for g in grads.values())
         assert {n.split("_")[0] for n in stats} == {"bn1", "bn2", "bn3", "bnd1", "bnd2"}
         for n, a in stats.items():
             assert params[n] is a, n
@@ -330,10 +382,14 @@ class TestTrainLoop:
         cancelled = [n for n, role in cfg.net.roles.items() if role == CANCELLED]
         assert len(cancelled) == 6
         (adam,) = adams
+        names = [n for n, _ in adam.layout]
         for n in cancelled:
             assert params[n].dtype == np.float32 and not params[n].any(), n
-            assert n not in cfg.net.learnable and n not in adam.m and n not in adam.v, n
-        assert set(adam.m) == set(adam.v) == set(cfg.net.learnable)
+            assert n not in cfg.net.learnable and n not in names, n
+        # the flat moments cover the learnable tensors and nothing else
+        assert sorted(names) == sorted(cfg.net.learnable)
+        learnable_size = sum(params[n].size for n in cfg.net.learnable)
+        assert adam.m.size == adam.v.size == learnable_size
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
@@ -341,6 +397,11 @@ class TestTrainLoop:
         x = np.random.default_rng(0).standard_normal((3, 178))
         with pytest.raises(DataError, match="validation split holds 0 of 3 rows"):
             train(ModelConfig(), x, np.array([0, 1, 0]), TrainHyper())
+        # config.validate keeps val_fraction below 0.5, the Python API does not
+        with pytest.raises(DataError, match=r"training split holds 0 of 4 rows at "
+                                            r"val_fraction = 0\.9"):
+            train(ModelConfig(), np.vstack([x, x[:1]]), np.array([0, 1, 0, 1]),
+                  TrainHyper(val_fraction=0.9))
 
     def test_validation_split_decides_the_minimum_size(self):
         # 10 rows leave 1 validation row at the default fraction, 3 at 0.3
