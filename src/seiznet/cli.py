@@ -213,11 +213,10 @@ def cmd_predict(args) -> int:
         features, row_nos, problems = dataset.load_features_csv(args.data)
     probs = np.empty(0)
     try:
-        if features.shape[0]:
-            x = _prepare(features, policy, scaler)
-            del features  # only the prepared matrix is scored
-            with _stage("predict"):
-                probs = predict_probs(cfg, params, x)
+        x = _prepare(features, policy, scaler)
+        del features  # only the prepared matrix is scored
+        with _stage("predict"):
+            probs = predict_probs(cfg, params, x)
     finally:  # the row problems are reported even when scoring fails
         scored = np.isfinite(probs)
         problems += [(row_nos[i], "non-finite model output") for i in np.flatnonzero(~scored)]

@@ -101,7 +101,8 @@ def _read_lines(path) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # one leading byte-order mark, as Excel's "CSV UTF-8" writes
-            return fh.read().removeprefix("\ufeff").splitlines()
+            # lines end at "\n" alone (text mode folds "\r\n" and "\r" into it)
+            return fh.read().removeprefix("\ufeff").split("\n")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:

@@ -1,20 +1,20 @@
 """Finite-difference verification of the analytic gradients.
 
-Each check builds a small random instance, reduces the layer output to a
-scalar through a fixed random projection, and compares the backward pass
-against central differences with h = 1e-4 * max(1, |theta|). The relative
-error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+Each layer of the toy network (`model.toy_config`) is checked at the input
+shape it sees there, with a random input and tensors: its output is reduced
+to a scalar through a fixed random projection, and the backward pass is
+compared against central differences with h = 1e-4 * max(1, |theta|). The
+relative error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 """
 
 import numpy as np
 
 from . import model, optim
-from .model import CANCELLED, KERNEL, SCALE, SHIFT, Dropout, Layer, attention, batch_norm
 
 H_SCALE = 1e-4
 LAYER_BOUND = 1e-4
 MODEL_BOUND = 1e-3
-SEED = 0  # draws every instance; the model check draws its batch from SEED + 1
+SEED = 0  # draws every check's input and tensors; the toy batch comes from SEED + 1
 
 
 def relative_error(analytic, numeric) -> float:
@@ -43,28 +43,31 @@ def _worst(f, pairs):
     return max(relative_error(g, numeric_gradient(f, arr)) for arr, g in pairs)
 
 
-# row name -> (small instance of a model layer, input shape)
-LAYER_CASES = {
-    "conv1d": (Layer("conv", "conv1d", w=(KERNEL, (3, 2, 3)), b=(CANCELLED, (3,))), (2, 12, 2)),
-    "batchnorm": (batch_norm("bn", 2), (4, 6, 2)),
-    # odd length exercises the floor path
-    "maxpool": (Layer("pool", "maxpool"), (2, 9, 3)),
-    # attention plus its skip add
-    "mha": (attention("attn", 2, 8), (2, 5, 8)),
-    "layernorm": (Layer("ln", "layernorm", gamma=(SCALE, (5,)), beta=(CANCELLED, (5,))),
-                  (3, 4, 5)),
-    "global_avg_pool": (Layer("gap", "global_average_pool"), (2, 6, 3)),
-    "dense": (Layer("fc", "dense", w=(KERNEL, (6, 3)), b=(SHIFT, (3,))), (4, 6)),
-    "dropout": (Dropout("drop"), (3, 50)),
-    "sigmoid": (Layer("probs", "sigmoid"), (5, 1)),
-}
+def _toy():
+    """The toy config, its `init_params(SEED)` upcast to float64, and a
+    batch of 3 drawn from SEED + 1."""
+    cfg = model.toy_config()
+    params = {n: a.astype(np.float64) for n, a in cfg.net.init_params(SEED).items()}
+    return cfg, params, np.random.default_rng(SEED + 1).standard_normal((3, cfg.input_len))
+
+
+def toy_layers():
+    """{name: (layer, input shape)} for every layer of the toy network, in
+    forward order, the shapes from one float64 train-mode pass."""
+    cfg, params, x = _toy()
+    x, rng, shapes = x[:, :, None], np.random.default_rng(11), {}
+    for layer in cfg.net.layers:
+        shapes[layer.name] = (layer, x.shape)
+        x, _ = layer.forward(params, x, rng)
+    return shapes
 
 
 def check_layer(name):
-    """Train-mode check of one LAYER_CASES row: the input and every
-    learnable tensor against central differences. Train mode never reads
-    batch-norm running statistics, so every tensor is drawn at random."""
-    layer, x_shape = LAYER_CASES[name]
+    """Train-mode check of the toy layer called name, at the input shape
+    it sees: the input and every learnable tensor against central
+    differences. Train mode never reads batch-norm running statistics, so
+    every tensor is drawn at random."""
+    layer, x_shape = toy_layers()[name]
     rng = np.random.default_rng(SEED)
     x = rng.standard_normal(x_shape)
     params = {n: 0.5 * rng.standard_normal(s) for n, s in layer.shapes.items()}
@@ -86,10 +89,7 @@ def check_layer(name):
 def check_model():
     """End-to-end check of the toy model through the full training loss,
     in float64 throughout."""
-    cfg = model.toy_config()
-    params = {n: a.astype(np.float64) for n, a in cfg.net.init_params(SEED).items()}
-    rng = np.random.default_rng(SEED + 1)
-    x = rng.standard_normal((3, cfg.input_len))
+    cfg, params, x = _toy()
     y = np.array([0.0, 1.0, 1.0])
 
     def loss_fn():
@@ -102,9 +102,9 @@ def check_model():
 
 
 def run_all():
-    """All layer checks plus the end-to-end model check.
+    """A check of each toy layer plus the end-to-end model check.
 
     Returns a list of (name, max relative error, bound) rows.
     """
-    rows = [(name, check_layer(name), LAYER_BOUND) for name in LAYER_CASES]
+    rows = [(name, check_layer(name), LAYER_BOUND) for name in toy_layers()]
     return rows + [("model_end_to_end", check_model(), MODEL_BOUND)]

@@ -56,13 +56,10 @@ class ModelConfig:
 
 
 def toy_config():
-    """Small configuration for fast end-to-end gradient checks."""
-    return ModelConfig(
-        input_len=16,
-        conv_filters=(2, 2, 2),
-        attn_heads=1,
-        dense_units=(4, 2),
-    )
+    """Small configuration for fast gradient checks (`gradcheck`). Its pools
+    see lengths 28, 14 and 7, so the odd-length floor path runs, and its
+    attention runs 2 heads of width 2."""
+    return ModelConfig(input_len=28, conv_filters=(2, 3, 4), attn_heads=2, dense_units=(4, 2))
 
 
 # Tensor roles. A tensor's role alone decides whether gradients update it,

@@ -7,9 +7,11 @@ identical (data, hyperparameters, seed) reproduce identical histories.
 
 Every tensor is stored in float32, as `Net.init_params` gives it. Each
 gradient comes back in the dtype its layer computes in (float32 in the
-trunk, float64 in the head). Adam gathers them into one flat float32
-vector, which casts the head's gradients to float32, and keeps its two
-moments as flat float32 vectors; training casts no tensor.
+trunk, float64 in the head). Adam is built for `net.learnable`: it fixes
+each tensor's slice of one flat float32 vector and allocates its two
+moments as such vectors when it is constructed. Each step gathers the
+gradients into that vector, which casts the head's gradients to float32;
+training casts no tensor.
 """
 
 from dataclasses import dataclass, field
@@ -81,37 +83,37 @@ def bce_loss(probs, labels):
 class Adam:
     """Adam (Kingma & Ba 2015, arXiv:1412.6980), bias-corrected, EPS outside the root.
 
-    Each step gathers the gradients, in the order given, into one flat vector
-    in the tensors' common dtype and updates `m` and `v`, two flat moment
-    vectors allocated by the first step, in one pass each. Every later step
-    must pass gradients with the first step's names and sizes, in its order.
+    Built for `tensors`, {name: array}, which each step updates in place.
+    Each tensor owns a fixed slice of one flat vector in the tensors' common
+    dtype; `m` and `v` are two such vectors, allocated here. A step gathers
+    the gradients in the tensors' order and updates each moment in one pass.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, lr):
+    def __init__(self, lr, tensors):
         self.lr = lr
         self.t = 0
-        self.m = self.v = None
-        self.layout = None  # ((name, size), ...) of the first step
+        self.tensors = tensors
+        self.slices, start = {}, 0
+        for name, a in tensors.items():
+            self.slices[name] = slice(start, start + a.size)
+            start += a.size
+        dtype = np.result_type(*tensors.values())
+        self.m, self.v = np.zeros(start, dtype), np.zeros(start, dtype)
 
-    def step(self, params, grads):
-        for name, g in grads.items():
-            if g.shape != params[name].shape:
+    def step(self, grads):
+        if grads.keys() != self.tensors.keys():
+            raise ValueError("gradient names differ from the tensors'; step aborted")
+        for name, a in self.tensors.items():
+            if grads[name].shape != a.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-        layout = tuple((name, g.size) for name, g in grads.items())
-        if self.layout is not None and layout != self.layout:
-            raise ValueError("gradient names or sizes differ from the first step's; "
-                             "step aborted")
-        dtype = np.result_type(*(params[name] for name in grads))
-        g = np.concatenate([a.ravel() for a in grads.values()], dtype=dtype)
+        g = np.concatenate([grads[name].ravel() for name in self.tensors], dtype=self.m.dtype)
         if not np.isfinite(g).all():
-            bad = next(name for name, part in _parts(layout) if not np.isfinite(g[part]).all())
+            bad = next(n for n, part in self.slices.items() if not np.isfinite(g[part]).all())
             raise NumericError(f"non-finite gradient for {bad}; step aborted")
-        if self.m is None:
-            self.m, self.v, self.layout = np.zeros_like(g), np.zeros_like(g), layout
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -121,16 +123,8 @@ class Adam:
         v *= self.BETA2
         v += (1.0 - self.BETA2) * (g * g)
         update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-        for name, part in _parts(layout):
-            params[name] -= update[part].reshape(params[name].shape)
-
-
-def _parts(layout):
-    """(name, slice of the flat vector) for each (name, size) of an Adam layout."""
-    start = 0
-    for name, size in layout:
-        yield name, slice(start, start + size)
-        start += size
+        for name, a in self.tensors.items():
+            a -= update[self.slices[name]].reshape(a.shape)
 
 
 def loss_and_grads(config, params, x, y, rng):
@@ -178,7 +172,7 @@ def train(config, features, labels, hyper: TrainHyper):
     x_val, y_val = x[val_idx], y[val_idx]
 
     params = config.net.init_params(hyper.seed)
-    adam = Adam(lr=hyper.lr)
+    adam = Adam(hyper.lr, {n: params[n] for n in config.net.learnable})
     rng = np.random.default_rng(hyper.seed)
 
     state = TrainState()
@@ -193,7 +187,7 @@ def train(config, features, labels, hyper: TrainHyper):
             rows = tr_idx[idx]
             xb, yb = x[rows], y[rows]
             loss, probs, grads = loss_and_grads(config, params, xb, yb, rng)
-            adam.step(params, grads)
+            adam.step(grads)
             loss_sum += loss * len(idx)
             correct += int(((probs > THRESHOLD) == (yb == 1)).sum())
 

@@ -87,11 +87,11 @@ def test_file_of_other_conv_kernels_is_refused(tmp_path, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(model, "CONV_KERNELS", (5, 3, 1))
         path, cfg, *_ = make_artifact(tmp_path)
-        assert cfg.net.shapes["conv1_w"] == (5, 1, 2)
+        assert cfg.net.shapes["conv1_w"] == (5, 1, cfg.conv_filters[0])
     blob = path.read_bytes()
     at = blob.index(b"attn_heads = ")
     path.write_bytes(blob[:at] + b"conv_kernels = 5,3,1\n" + blob[at:])
-    assert b"tensor = conv3_w 1,2,2\n" in path.read_bytes()
+    assert b"tensor = conv3_w 1,%d,%d\n" % cfg.conv_filters[1:] in path.read_bytes()
     with pytest.raises(DataError, match="tensor inventory does not match its config"):
         load_artifact(path)
 
@@ -133,7 +133,9 @@ def test_header_and_count_edits(tmp_path, damage):
     if damage == "blank line":
         head = head.replace(b"\ntensor = ", b"\n\ntensor = ", 1)
     elif damage == "dim":
-        head = head.replace(b"tensor = scaler_mean 16", b"tensor = scaler_mean x", 1)
+        line = b"tensor = scaler_mean %d" % cfg.input_len
+        assert line in head
+        head = head.replace(line, b"tensor = scaler_mean x", 1)
     else:
         body = (17).to_bytes(8, "little") + body[8:]
     path.write_bytes(head + b"==binary==\n" + body)

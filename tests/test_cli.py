@@ -383,6 +383,15 @@ class TestPredict:
         assert runs[1] == runs[0]
         assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 4
 
+    @pytest.mark.parametrize("text", ["", "\n\n", ",".join(f"X{i}" for i in range(1, 179))
+                                      + "\n"], ids=["empty", "blank", "header-only"])
+    def test_a_file_without_data_rows_prints_nothing(self, tmp_path, trained, capsys, text):
+        # no rows pass through denoise, scaling and scoring as an empty matrix
+        csv = tmp_path / "none.csv"
+        csv.write_text(text)
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_non_utf8_data_file(self, tmp_path, trained, capsys):
         csv = tmp_path / "latin1.csv"
         csv.write_bytes(b"\xff\xfe" + b"0.5," * 177 + b"0.5\n")
@@ -398,14 +407,16 @@ class TestPredict:
         assert f"{trained}: model artifact header is not UTF-8" in capsys.readouterr().err
 
     def test_scaler_width_mismatch_is_reported_by_the_scale_stage(self, tmp_path, capsys):
-        cfg = toy_config()  # input_len 16, so its scaler has 16 columns
+        cfg = toy_config()  # its scaler has input_len columns, not 178
+        assert cfg.input_len != 178
         scaler = preprocess.ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
         model = tmp_path / "toy.bin"
         save_artifact(model, cfg, cfg.net.init_params(0), scaler, "universal")
         csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
         assert main(["predict", "--model", str(model), "--data", str(csv)]) == 2
         captured = capsys.readouterr()
-        assert "error: scale: feature count 178 does not match scaler (16)" in captured.err
+        assert (f"error: scale: feature count 178 does not match scaler ({cfg.input_len})"
+                in captured.err)
         assert captured.out == ""
 
     @pytest.mark.parametrize("line", [b"attn_heads = 0", b"dense_units = 0,64",
@@ -552,11 +563,11 @@ class TestGradcheckCommand:
     def test_passes_with_full_table(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        rows = [l for l in out.splitlines() if " ok" in l or " FAIL" in l]
-        assert len(rows) >= 8
-        for name in ("conv1d", "batchnorm", "maxpool", "mha", "layernorm",
-                     "global_avg_pool", "dense", "model_end_to_end"):
-            assert name in out
+        rows = [l.split()[0] for l in out.splitlines() if l.endswith((" ok", " FAIL"))]
+        # one row per toy layer, in forward order, then the model
+        names = [layer.name for layer in toy_config().net.layers]
+        assert len(names) == 25 and names[0] == "conv1" and names[-1] == "probs"
+        assert rows == names + ["model_end_to_end"]
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("row", ["conv1d", "batchnorm", "mha", "layernorm", "dense"])
@@ -568,9 +579,15 @@ class TestGradcheckCommand:
             return (gx * 1.05, *rest)
 
         monkeypatch.setattr(layers, f"{row}_backward", broken)
-        assert gradcheck.check_layer(row) > gradcheck.LAYER_BOUND
+        names = [layer.name for layer in toy_config().net.layers if layer.op == row]
+        assert names
+        for name in names:
+            assert gradcheck.check_layer(name) > gradcheck.LAYER_BOUND, name
         assert main(["gradcheck"]) == 3
-        assert row in capsys.readouterr().err
+        captured = capsys.readouterr()
+        failed = [l.split()[0] for l in captured.out.splitlines() if l.endswith(" FAIL")]
+        assert failed == names + ["model_end_to_end"]
+        assert captured.err == f"gradient check failed for: {', '.join(failed)}\n"
 
 
 def test_usage_error_exits_one(capsys):

@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seiznet import dataset, preprocess
 from seiznet.artifact import save_artifact
@@ -131,6 +131,44 @@ def test_features_csv_reports_a_bad_first_row(tmp_path):
         write_csv(tmp_path, bad_last + "\n" + good + "\n"))
     assert features.shape == (1, 178) and row_nos == [2]
     assert problems == [(1, "non-numeric feature 'abc' (column 178)")]
+
+
+# str.splitlines() breaks a line at each of these; a file's lines end only at
+# "\n" (text mode reads "\r\n" and a lone "\r" as "\n")
+SPLITLINES_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+FLOAT_STRIPS = {"\v", "\f", "\x85", "\u2028", "\u2029"}  # float("2.0" + c) == 2.0
+FOUR_ROWS = [",".join(str(float(i + r)) for i in range(178)) for r in range(4)]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=ascii)
+def test_a_line_break_of_splitlines_inside_a_field_is_one_bad_row(tmp_path, char):
+    rows = list(FOUR_ROWS)
+    rows[1] = rows[1].replace(",2.0,", f",2{char}.0,", 1)  # column 2 of line 2
+    path = tmp_path / "features.csv"
+    path.write_bytes("\n".join(rows).encode() + b"\n")
+    features, row_nos, problems = dataset.load_features_csv(path)
+    assert row_nos == [1, 3, 4]
+    assert problems == [(2, f"non-numeric feature {'2' + char + '.0'!r} (column 2)")]
+    assert np.array_equal(features, np.array([[float(v) for v in rows[r].split(",")]
+                                              for r in (0, 2, 3)]))
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=ascii)
+def test_a_field_ending_in_a_line_break_of_splitlines_parses_as_float_reads_it(tmp_path,
+                                                                              char):
+    rows = list(FOUR_ROWS)
+    rows[1] = rows[1].replace(",2.0,", f",2.0{char},", 1)
+    path = tmp_path / "features.csv"
+    path.write_bytes("\n".join(rows).encode() + b"\n")
+    features, row_nos, problems = dataset.load_features_csv(path)
+    if char in FLOAT_STRIPS:
+        assert row_nos == [1, 2, 3, 4] and problems == []
+        assert np.array_equal(features, np.array([[float(v) for v in row.split(",")]
+                                                  for row in FOUR_ROWS]))
+    else:
+        assert row_nos == [1, 3, 4]
+        # the message shows the field stripped as str.strip() strips it
+        assert problems == [(2, "non-numeric feature '2.0' (column 2)")]
 
 
 def test_binarize_label():
@@ -350,6 +388,46 @@ def test_junk_csv_loads_or_raises_data_error(tmp_path_factory, content):
     except DataError:
         return
     assert len(ds) >= 1
+
+
+@st.composite
+def line_with_a_break(draw):
+    """A feature csv_line, half the time with one of SPLITLINES_BREAKS in it."""
+    line = draw(csv_line(labelled=False))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + draw(st.sampled_from(SPLITLINES_BREAKS)).encode() + line[cut:]
+    return line
+
+
+def parse_alone(line: bytes, first: bool) -> np.ndarray:
+    """One good feature line parsed by itself, without the loader."""
+    text = line.decode()
+    fields = (text.removeprefix("\ufeff") if first else text).split(",")
+    if len(fields) == dataset.N_FEATURES + 1:
+        fields = fields[1:]  # a row-identifier column
+    return np.array([float(f) for f in fields])
+
+
+@settings(max_examples=200, deadline=None)
+@example(lines=[FOUR_ROWS[0].encode(), FOUR_ROWS[1].replace(",2.0,", ",2\f.0,").encode(),
+                FOUR_ROWS[2].encode(), FOUR_ROWS[3].encode()])
+@given(lines=st.lists(line_with_a_break(), max_size=8))
+def test_row_numbers_are_the_lines_of_the_raw_bytes(tmp_path_factory, lines):
+    content = b"\n".join(lines)
+    path = tmp_path_factory.mktemp("fuzz") / "features.csv"
+    path.write_bytes(content)
+    try:
+        features, row_nos, problems = dataset.load_features_csv(path)
+    except DataError:  # not UTF-8: no row is numbered
+        return
+    # the oracle: the raw bytes split on b"\n", after text mode's newline folding
+    raw = content.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for n in row_nos + [n for n, _ in problems]:
+        assert 1 <= n <= len(raw) and raw[n - 1].strip(), n
+    assert len(features) == len(row_nos)
+    for n, row in zip(row_nos, features):
+        assert np.array_equal(row, parse_alone(raw[n - 1], first=n == 1)), n
 
 
 @pytest.fixture(scope="module")

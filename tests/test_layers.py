@@ -3,6 +3,17 @@ import pytest
 
 from seiznet import gradcheck, layers, model
 
+TOY = gradcheck.toy_layers()  # {name: (layer, input shape)} of the toy network
+TOY_TRUNK = list(TOY.values())[:list(TOY).index("gap")]
+
+
+def check_toy_layers(op):
+    """gradcheck.check_layer of every toy layer that runs op."""
+    names = [name for name, (layer, _) in TOY.items() if layer.op == op]
+    assert names
+    for name in names:
+        assert gradcheck.check_layer(name) < gradcheck.LAYER_BOUND, name
+
 
 class TestConv:
     def test_identity_kernel(self):
@@ -52,7 +63,7 @@ class TestConv:
         assert not gx.any() and not gw.any()
 
     def test_gradient(self):
-        assert gradcheck.check_layer("conv1d") < gradcheck.LAYER_BOUND
+        check_toy_layers("conv1d")
 
 
 class TestBatchNorm:
@@ -113,7 +124,7 @@ class TestBatchNorm:
         assert np.abs(gx).max() < 1e-8
 
     def test_gradient(self):
-        assert gradcheck.check_layer("batchnorm") < gradcheck.LAYER_BOUND
+        check_toy_layers("batchnorm")
 
     @staticmethod
     def _inputs(shape):
@@ -236,7 +247,7 @@ class TestMaxPool:
         assert gx[0, :, 0].tolist() == [0.0, 10.0, 0.0, 20.0, 0.0]
 
     def test_gradient(self):
-        assert gradcheck.check_layer("maxpool") < gradcheck.LAYER_BOUND
+        check_toy_layers("maxpool")
 
 
 def _relu_pool_input(values, length):
@@ -381,7 +392,7 @@ class TestAttention:
         assert np.abs(gx - expected).max() < 1e-8
 
     def test_gradient(self):
-        assert gradcheck.check_layer("mha") < gradcheck.LAYER_BOUND
+        check_toy_layers("mha")
 
     @staticmethod
     def _per_head_reference(x, wq, wk, wv, wo, go):
@@ -443,7 +454,7 @@ class TestLayerNorm:
         assert np.allclose(out, np.broadcast_to(beta, (1, 3, 2)), atol=1e-9)
 
     def test_gradient(self):
-        assert gradcheck.check_layer("layernorm") < gradcheck.LAYER_BOUND
+        check_toy_layers("layernorm")
 
 
 class TestGlobalAveragePool:
@@ -476,7 +487,7 @@ class TestGlobalAveragePool:
             layers.global_average_pool_forward(np.zeros((2, 0, 3)))
 
     def test_gradient(self):
-        assert gradcheck.check_layer("global_avg_pool") < gradcheck.LAYER_BOUND
+        check_toy_layers("global_average_pool")
 
     def test_float32_input_averages_in_float64(self):
         x = np.random.default_rng(16).standard_normal((3, 22, 8)).astype(np.float32)
@@ -491,9 +502,10 @@ class TestGlobalAveragePool:
 # gradient. Batch norm runs in train mode, with float64 running statistics
 # as in training.
 FLOAT32_RTOL = 1e-5
-TRUNK_CASES = {name: gradcheck.LAYER_CASES[name]
-               for name in ("conv1d", "batchnorm", "maxpool", "mha", "layernorm")}
-TRUNK_CASES["relu"] = (model.Layer("relu", "relu"), (2, 9, 3))
+# Each is the last trunk layer of its op in the toy network, at the input
+# shape it sees there (`gradcheck.toy_layers`): conv3, bn3, pool3 (odd
+# length 7), relu3, attn and ln.
+TRUNK_CASES = {layer.op: (layer, shape) for layer, shape in TOY_TRUNK}
 
 
 def _float32_case(name, seed):
@@ -553,7 +565,7 @@ class TestDense:
             layers.dense_forward(np.zeros((2, 3)), np.zeros((4, 1)), np.zeros(1))
 
     def test_gradient(self):
-        assert gradcheck.check_layer("dense") < gradcheck.LAYER_BOUND
+        check_toy_layers("dense")
 
 
 class TestDropout:
@@ -580,7 +592,7 @@ class TestDropout:
         assert np.array_equal(a, b)
 
     def test_gradient(self):
-        assert gradcheck.check_layer("dropout") < gradcheck.LAYER_BOUND
+        check_toy_layers("dropout")
 
 
 def test_sigmoid_stable_and_bounded():
