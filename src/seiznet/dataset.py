@@ -1,12 +1,26 @@
-"""Dataset ingestion: UCI seizure CSV loading, label binarization, seeded
+r"""Dataset ingestion: UCI seizure CSV loading, label binarization, seeded
 train/test splitting, and a synthetic surrogate generator for when the real
 CSV is unavailable.
 
 Expected CSV schema: 178 numeric EEG amplitude fields plus a trailing integer
 label in 1..5 per row. An optional header row and an optional leading
 row-identifier column are detected and skipped.
+
+A CSV is read in binary blocks of PARSE_BLOCK_LINES lines. Once a data row
+has been seen, a block whose bytes are all in BULK_BYTES (digits, ". e E + -",
+commas and line feeds) and which has no blank line is converted by one
+np.loadtxt call; it is kept when it gives exactly one row of the expected
+width per line, every feature is finite and, in a labelled file, every
+label is an integer in 1..5. Any other block (the first data rows, a
+header, an identifier column, "\r", a byte-order mark, a byte that is not
+ASCII, any bad value) is decoded and parsed line by line by `_parse_row`,
+so values, line numbers and messages are those of the row parser. The
+allow-list matters: loadtxt reads a number followed by one of the
+separators \x1c-\x1f, which float() refuses.
 """
 
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +29,13 @@ from .errors import ConfigError, DataError
 
 N_FEATURES = 178
 SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
+PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
+# the only bytes of a block that one np.loadtxt call converts
+BULK_BYTES = b"0123456789.eE+-,\n"
+# what float() ignores around a number: str.isspace() but for the ASCII
+# separators \x1c-\x1f, which str.strip() strips and float() refuses
+FLOAT_BLANKS = ("\t\n\v\f\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+                "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 @dataclass
@@ -54,7 +75,7 @@ def _parse_label(tok: str) -> int:
         if float(tok) != raw:
             raise ValueError
     except (ValueError, OverflowError):
-        raise DataError(f"label {tok.strip()!r} is not an integer")
+        raise DataError(f"label {tok.strip(FLOAT_BLANKS)!r} is not an integer")
     return binarize_label(raw)
 
 
@@ -62,7 +83,7 @@ def _bad_feature(tokens) -> str:
     """Name the first bad value among a row's feature strings."""
     for j, tok in enumerate(tokens, start=1):
         if not _is_number(tok):
-            return f"non-numeric feature {tok.strip()!r} (column {j})"
+            return f"non-numeric feature {tok.strip(FLOAT_BLANKS)!r} (column {j})"
         if not np.isfinite(float(tok)):
             return f"non-finite feature value (column {j})"
 
@@ -97,32 +118,52 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # one leading byte-order mark, as Excel's "CSV UTF-8" writes
-            # lines end at "\n" alone (text mode folds "\r\n" and "\r" into it)
-            return fh.read().removeprefix("\ufeff").split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
-
-
-def _parse_rows(path, labelled: bool):
-    """Every data row of a CSV: (features [rows, 178], labels, line numbers,
-    problems).
-
-    Blank lines are skipped, and so are header lines before the first data
-    row: a header names every column, so none of its fields is a number. A
-    bad row does not stop the parse; it becomes a (line_no, message)
-    problem, and problems come in line order. Each row goes straight into
-    one preallocated matrix, so its Python floats are freed as it is parsed.
+def _convert_block(lines: list[bytes], labelled: bool) -> np.ndarray | None:
+    r"""A block's rows as one [lines, 178 (+ 1 label)] array, converted in
+    one np.loadtxt call, or None when the block needs the row parser: a
+    blank line, a byte outside BULK_BYTES, a value loadtxt refuses, a
+    field count other than the width, a non-finite feature or a label
+    other than an integer in 1..5. The allow-list is what keeps the two
+    parsers equal: loadtxt also reads "2.0\x1c", which float() refuses.
     """
-    lines = _read_lines(path)
-    features = np.empty((len(lines), N_FEATURES))
-    labels, row_nos, problems = [], [], []
-    for line_no, line in enumerate(lines, start=1):
+    if b"\n" in lines or any(line.translate(None, BULK_BYTES) for line in lines):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    width = N_FEATURES + 1 if labelled else N_FEATURES
+    if values.shape != (len(lines), width) or not np.isfinite(values[:, :N_FEATURES]).all():
+        return None
+    if labelled and not np.isin(values[:, N_FEATURES], (1, 2, 3, 4, 5)).all():
+        return None
+    return values
+
+
+def _block_lines(block: bytes, offset: int, path) -> list[str]:
+    r"""A block's lines, decoded as UTF-8 and ended only at "\n", "\r\n"
+    or "\r"; DataError counts a bad byte from the start of the file, which
+    is `offset` bytes before the block. The file's first block loses one
+    leading byte-order mark, as Excel's "CSV UTF-8" writes."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {offset + exc.start}: {exc.reason})")
+    if offset == 0:
+        text = text.removeprefix("\ufeff")
+    # text mode's own folding of "\r\n" and "\r" into "\n", in one pass
+    lines = io.IncrementalNewlineDecoder(None, translate=True).decode(text, True).split("\n")
+    if not lines[-1]:
+        lines.pop()  # the block's last line break ends a line, not starts one
+    return lines
+
+
+def _parse_lines(lines, first_no, labelled, labels, row_nos, problems) -> np.ndarray:
+    """The rows of `lines`, the first of which is line `first_no`, parsed one
+    at a time by `_parse_row`: their features, with each label, line
+    number and problem appended to the lists given."""
+    features, good = np.empty((len(lines), N_FEATURES)), 0
+    for line_no, line in enumerate(lines, start=first_no):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -130,13 +171,51 @@ def _parse_rows(path, labelled: bool):
             continue
         try:
             # a failed row's partial values are overwritten by the next row
-            label = _parse_row(fields, labelled, features[len(row_nos)])
+            label = _parse_row(fields, labelled, features[good])
         except DataError as exc:
             problems.append((line_no, str(exc)))
             continue
         labels.append(label)
         row_nos.append(line_no)
-    return features[:len(row_nos)], labels, row_nos, problems
+        good += 1
+    return features[:good]
+
+
+def _parse_rows(path, labelled: bool):
+    r"""Every data row of a CSV: (features [rows, 178], labels, line numbers,
+    problems).
+
+    Blank lines are skipped, and so are header lines before the first data
+    row: a header names every column, so none of its fields is a number. A
+    bad row does not stop the parse; it becomes a (line_no, message)
+    problem, and problems come in line order.
+
+    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time.
+    Once a data row has been seen, a block that `_convert_block` takes is
+    converted in one call; any other block goes through `_parse_row` one
+    line at a time. Both give the same values, line numbers and messages.
+    """
+    blocks, labels, row_nos, problems = [], [], [], []
+    offset = line_no = 0  # bytes and lines before the block; a pipe has no tell()
+    try:
+        with open(path, "rb") as fh:
+            while raw := list(itertools.islice(fh, PARSE_BLOCK_LINES)):
+                values = _convert_block(raw, labelled) if row_nos else None
+                if values is None:
+                    lines = _block_lines(b"".join(raw), offset, path)
+                    blocks.append(_parse_lines(lines, line_no + 1, labelled,
+                                               labels, row_nos, problems))
+                    line_no += len(lines)
+                else:
+                    blocks.append(values[:, :N_FEATURES])
+                    if labelled:
+                        labels += (values[:, N_FEATURES] == 1).astype(np.int64).tolist()
+                    row_nos += range(line_no + 1, line_no + len(raw) + 1)
+                    line_no += len(raw)
+                offset += sum(map(len, raw))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}")
+    return np.concatenate(blocks or [np.empty((0, N_FEATURES))]), labels, row_nos, problems
 
 
 def load_csv(path) -> Dataset:

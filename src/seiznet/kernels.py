@@ -81,8 +81,9 @@ def maxpool_backward(grad_out, idx, length):
     """Routes each pooled gradient to the position that won in the forward
     pass; the other position and an odd length's last position get zero."""
     n, half, c = grad_out.shape
-    grad_x = np.zeros((n, length, c), dtype=grad_out.dtype)
+    grad_x = np.empty((n, length, c), dtype=grad_out.dtype)
     # multiply into strided views: faster than np.where or np.copyto(where=)
     np.multiply(grad_out, ~idx, out=grad_x[:, 0:2 * half:2, :])
     np.multiply(grad_out, idx, out=grad_x[:, 1:2 * half:2, :])
+    grad_x[:, 2 * half:, :] = 0.0  # the only position neither half writes
     return grad_x

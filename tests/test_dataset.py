@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -167,8 +170,8 @@ def test_a_field_ending_in_a_line_break_of_splitlines_parses_as_float_reads_it(t
                                                   for row in FOUR_ROWS]))
     else:
         assert row_nos == [1, 3, 4]
-        # the message shows the field stripped as str.strip() strips it
-        assert problems == [(2, "non-numeric feature '2.0' (column 2)")]
+        # float() refuses the separator, so the message keeps it
+        assert problems == [(2, f"non-numeric feature {'2.0' + char!r} (column 2)")]
 
 
 def test_binarize_label():
@@ -428,6 +431,179 @@ def test_row_numbers_are_the_lines_of_the_raw_bytes(tmp_path_factory, lines):
     assert len(features) == len(row_nos)
     for n, row in zip(row_nos, features):
         assert np.array_equal(row, parse_alone(raw[n - 1], first=n == 1)), n
+
+
+def test_float_blanks_are_what_float_ignores():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    ignored = [c for c in spaces if dataset._is_number(f"{c}2.0{c}")]
+    assert sorted(dataset.FLOAT_BLANKS) == ignored
+    assert set(spaces) - set(ignored) == {"\x1c", "\x1d", "\x1e", "\x1f"}
+
+
+def row_path(path, labelled):
+    """The oracle for `_parse_rows`: the whole file read as one text, with
+    Python's text mode decoding it and folding its line ends, and every
+    line through the row parser. Returns (features, labels, line numbers,
+    problems), or the DataError message of a file that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+    labels, row_nos, problems = [], [], []
+    features = dataset._parse_lines(text.removeprefix("\ufeff").split("\n"), 1, labelled,
+                                    labels, row_nos, problems)
+    return features, labels, row_nos, problems
+
+
+# values the two parsers must agree on: loadtxt reads the separators
+# \x1c-\x1f, which float() refuses; float() reads "1_0" and ignores "\x85"
+# and "\v" around a number; a byte-order mark is data after the file's
+# start; the rest are the allow-list's own bytes in orders either may refuse
+ODD_FIELDS = ["inf", "-inf", "nan", "1e400", "1_0", "", " 2.0", "2.0\x85", "2\x85.0",
+              "2.0\v", "2\v.0", "\ufeff2.0", "1e", "-", ".", "+-1", "1..2", "e5", ".5",
+              "5.", "+.5e-3", "1E+05", "0." + "1" * 40, "9" * 400]
+SEPARATED = ["2.0\x1c", "2.0\x1d", "2.0\x1e", "2.0\x1f", "\x1c2.0"]
+HEADER = ",".join(f"X{i}" for i in range(1, 179))
+
+
+def with_field(line, column, value):
+    """FOUR_ROWS twice over as one file, with one field replaced."""
+    rows = [row.split(",") for row in FOUR_ROWS * 2]
+    rows[line][column] = value
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@st.composite
+def mixed_line(draw, labelled):
+    """One line as text, before its line end: mostly a good row, else a row
+    with one odd field, a header, an identifier column, a wrong field count
+    or a blank line."""
+    fields = draw(st.sampled_from(GOOD_FEATURES)).split(",")
+    if labelled:
+        fields.append(draw(st.sampled_from("1234512345") | st.sampled_from(["6", "1.5", "x"])))
+    kind = draw(st.sampled_from(["good"] * 6 + ["odd", "odd", "header", "id", "count",
+                                                "blank"]))
+    if kind == "odd":
+        odd = (st.sampled_from(ODD_FIELDS) | st.sampled_from(SEPARATED)
+               | st.text("0123456789.eE+-", max_size=6))
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(odd)
+    elif kind == "header":
+        return HEADER + (",y" if labelled else "")
+    elif kind == "id":
+        fields.insert(0, draw(st.sampled_from(["X21.V1.791", "7", "-", "1e"])))
+    elif kind == "count":
+        fields = fields[:draw(st.integers(1, len(fields) - 1))]
+    elif kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    return ",".join(fields)
+
+
+@st.composite
+def mixed_csv(draw, labelled):
+    """A file of mixed_line lines as bytes: each ends at "\n", "\r\n" or "\r"
+    (the last maybe at none), after an optional byte-order mark, and maybe
+    with one byte that is not UTF-8 inside a later line."""
+    lines = draw(st.lists(mixed_line(labelled), min_size=1, max_size=10))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    content = ("\ufeff" if draw(st.booleans()) else "") + "".join(
+        line + end for line, end in zip(lines, ends))
+    raw = content.encode()
+    if draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(len(raw) // 2, len(raw)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+        raw = raw[:cut] + bad + raw[cut:]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@example(content=("\n".join(FOUR_ROWS) + "\n").encode(), block_lines=1)
+@example(content=with_field(5, 2, "2.0\x1c"), block_lines=2)
+@example(content=with_field(4, 0, "\ufeff0.0"), block_lines=4)
+@example(content=with_field(6, 177, "1e400"), block_lines=3)
+@example(content=("\n".join(FOUR_ROWS * 2) + "\n").encode() + b"\xff\n", block_lines=3)
+@given(content=mixed_csv(labelled=False), block_lines=st.integers(1, 4))
+def test_block_parse_of_features_matches_the_row_path(tmp_path_factory, content,
+                                                      block_lines):
+    path = tmp_path_factory.mktemp("diff") / "features.csv"
+    path.write_bytes(content)
+    expected = row_path(path, labelled=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "PARSE_BLOCK_LINES", block_lines)
+        try:
+            features, row_nos, problems = dataset.load_features_csv(path)
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    assert features.dtype == np.float64 and features.shape == (len(row_nos), 178)
+    assert features.tobytes() == expected[0].tobytes()
+    assert (row_nos, problems) == (expected[2], expected[3])
+
+
+@settings(max_examples=200, deadline=None)
+@example(content=("\n".join(f"{r},3" for r in FOUR_ROWS) + "\n").encode(), block_lines=1)
+@given(content=mixed_csv(labelled=True), block_lines=st.integers(1, 4))
+def test_block_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, content,
+                                                           block_lines):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(content)
+    expected = row_path(path, labelled=True)
+    if not isinstance(expected, str):
+        features, labels, row_nos, problems = expected
+        if problems:
+            expected = "row {}: {}".format(*problems[0])
+        elif not labels:
+            expected = f"{path}: no data rows"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "PARSE_BLOCK_LINES", block_lines)
+        try:
+            ds = dataset.load_csv(path)
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+    assert not isinstance(expected, str), expected
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tolist() == labels
+
+
+def test_a_pipe_reads_like_a_file(tmp_path, monkeypatch):
+    # a pipe cannot seek, so the parse counts its bytes itself
+    content = ("\n".join(FOUR_ROWS * 2) + "\n").encode() + b"1.0,\xff\n"
+    (tmp_path / "file.csv").write_bytes(content)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+    writer.start()
+    monkeypatch.setattr(dataset, "PARSE_BLOCK_LINES", 3)
+    try:
+        with pytest.raises(DataError) as from_pipe:
+            dataset.load_features_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    with pytest.raises(DataError) as from_file:
+        dataset.load_features_csv(tmp_path / "file.csv")
+    assert str(from_pipe.value).replace("pipe.csv", "file.csv") == str(from_file.value)
+    assert str(from_file.value).endswith(f"(byte {len(content) - 2}: invalid start byte)")
+
+
+def test_blocks_after_the_first_data_row_skip_the_row_parser(tmp_path, monkeypatch):
+    path = tmp_path / "features.csv"
+    path.write_bytes(("\n".join(FOUR_ROWS * 2) + "\n").encode())
+    expected = row_path(path, labelled=False)
+    parsed = []
+    parse_row = dataset._parse_row
+    monkeypatch.setattr(dataset, "_parse_row",
+                        lambda fields, *args: parsed.append(fields) or parse_row(fields, *args))
+    monkeypatch.setattr(dataset, "PARSE_BLOCK_LINES", 3)
+    features, row_nos, problems = dataset.load_features_csv(path)
+    assert len(parsed) == 3  # the first block: no data row came before it
+    assert features.tobytes() == expected[0].tobytes()
+    assert row_nos == list(range(1, 9)) and problems == []
 
 
 @pytest.fixture(scope="module")

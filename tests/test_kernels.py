@@ -125,6 +125,22 @@ def test_maxpool_matches_reference(n, length, c, values):
         assert not gx[:, -1, :].any()  # the odd tail position gets no gradient
 
 
+@pytest.mark.parametrize("length", [2, 7, 10])
+def test_maxpool_backward_writes_every_position(monkeypatch, length):
+    # the gradient is allocated uninitialised: fill it with NaN to show
+    # that no position keeps what the allocation held
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal((3, length, 4)).astype(np.float32)
+    idx = kernels.maxpool_index(x)
+    go = rng.standard_normal((3, length // 2, 4)).astype(np.float32)
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=None: np.full(shape, np.nan, dtype))
+    gx = kernels.maxpool_backward(go, idx, length)
+    monkeypatch.setattr(np, "empty", empty)
+    assert gx.dtype == np.float32
+    assert np.array_equal(gx, maxpool_backward_reference(go, idx, length))
+
+
 def test_maxpool_tie_goes_to_lower_index():
     x = np.array([[[2.0], [2.0], [5.0], [1.0]]])
     out, idx = kernels.maxpool_forward(x), kernels.maxpool_index(x)

@@ -128,6 +128,38 @@ class TestAdam:
         assert len(calls) == 2
         assert opt.m is m and opt.v is v
 
+    def test_steps_match_the_expression_form_bit_for_bit(self):
+        """Adam writes each operation into its buffers; the same update as
+        plain expressions, in the same order, must give the same bits."""
+        rng = np.random.default_rng(3)
+        shapes = {"conv": (5, 1, 4), "fc": (4, 3), "gamma": (3,)}
+        # tensors as small as a step, so the last bit of each update shows
+        start = {n: (1e-3 * rng.standard_normal(s)).astype(np.float32)
+                 for n, s in shapes.items()}
+        params = {n: a.copy() for n, a in start.items()}
+        opt = Adam(1e-3, params)
+        ref = {n: a.copy() for n, a in start.items()}
+        m = np.zeros(sum(a.size for a in ref.values()), np.float32)
+        v = np.zeros_like(m)
+        for t, lr in enumerate([1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4], start=1):
+            # float64 gradients for the head, as the head computes them
+            grads = {n: rng.standard_normal(s).astype(np.float32 if n == "conv" else np.float64)
+                     for n, s in shapes.items()}
+            opt.lr = lr
+            opt.step(grads)
+            g = np.concatenate([grads[n].ravel() for n in ref], dtype=np.float32)
+            m *= Adam.BETA1
+            m += (1.0 - Adam.BETA1) * g
+            v *= Adam.BETA2
+            v += (1.0 - Adam.BETA2) * (g * g)
+            bc1, bc2 = 1.0 - Adam.BETA1 ** t, 1.0 - Adam.BETA2 ** t
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
+            for n, a in ref.items():
+                a -= update[opt.slices[n]].reshape(a.shape)
+            assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+            for n in ref:
+                assert params[n].tobytes() == ref[n].tobytes(), (t, n)
+
     def test_moments_take_the_tensors_common_dtype(self):
         params = {"w32": np.zeros(3, dtype=np.float32), "head": np.zeros(3, dtype=np.float32)}
         opt = Adam(1e-3, params)
