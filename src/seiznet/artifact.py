@@ -1,14 +1,27 @@
 """Model artifact: one file holding the architecture, scaler statistics,
 wavelet policy, training metadata, and every parameter tensor.
 
-Layout: a text header (version line, key = value lines, one "tensor" line
-per block in fixed order), then a "==binary==" divider, then for each tensor
-a little-endian uint64 element count followed by the raw little-endian
-float64 data. The round trip is bitwise exact.
+Layout: a version line, a text header (key = value lines, one "tensor" line
+per stored tensor), a "==binary==" divider, then for each tensor a
+little-endian uint64 element count followed by its raw little-endian
+float64 values. `_inventory(config)` is the one list of what is stored, in
+which order and shape: `save_artifact` renders the tensor lines from it and
+refuses an array of another shape, and `load_artifact` compares the file's
+tensor lines with that rendering and reads each tensor at the offset the
+inventory gives. The round trip is bitwise exact.
+
+`save_artifact` writes version 2, whose version line is
+`seiznet-model v2 sha256=<hex>`: the SHA-256 of every byte after that line,
+which `load_artifact` checks before it parses anything. Version 1 files,
+version line `seiznet-model v1`, hold the same bytes after it and are still
+read, without a check. One changed byte in a v2 version line leaves it
+matching neither tag, so no single damaged byte makes a v2 file load
+unchecked.
 """
 
+import hashlib
+import math
 import os
-import struct
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 
@@ -18,19 +31,27 @@ from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .preprocess import ScalerParams, parse_policy
 
-VERSION_TAG = "seiznet-model v1"
+V1_TAG = b"seiznet-model v1"
+V2_PREFIX = b"seiznet-model v2 sha256="
 _DIVIDER = b"==binary==\n"
 
 
-def _config_lines(config: ModelConfig):
-    """One `name = value` line per ModelConfig field, in declaration order:
-    a tuple as comma-joined ints, anything else as its repr."""
-    lines = []
-    for f in fields(ModelConfig):
-        value = getattr(config, f.name)
-        text = ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
-        lines.append(f"{f.name} = {text}")
-    return lines
+def _inventory(config):
+    """(name, shape) of each stored tensor, in file order: the scaler's
+    two vectors, then `config.net.shapes`."""
+    return [("scaler_mean", (config.input_len,)), ("scaler_std", (config.input_len,)),
+            *config.net.shapes.items()]
+
+
+def _text(value):
+    """A header value: a tuple (config field or tensor shape) as comma-joined
+    ints, anything else as its repr."""
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
+
+
+def _tensor_specs(inventory):
+    """The value of each header `tensor = ` line: the name and its dims."""
+    return [f"{name} {_text(shape)}" for name, shape in inventory]
 
 
 @contextmanager
@@ -51,47 +72,38 @@ def atomic_open(path, mode="wb", **kwargs):
 
 
 def save_artifact(path, config, params, scaler, wavelet_policy, metadata=None):
-    """Write the artifact atomically (temp file + rename)."""
+    """Write a v2 artifact atomically (temp file + rename). An array whose
+    shape is not the one `config` stores raises ValueError before any file
+    is created."""
     parse_policy(wavelet_policy)
-    tensors = [("scaler_mean", scaler.mean), ("scaler_std", scaler.std)]
-    tensors += [(name, params[name]) for name in config.net.shapes]
+    inventory = _inventory(config)
+    arrays = [scaler.mean, scaler.std, *(params[name] for name in config.net.shapes)]
+    for (name, shape), arr in zip(inventory, arrays):
+        if np.shape(arr) != shape:
+            raise ValueError(f"tensor {name}: shape {np.shape(arr)}, its config needs {shape}")
 
-    lines = [VERSION_TAG]
-    lines += _config_lines(config)
+    lines = [f"{f.name} = {_text(getattr(config, f.name))}" for f in fields(ModelConfig)]
     lines.append(f"wavelet = {wavelet_policy}")
-    for key, value in (metadata or {}).items():
-        lines.append(f"meta.{key} = {value}")
-    for name, arr in tensors:
-        dims = ",".join(str(d) for d in np.asarray(arr).shape)
-        lines.append(f"tensor = {name} {dims}")
-
+    lines += [f"meta.{key} = {value}" for key, value in (metadata or {}).items()]
+    lines += [f"tensor = {spec}" for spec in _tensor_specs(inventory)]
+    parts = ["\n".join(lines).encode("utf-8") + b"\n" + _DIVIDER]
+    for arr in arrays:
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        parts += [data.size.to_bytes(8, "little"), data.tobytes()]
+    body = b"".join(parts)
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines).encode("utf-8") + b"\n")
-        fh.write(_DIVIDER)
-        for _, arr in tensors:
-            data = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<Q", data.size))
-            fh.write(data.tobytes())
+        fh.write(V2_PREFIX + hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
-def _parse_header(text):
-    lines = text.splitlines()
-    if not lines or lines[0] != VERSION_TAG:
-        head = lines[0] if lines else ""
-        raise DataError(f"unsupported model artifact version {head!r}")
+def _parse_header(lines):
     keys, metadata, tensor_specs = {}, {}, []
-    for line in lines[1:]:
+    for line in lines:
         if not line.strip():
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "tensor":
-            name, _, dims = value.partition(" ")
-            try:
-                shape = tuple(int(d) for d in dims.split(",") if d != "")
-            except ValueError:
-                raise DataError(f"bad tensor line in artifact: {line!r}")
-            tensor_specs.append((name, shape))
+            tensor_specs.append(value)
         elif key.startswith("meta."):
             metadata[key[len("meta."):]] = value
         else:
@@ -100,8 +112,8 @@ def _parse_header(text):
 
 
 def _config_from_keys(keys):
-    """Inverse of `_config_lines`: each field parsed with its default's type,
-    a tuple item by item as ints. A key that is no field is ignored: older
+    """Inverse of the config lines `save_artifact` writes: each field parsed
+    with its default's type, a tuple item by item as ints. A key that is no field is ignored: older
     files carry the retired `pool_size`, `attn_key_dim`, `dropout_rate`,
     `l2_lambda` and `conv_kernels`. None of them changes what the model
     computes: a file written with kernels other than `CONV_KERNELS` fails
@@ -125,6 +137,13 @@ def load_artifact(path):
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read model artifact {path}: {exc}")
+    version, _, rest = blob.partition(b"\n")
+    if version.startswith(V2_PREFIX):
+        if version[len(V2_PREFIX):] != hashlib.sha256(rest).hexdigest().encode():
+            raise DataError(f"{path}: model artifact does not match its sha256 digest")
+    elif version != V1_TAG:
+        shown = version[:64].decode(errors="replace")
+        raise DataError(f"unsupported model artifact version {shown!r}")
     split_at = blob.find(_DIVIDER)
     if split_at < 0:
         raise DataError(f"{path}: not a model artifact (missing binary divider)")
@@ -133,7 +152,7 @@ def load_artifact(path):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: model artifact header is not UTF-8 "
                         f"(byte {exc.start}: {exc.reason})")
-    keys, metadata, tensor_specs = _parse_header(header)
+    keys, metadata, tensor_specs = _parse_header(header.splitlines()[1:])
     config = _config_from_keys(keys)
     if "wavelet" not in keys:
         raise DataError("model artifact lacks a wavelet policy")
@@ -143,30 +162,24 @@ def load_artifact(path):
     except ConfigError as exc:
         raise DataError(f"model artifact key wavelet: {exc}")
 
-    expected = [("scaler_mean", (config.input_len,)),
-                ("scaler_std", (config.input_len,))]
-    expected += list(config.net.shapes.items())
-    if [(n, s) for n, s in tensor_specs] != expected:
+    inventory = _inventory(config)
+    if tensor_specs != _tensor_specs(inventory):
         raise DataError("model artifact tensor inventory does not match its config")
-
     offset = split_at + len(_DIVIDER)
+    # a count word and the values per tensor; math.prod, since np.prod wraps
+    need, held = sum(8 + 8 * math.prod(shape) for _, shape in inventory), len(blob) - offset
+    if held != need:
+        problem = "truncated" if held < need else "has trailing bytes"
+        raise DataError(f"model artifact {problem}: its tensors take {need} bytes, "
+                        f"it holds {held}")
     arrays = {}
-    for name, shape in tensor_specs:
-        if offset + 8 > len(blob):
-            raise DataError(f"model artifact truncated before tensor {name}")
-        (count,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        want = int(np.prod(shape)) if shape else 1
+    for name, shape in inventory:
+        count, want = int.from_bytes(blob[offset:offset + 8], "little"), math.prod(shape)
         if count != want:
             raise DataError(
                 f"tensor {name}: stored {count} values, shape {shape} needs {want}")
-        end = offset + 8 * count
-        if end > len(blob):
-            raise DataError(f"model artifact truncated inside tensor {name}")
-        arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(blob):
-        raise DataError("model artifact has trailing bytes")
+        arrays[name] = np.frombuffer(blob, "<f8", want, offset + 8).reshape(shape).copy()
+        offset += 8 + 8 * want
 
     scaler = ScalerParams(arrays.pop("scaler_mean"), arrays.pop("scaler_std"))
     with np.errstate(over="ignore"):  # an overflow is reported below by name

@@ -10,8 +10,8 @@ gradient comes back in the dtype its layer computes in (float32 in the
 trunk, float64 in the head). Adam is built for `net.learnable`: it fixes
 each tensor's slice of one flat float32 vector and allocates its two
 moments as such vectors when it is constructed. Each step gathers the
-gradients into that vector, which casts the head's gradients to float32;
-training casts no tensor.
+gradients into one such vector, which casts the head's gradients to
+float32; training casts no tensor.
 """
 
 from dataclasses import dataclass, field
@@ -85,9 +85,8 @@ class Adam:
 
     Built for `tensors`, {name: array}, which each step updates in place.
     Each tensor owns a fixed slice of one flat vector in the tensors' common
-    dtype; `m` and `v` are two such vectors, allocated here with the two
-    buffers a step works in. A step gathers the gradients in the tensors'
-    order into one buffer and updates each moment in one pass.
+    dtype; `m` and `v` are two such vectors, allocated here. A step gathers
+    the gradients in the tensors' order and updates each moment in one pass.
     """
 
     BETA1 = 0.9
@@ -104,7 +103,6 @@ class Adam:
             start += a.size
         dtype = np.result_type(*tensors.values())
         self.m, self.v = np.zeros(start, dtype), np.zeros(start, dtype)
-        self._g, self._update = np.empty(start, dtype), np.empty(start, dtype)
 
     def step(self, grads):
         if grads.keys() != self.tensors.keys():
@@ -112,28 +110,19 @@ class Adam:
         for name, a in self.tensors.items():
             if grads[name].shape != a.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-        g = np.concatenate([grads[name].ravel() for name in self.tensors], out=self._g)
+        g = np.concatenate([grads[name].ravel() for name in self.tensors], dtype=self.m.dtype)
         if not np.isfinite(g).all():
             bad = next(n for n, part in self.slices.items() if not np.isfinite(g[part]).all())
             raise NumericError(f"non-finite gradient for {bad}; step aborted")
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        # lr * (m / bc1) / (sqrt(v / bc2) + EPS), each operation written into
-        # the two buffers, in that order and so to the same bits
-        m, v, update = self.m, self.v, self._update
+        m, v = self.m, self.v
         m *= self.BETA1
-        m += np.multiply(g, 1.0 - self.BETA1, out=update)
+        m += (1.0 - self.BETA1) * g
         v *= self.BETA2
-        g *= g
-        g *= 1.0 - self.BETA2
-        v += g
-        np.divide(m, bc1, out=update)
-        update *= self.lr
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += self.EPS
-        update /= g
+        v += (1.0 - self.BETA2) * (g * g)
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
         for name, a in self.tensors.items():
             a -= update[self.slices[name]].reshape(a.shape)
 

@@ -1,12 +1,15 @@
+import hashlib
+import math
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seiznet import model
-from seiznet.artifact import VERSION_TAG, load_artifact, save_artifact
+from seiznet.artifact import V1_TAG, V2_PREFIX, load_artifact, save_artifact
 from seiznet.errors import DataError
 from seiznet.model import KERNEL, PROJ, VAR, ModelConfig, predict_probs, toy_config
 from seiznet.preprocess import ScalerParams
@@ -22,6 +25,14 @@ def make_artifact(tmp_path, seed=0, policy="universal", metadata=None):
     save_artifact(path, cfg, params, scaler, policy,
                   metadata or {"seed": "0", "epochs_run": "3"})
     return path, cfg, params, scaler
+
+
+def as_v1(path):
+    """Rewrite `path` in the v1 form: its version line replaced by the v1 tag,
+    which has no digest, so byte edits reach the checks behind it."""
+    blob = path.read_bytes()
+    path.write_bytes(V1_TAG + blob[blob.index(b"\n"):])
+    return path
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -66,7 +77,7 @@ def test_header_with_a_retired_key_loads(tmp_path, line):
     # artifacts written while these were config fields carry their lines;
     # none of them changes what the loaded model computes
     path, cfg, params, scaler = make_artifact(tmp_path)
-    blob = path.read_bytes()
+    blob = as_v1(path).read_bytes()
     at = blob.index(b"attn_heads = ")
     retired = tmp_path / "retired.bin"
     retired.write_bytes(blob[:at] + line + b"\n" + blob[at:])
@@ -88,7 +99,7 @@ def test_file_of_other_conv_kernels_is_refused(tmp_path, monkeypatch):
         patched.setattr(model, "CONV_KERNELS", (5, 3, 1))
         path, cfg, *_ = make_artifact(tmp_path)
         assert cfg.net.shapes["conv1_w"] == (5, 1, cfg.conv_filters[0])
-    blob = path.read_bytes()
+    blob = as_v1(path).read_bytes()
     at = blob.index(b"attn_heads = ")
     path.write_bytes(blob[:at] + b"conv_kernels = 5,3,1\n" + blob[at:])
     assert b"tensor = conv3_w 1,%d,%d\n" % cfg.conv_filters[1:] in path.read_bytes()
@@ -104,7 +115,7 @@ def test_fixed_policy_round_trip(tmp_path):
 
 def test_corrupted_version_tag(tmp_path):
     path, *_ = make_artifact(tmp_path)
-    blob = path.read_bytes().replace(VERSION_TAG.encode(), b"seiznet-model v9")
+    blob = as_v1(path).read_bytes().replace(V1_TAG, b"seiznet-model v9")
     path.write_bytes(blob)
     with pytest.raises(DataError, match="version"):
         load_artifact(path)
@@ -112,7 +123,7 @@ def test_corrupted_version_tag(tmp_path):
 
 def test_truncated_file(tmp_path):
     path, *_ = make_artifact(tmp_path)
-    blob = path.read_bytes()
+    blob = as_v1(path).read_bytes()
     path.write_bytes(blob[:len(blob) - 64])
     with pytest.raises(DataError, match="truncat"):
         load_artifact(path)
@@ -120,7 +131,7 @@ def test_truncated_file(tmp_path):
 
 def test_trailing_garbage(tmp_path):
     path, *_ = make_artifact(tmp_path)
-    path.write_bytes(path.read_bytes() + b"extra")
+    path.write_bytes(as_v1(path).read_bytes() + b"extra")
     with pytest.raises(DataError, match="trailing"):
         load_artifact(path)
 
@@ -128,7 +139,7 @@ def test_trailing_garbage(tmp_path):
 @pytest.mark.parametrize("damage", ["blank line", "dim", "count"])
 def test_header_and_count_edits(tmp_path, damage):
     path, cfg, params, _ = make_artifact(tmp_path)
-    blob = path.read_bytes()
+    blob = as_v1(path).read_bytes()
     head, _, body = blob.partition(b"==binary==\n")
     if damage == "blank line":
         head = head.replace(b"\ntensor = ", b"\n\ntensor = ", 1)
@@ -142,7 +153,9 @@ def test_header_and_count_edits(tmp_path, damage):
     if damage == "blank line":
         assert load_artifact(path)[0] == cfg
     else:
-        match = {"dim": "bad tensor line", "count": "stored 17 values"}[damage]
+        # dims that are not numbers are no rendering of the config's shapes
+        match = {"dim": "tensor inventory does not match its config",
+                 "count": "stored 17 values"}[damage]
         with pytest.raises(DataError, match=match):
             load_artifact(path)
 
@@ -159,7 +172,7 @@ def test_header_and_count_edits(tmp_path, damage):
         "float32-overflow"])
 def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
     path, cfg, params, _ = make_artifact(tmp_path)
-    blob = bytearray(path.read_bytes())
+    blob = bytearray(as_v1(path).read_bytes())
     offset = blob.index(b"==binary==\n") + len(b"==binary==\n")
     for tensor in ["scaler_mean", "scaler_std", *cfg.net.shapes]:
         if tensor == name:
@@ -181,7 +194,7 @@ def test_damaged_stored_value_names_the_tensor(tmp_path, name, value, match):
 def test_out_of_range_header_value_is_a_data_error(tmp_path, line, match):
     # the file's `wavelet = ` line replaced by `line`, or removed for None
     path, *_ = make_artifact(tmp_path)
-    head, divider, body = path.read_bytes().partition(b"==binary==\n")
+    head, divider, body = as_v1(path).read_bytes().partition(b"==binary==\n")
     lines = head.split(b"\n")
     at = next(i for i, ln in enumerate(lines) if ln.startswith(b"wavelet = "))
     lines[at:at + 1] = [] if line is None else [line]
@@ -313,7 +326,7 @@ def test_default_model_inventory_is_pinned(tmp_path):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path, *_ = make_artifact(tmp_path_factory.mktemp("fuzz"))
-    return path
+    return as_v1(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,3 +346,136 @@ def test_damaged_artifact_fails_with_a_documented_error(fuzz_dir, data):
         load_artifact(damaged)
     except DataError:
         pass
+
+
+def test_version_line_is_the_digest_of_the_rest(tmp_path):
+    path, *_ = make_artifact(tmp_path)
+    version, _, rest = path.read_bytes().partition(b"\n")
+    assert version == V2_PREFIX + hashlib.sha256(rest).hexdigest().encode()
+    assert len(version) == len(V2_PREFIX) + 64
+
+
+def test_v1_form_of_a_file_loads_the_same_values(tmp_path):
+    path, cfg, params, scaler = make_artifact(tmp_path)
+    v2 = load_artifact(path)
+    v1 = load_artifact(as_v1(path))
+    assert v1[0] == v2[0] == cfg and v1[3:] == v2[3:]
+    assert v1[2].mean.tobytes() == v2[2].mean.tobytes() == scaler.mean.tobytes()
+    for name in params:
+        assert v1[1][name].tobytes() == v2[1][name].tobytes() == params[name].tobytes(), name
+
+
+# written by the v1 `save_artifact` with `make_artifact`'s recipe (seed 0)
+V1_FILE = Path(__file__).parent / "data" / "model_v1.bin"
+
+
+def test_committed_v1_file_loads_bit_for_bit():
+    cfg = toy_config()
+    params = cfg.net.init_params(0)
+    rng = np.random.default_rng(50)
+    mean, std = rng.standard_normal(cfg.input_len), rng.uniform(0.5, 2.0, cfg.input_len)
+    assert V1_FILE.read_bytes().startswith(V1_TAG + b"\n")
+    cfg2, params2, scaler2, policy, meta = load_artifact(V1_FILE)
+    assert cfg2 == cfg and policy == "universal"
+    assert meta == {"seed": "0", "epochs_run": "3"}
+    assert scaler2.mean.tobytes() == mean.tobytes()
+    assert scaler2.std.tobytes() == std.tobytes()
+    assert list(params2) == list(cfg.net.shapes)
+    for name, a in params.items():
+        assert params2[name].dtype == a.dtype and params2[name].tobytes() == a.tobytes(), name
+    x = np.random.default_rng(4).standard_normal((9, cfg.input_len))
+    assert predict_probs(cfg2, params2, x).tobytes() == predict_probs(cfg, params, x).tobytes()
+
+
+def test_committed_v1_file_saved_again_keeps_its_bytes_after_the_version_line(tmp_path):
+    cfg, params, scaler, policy, meta = load_artifact(V1_FILE)
+    again = tmp_path / "again.bin"
+    save_artifact(again, cfg, params, scaler, policy, meta)
+    assert again.read_bytes().startswith(V2_PREFIX)
+    assert (again.read_bytes().partition(b"\n")[2]
+            == V1_FILE.read_bytes().partition(b"\n")[2])
+
+
+def test_save_refuses_a_tensor_of_another_shape_and_writes_nothing(tmp_path):
+    cfg = toy_config()
+    params = cfg.net.init_params(0)
+    params["fc2_w"] = params["fc2_w"].T.copy()
+    assert params["fc2_w"].shape != cfg.net.shapes["fc2_w"]
+    scaler = ScalerParams(np.zeros(cfg.input_len), np.ones(cfg.input_len))
+    with pytest.raises(ValueError, match="tensor fc2_w: shape"):
+        save_artifact(tmp_path / "model.bin", cfg, params, scaler, "off")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_header_of_a_far_larger_network_is_refused_as_truncated(tmp_path):
+    # 8 bytes per value overflow int64 for the scaler, and 2**32 x 2**32
+    # values in fc2_w wrap to 0 in np.prod
+    big = ModelConfig(input_len=2 ** 61, conv_filters=(2 ** 20, 2 ** 20, 2 ** 20),
+                      attn_heads=toy_config().attn_heads, dense_units=(2 ** 32, 2 ** 32))
+    assert math.prod(big.net.shapes["fc2_w"]) == 2 ** 64
+    path, *_ = make_artifact(tmp_path)
+    head, divider, body = as_v1(path).read_bytes().partition(b"==binary==\n")
+    lines = [ln for ln in head.decode().splitlines()
+             if not ln.startswith(("tensor = ", "input_len", "conv_filters", "dense_units"))]
+    lines += ["input_len = %d" % big.input_len, "conv_filters = 1048576,1048576,1048576",
+              "dense_units = 4294967296,4294967296"]
+    inventory = [("scaler_mean", (big.input_len,)), ("scaler_std", (big.input_len,)),
+                 *big.net.shapes.items()]
+    lines += [f"tensor = {name} {','.join(str(d) for d in shape)}" for name, shape in inventory]
+    path.write_bytes("\n".join(lines).encode() + b"\n" + divider + body)
+    with pytest.raises(DataError, match="model artifact truncated"):
+        load_artifact(path)
+
+
+@pytest.fixture(scope="module")
+def v2_file(tmp_path_factory):
+    path, *_ = make_artifact(tmp_path_factory.mktemp("v2"))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_changed_v2_file_is_refused(v2_file, data):
+    original = v2_file.read_bytes()
+    blob = bytearray(original)
+    body_start = original.index(b"\n") + 1
+    # the digest covers every byte after the version line, so any number of
+    # changes there is caught; one changed byte in the version line leaves it
+    # matching neither tag
+    changes = data.draw(st.lists(st.tuples(st.integers(body_start, len(blob) - 1),
+                                           st.integers(1, 255)), max_size=4))
+    changes += data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                            st.integers(1, 255)), max_size=1))
+    for pos, mask in changes:
+        blob[pos] ^= mask
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob) - 1)))
+    blob = blob[:cut]
+    assume(bytes(blob) != original)
+    damaged = v2_file.with_name("damaged.bin")
+    damaged.write_bytes(bytes(blob))
+    with pytest.raises(DataError):
+        load_artifact(damaged)
+
+
+def test_one_changed_byte_in_the_v2_version_line_is_refused(tmp_path):
+    path, *_ = make_artifact(tmp_path)
+    original = path.read_bytes()
+    damaged = tmp_path / "damaged.bin"
+    for pos in range(original.index(b"\n") + 1):  # the version line and its end
+        for mask in range(1, 256):
+            blob = bytearray(original)
+            blob[pos] ^= mask
+            damaged.write_bytes(bytes(blob))
+            with pytest.raises(DataError):
+                load_artifact(damaged)
+
+
+def test_v2_file_with_a_changed_value_names_the_file(tmp_path):
+    path, *_ = make_artifact(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-3] ^= 0x01  # the last tensor's value, a change no structural check sees
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=f"{path}: model artifact does not match its sha256"):
+        load_artifact(path)
+    as_v1(path)
+    load_artifact(path)  # the same change in a v1 file has nothing to fail on

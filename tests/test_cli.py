@@ -300,8 +300,8 @@ class TestEvaluate:
     def test_corrupt_version_writes_nothing(self, tmp_path, tiny_config, capsys):
         csv, out = self._train_on_csv(tmp_path, tiny_config)
         model = out / "model.bin"
-        model.write_bytes(read(model).replace(b"seiznet-model v1",
-                                              b"seiznet-model v2"))
+        model.write_bytes(read(model).replace(b"seiznet-model v2 sha256=",
+                                              b"seiznet-model v3 sha256="))
         eval_out = tmp_path / "eval-out"
         assert main(["evaluate", "--model", str(model), "--data", str(csv),
                      "--out", str(eval_out)]) == 2
@@ -401,10 +401,24 @@ class TestPredict:
         assert captured.out == ""
 
     def test_non_utf8_model_header(self, tmp_path, trained, capsys):
-        trained.write_bytes(read(trained).replace(b"wavelet = ", b"wavelet\xff = ", 1))
+        # in the v1 form, which has no digest to fail first
+        blob = read(trained).replace(b"wavelet = ", b"wavelet\xff = ", 1)
+        trained.write_bytes(artifact.V1_TAG + blob[blob.index(b"\n"):])
         csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)
         assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
         assert f"{trained}: model artifact header is not UTF-8" in capsys.readouterr().err
+
+    def test_damaged_model_prints_one_error_and_no_predictions(self, tmp_path, trained,
+                                                               capsys):
+        blob = bytearray(read(trained))
+        blob[-5] ^= 0x10  # a bit of the last tensor's last value
+        trained.write_bytes(bytes(blob))
+        csv = self._feature_csv(tmp_path, dataset.synthesize(2, seed=1).features)
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: load-model: {trained}: model artifact does not "
+                                "match its sha256 digest\n")
 
     def test_scaler_width_mismatch_is_reported_by_the_scale_stage(self, tmp_path, capsys):
         cfg = toy_config()  # its scaler has input_len columns, not 178
@@ -431,6 +445,7 @@ class TestPredict:
         head, divider, body = model.read_bytes().partition(b"==binary==\n")
         key = line.split(b" = ")[0]
         lines = [line if ln.startswith(key + b" = ") else ln for ln in head.split(b"\n")]
+        lines[0] = artifact.V1_TAG  # the v1 form, which has no digest to fail first
         assert line in lines
         model.write_bytes(b"\n".join(lines) + divider + body)
         csv = self._feature_csv(tmp_path, dataset.synthesize(1, seed=1).features)

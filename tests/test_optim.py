@@ -129,8 +129,8 @@ class TestAdam:
         assert opt.m is m and opt.v is v
 
     def test_steps_match_the_expression_form_bit_for_bit(self):
-        """Adam writes each operation into its buffers; the same update as
-        plain expressions, in the same order, must give the same bits."""
+        """Adam's step must give the bits of the textbook expressions,
+        evaluated in this order."""
         rng = np.random.default_rng(3)
         shapes = {"conv": (5, 1, 4), "fc": (4, 3), "gamma": (3,)}
         # tensors as small as a step, so the last bit of each update shows
