@@ -16,7 +16,8 @@ which `load_artifact` checks before it parses anything. Version 1 files,
 version line `seiznet-model v1`, hold the same bytes after it and are still
 read, without a check. One changed byte in a v2 version line leaves it
 matching neither tag, so no single damaged byte makes a v2 file load
-unchecked.
+unchecked. Two bytes could (`v2 sha256=` -> `v1` and a line `sha256=`), so a
+v1 header that holds a `sha256` key is refused: it takes three.
 """
 
 import hashlib
@@ -153,6 +154,9 @@ def load_artifact(path):
         raise DataError(f"{path}: model artifact header is not UTF-8 "
                         f"(byte {exc.start}: {exc.reason})")
     keys, metadata, tensor_specs = _parse_header(header.splitlines()[1:])
+    if "sha256" in keys:  # no v1 file has one; a damaged v2 version line does
+        raise DataError(f"{path}: v1 model artifact holds a sha256 key, "
+                        "the mark of a damaged v2 version line")
     config = _config_from_keys(keys)
     if "wavelet" not in keys:
         raise DataError("model artifact lacks a wavelet policy")

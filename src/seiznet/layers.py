@@ -132,12 +132,38 @@ def maxpool_backward(x, grad_out):
     return kernels.maxpool_backward(grad_out, kernels.maxpool_index(x), x.shape[1])
 
 
+def _reduce_last(ufunc, a):
+    """`ufunc` (np.maximum or np.add) folded over the columns a[..., j],
+    left to right, into one [..., 1] result.
+
+    numpy's `max(axis=-1)` and `sum(axis=-1)` are slow over a short last
+    axis, such as attention's 22 keys; one elementwise op per column is
+    about 4x faster for the max and 1.6x for the sum. Each row's result
+    depends only on that row, in a fixed order, so a row reduced alone
+    gives the bits it gives inside any batch, which a GEMV with a ones
+    vector need not do on every BLAS kernel.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out[..., None]
+
+
 def _softmax_rows(scores):
-    """Softmax over the last axis, in place."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place. The row max and row sum are
+    `_reduce_last` folds: the max is exact in any order, the sum adds the
+    columns left to right."""
+    scores -= _reduce_last(np.maximum, scores)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= _reduce_last(np.add, scores)
     return scores
+
+
+def _score_scale(d_k, dtype):
+    """1/sqrt(dk) as a scalar of the scores' dtype. A float64 scalar would
+    make NumPy 2 (NEP 50) multiply float32 scores in float64 and round back,
+    at about 7x the cost of the float32 multiply NumPy 1.x did."""
+    return dtype.type(1.0 / np.sqrt(d_k))
 
 
 def _split_heads(qkv, n, length, heads):
@@ -154,7 +180,10 @@ def mha_forward(x, wq, wk, wv, wo):
     Per head: A = rowsoftmax(Q K^T / sqrt(dk)), head output A V; heads are
     concatenated and passed through the output projection. Q, K and V of
     every head come from one [N*L, D] @ [D, 3D] product; the cache keeps the
-    attention weights [N, H, L, L] at index 4.
+    attention weights [N, H, L, L] at index 4. The scores are scaled by
+    1/sqrt(dk) in their own dtype, and the softmax reduces over the key
+    axis column by column (`_reduce_last`), so beside its GEMMs the op
+    costs a few elementwise passes.
     """
     heads, d_model, d_k = wq.shape
     if x.shape[-1] != d_model or heads * d_k != d_model:
@@ -169,7 +198,7 @@ def mha_forward(x, wq, wk, wv, wo):
     qkv = x.reshape(n * length, d_model) @ w_qkv
     q, k, v = _split_heads(qkv, n, length, heads)
     attn = q @ k.swapaxes(-1, -2)
-    attn *= 1.0 / np.sqrt(d_k)
+    attn *= _score_scale(d_k, attn.dtype)
     _softmax_rows(attn)
     concat = (attn @ v).transpose(0, 2, 1, 3).reshape(n * length, d_model)
     out = x + (concat @ wo).reshape(x.shape)
@@ -191,9 +220,9 @@ def mha_backward(cache, grad_out):
     dv[...] = attn.swapaxes(-1, -2) @ dhead
     dscore = dhead @ v.swapaxes(-1, -2)
     # softmax backward per row, then undo the score scaling
-    dscore -= (dscore * attn).sum(axis=-1, keepdims=True)
+    dscore -= _reduce_last(np.add, dscore * attn)
     dscore *= attn
-    dscore *= 1.0 / np.sqrt(d_k)
+    dscore *= _score_scale(d_k, dscore.dtype)
     dq[...] = dscore @ k
     dk[...] = dscore.swapaxes(-1, -2) @ q
 

@@ -420,6 +420,19 @@ class TestPredict:
         assert captured.err == (f"error: load-model: {trained}: model artifact does not "
                                 "match its sha256 digest\n")
 
+    def test_v2_version_line_turned_into_v1_by_two_bytes_is_refused(self, tmp_path, trained,
+                                                                    capsys):
+        blob = bytearray(read(trained))
+        assert blob.startswith(artifact.V2_PREFIX)
+        blob[15:17] = b"1\n"  # `v2 sha256=<hex>` -> `v1`, then a line `sha256=<hex>`
+        trained.write_bytes(bytes(blob))
+        csv = self._feature_csv(tmp_path, dataset.synthesize(2, seed=1).features)
+        assert main(["predict", "--model", str(trained), "--data", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: load-model: {trained}: v1 model artifact holds a "
+                                "sha256 key, the mark of a damaged v2 version line\n")
+
     def test_scaler_width_mismatch_is_reported_by_the_scale_stage(self, tmp_path, capsys):
         cfg = toy_config()  # its scaler has input_len columns, not 178
         assert cfg.input_len != 178

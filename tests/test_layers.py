@@ -442,6 +442,61 @@ class TestAttention:
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+class TestSoftmaxRows:
+    """The key-axis reductions on one predict chunk of float32 scores,
+    [N, H, L, L] = [64, 4, 22, 22]."""
+
+    @staticmethod
+    def _scores():
+        rng = np.random.default_rng(40)
+        return (rng.standard_normal((64, 4, 22, 22)) * 4.0).astype(np.float32)
+
+    def test_a_row_alone_gives_its_bits_in_the_chunk(self):
+        scores = self._scores()
+        chunk = [layers._reduce_last(np.maximum, scores), layers._reduce_last(np.add, scores),
+                 layers._softmax_rows(scores.copy())]
+        for n in range(scores.shape[0]):
+            row = scores[n:n + 1]
+            alone = [layers._reduce_last(np.maximum, row), layers._reduce_last(np.add, row),
+                     layers._softmax_rows(row.copy())]
+            for got, want in zip(alone, chunk):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want[n:n + 1]), n
+
+    def test_max_matches_numpy_exactly(self):
+        scores = self._scores()
+        got = layers._reduce_last(np.maximum, scores)
+        assert got.shape == (64, 4, 22, 1)
+        assert np.array_equal(got, scores.max(axis=-1, keepdims=True))
+
+    def test_rows_sum_to_one(self):
+        probs = layers._softmax_rows(self._scores())
+        assert probs.dtype == np.float32
+        assert np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() < 1e-6
+
+    def test_a_nan_stays_in_its_row(self):
+        scores = self._scores()
+        scores[5, 2, 7, 3] = np.nan
+        probs = layers._softmax_rows(scores)
+        assert np.isnan(probs[5, 2, 7]).all()
+        probs[5, 2, 7] = 0.0
+        assert np.isfinite(probs).all()
+
+    def test_float32_scores_are_scaled_in_float32(self):
+        # NumPy 2 multiplies float32 by a float64 scalar in float64 (NEP 50),
+        # which rounds differently from the float32 product
+        rng = np.random.default_rng(41)
+        heads, d_k, length = 4, 32, 22
+        w = [(rng.standard_normal(shape) * 0.2).astype(np.float32)
+             for shape in [(heads, heads * d_k, d_k)] * 3 + [(heads * d_k,) * 2]]
+        x = rng.standard_normal((64, length, heads * d_k)).astype(np.float32)
+        _, cache = layers.mha_forward(x, *w)
+        q, k, _ = layers._split_heads(cache[2], 64, length, heads)
+        want = layers._softmax_rows(q @ k.swapaxes(-1, -2) * np.float32(1 / np.sqrt(d_k)))
+        assert cache[4].dtype == np.float32
+        assert np.array_equal(cache[4], want)
+
+
 class TestLayerNorm:
     def test_hand_values(self):
         out, _ = layers.layernorm_forward(np.array([[[1.0, 2.0, 3.0]]]),
