@@ -31,12 +31,22 @@ def _im2col(x, k_size):
     return np.ascontiguousarray(windows).reshape(n * length, k_size * c_in)
 
 
+def per_row(v, rows):
+    """v, one value per channel, tiled along `rows`, a one-row-per-sample
+    view of [N, ..., C]: entry j of a row is channel j % C. numpy applies a
+    vector along a long axis much faster than along a short channel axis,
+    and each element gets the same single add or multiply as in the
+    broadcast form, so the bits are the same."""
+    return np.tile(v, rows.shape[1] // v.shape[0])
+
+
 def conv1d_forward(x, w, b):
-    """out[n,i,o] = b[o] + sum_{k,c} x[n, i+k-pad, c] * w[k,c,o] (zero padded)."""
+    """out[n,i,o] = b[o] + sum_{k,c} x[n, i+k-pad, c] * w[k,c,o] (zero padded).
+    The bias is added as one tiled [L*C_out] row per sample (`per_row`)."""
     n, length, _ = x.shape
     k_size, c_in, c_out = w.shape
-    out = _im2col(x, k_size) @ w.reshape(k_size * c_in, c_out)
-    out += b
+    out = (_im2col(x, k_size) @ w.reshape(k_size * c_in, c_out)).reshape(n, length * c_out)
+    out += per_row(b, out)
     return out.reshape(n, length, c_out)
 
 

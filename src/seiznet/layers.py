@@ -7,6 +7,7 @@ conv/pool/attention work on [N, L, C], dense layers on [N, D].
 import numpy as np
 
 from . import kernels
+from .kernels import per_row
 
 BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `batchnorm_fold`
 BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
@@ -44,13 +45,6 @@ def conv1d_backward(cache, grad_out):
     return kernels.conv1d_backward(x, w, grad_out)
 
 
-def _per_row(v, rows):
-    """v, one value per channel, tiled along `rows`, a one-row-per-sample
-    view of [N, ..., C]: entry j of a row is channel j % C. numpy applies a
-    vector along a long axis much faster than along a short channel axis."""
-    return np.tile(v, rows.shape[1] // v.shape[0])
-
-
 def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     """Normalize per channel over all leading axes with the batch statistics,
     and update the running estimates in place (running <- BN_MOMENTUM *
@@ -71,14 +65,14 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     m = flat.shape[0]
     mean = np.ones(m, dtype=x.dtype) @ flat / m
     rows = x.reshape(x.shape[0], -1)
-    xc = rows - _per_row(mean, rows)
+    xc = rows - per_row(mean, rows)
     xc_flat = xc.reshape(flat.shape)
     var = np.einsum("ij,ij->j", xc_flat, xc_flat) / m
     running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
     running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    out = xc * _per_row(gamma * inv, rows)
-    out += _per_row(beta, rows)
+    out = xc * per_row(gamma * inv, rows)
+    out += per_row(beta, rows)
     return out.reshape(x.shape), (xc.reshape(x.shape), inv, gamma)
 
 
@@ -100,9 +94,9 @@ def batchnorm_backward(cache, grad_out):
     dgamma = inv * np.einsum("ij,ij->j", dy, xc.reshape(dy.shape))
     a = gamma * inv
     rows = grad_out.reshape(grad_out.shape[0], -1)
-    dx = rows * _per_row(a, rows)
-    dx -= xc.reshape(rows.shape) * _per_row(a * inv * dgamma / m, rows)
-    dx -= _per_row(a * dbeta / m, rows)
+    dx = rows * per_row(a, rows)
+    dx -= xc.reshape(rows.shape) * per_row(a * inv * dgamma / m, rows)
+    dx -= per_row(a * dbeta / m, rows)
     return dx.reshape(grad_out.shape), dgamma, dbeta
 
 
@@ -132,31 +126,18 @@ def maxpool_backward(x, grad_out):
     return kernels.maxpool_backward(grad_out, kernels.maxpool_index(x), x.shape[1])
 
 
-def _reduce_last(ufunc, a):
-    """`ufunc` (np.maximum or np.add) folded over the columns a[..., j],
-    left to right, into one [..., 1] result.
-
-    numpy's `max(axis=-1)` and `sum(axis=-1)` are slow over a short last
-    axis, such as attention's 22 keys; one elementwise op per column is
-    about 4x faster for the max and 1.6x for the sum. Each row's result
-    depends only on that row, in a fixed order, so a row reduced alone
-    gives the bits it gives inside any batch, which a GEMV with a ones
-    vector need not do on every BLAS kernel.
-    """
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        ufunc(out, a[..., j], out=out)
-    return out[..., None]
-
-
-def _softmax_rows(scores):
-    """Softmax over the last axis, in place. The row max and row sum are
-    `_reduce_last` folds: the max is exact in any order, the sum adds the
-    columns left to right."""
-    scores -= _reduce_last(np.maximum, scores)
-    np.exp(scores, out=scores)
-    scores /= _reduce_last(np.add, scores)
-    return scores
+def _softmax_keys(s):
+    """Softmax of key-major scores s[j, ...] over the keys j (axis 0), in
+    place. The max and the sum reduce over axis 0, which numpy runs as one
+    elementwise op per key row, left to right: the max is exact in any
+    order, and each query's sum depends only on its own column, so a query
+    scored alone gives the bits it gives inside any batch, which a GEMV with
+    a ones vector need not do on every BLAS kernel. The subtract, exp and
+    divide run along rows of N*H*L contiguous values."""
+    s -= np.maximum.reduce(s, axis=0)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=0)
+    return s
 
 
 def _score_scale(d_k, dtype):
@@ -172,18 +153,28 @@ def _split_heads(qkv, n, length, heads):
     return qkv.reshape(n, length, 3, heads, d_k).transpose(2, 0, 3, 1, 4)
 
 
+def _key_major(a, b):
+    """s[j, n, h, i] = a[n, h, j] . b[n, h, i], an [Lk, N, H, Lq] buffer
+    filled by one batched GEMM, a @ b^T, written through a transposed view."""
+    s = np.empty((a.shape[2], *b.shape[:3]), dtype=np.result_type(a, b))
+    np.matmul(a, b.swapaxes(-1, -2), out=s.transpose(1, 2, 0, 3))
+    return s
+
+
 def mha_forward(x, wq, wk, wv, wo):
     """Multi-head self-attention added back onto its input: the skip
     connection is part of the op, so it returns x + attention(x).
 
     x: [N, L, D]; wq/wk/wv: [H, D, dk] with H * dk = D; wo: [D, D].
-    Per head: A = rowsoftmax(Q K^T / sqrt(dk)), head output A V; heads are
-    concatenated and passed through the output projection. Q, K and V of
-    every head come from one [N*L, D] @ [D, 3D] product; the cache keeps the
-    attention weights [N, H, L, L] at index 4. The scores are scaled by
-    1/sqrt(dk) in their own dtype, and the softmax reduces over the key
-    axis column by column (`_reduce_last`), so beside its GEMMs the op
-    costs a few elementwise passes.
+    Per head: A = softmax over the keys of Q K^T / sqrt(dk), head output
+    A V; heads are concatenated and passed through the output projection.
+    Q, K and V of every head come from one [N*L, D] @ [D, 3D] product. The
+    scores are scaled by 1/sqrt(dk) in their own dtype and held key-major,
+    one [L, N, H, L] buffer with s[j, n, h, i] = q_i . k_j, so the softmax
+    reduces over axis 0 and runs its elementwise passes along long
+    contiguous rows (`_softmax_keys`). The head products are written
+    straight into the [N, L, H, dk] concat buffer. The cache keeps the
+    attention weights at index 4, as an [N, H, Lq, Lk] view.
     """
     heads, d_model, d_k = wq.shape
     if x.shape[-1] != d_model or heads * d_k != d_model:
@@ -197,11 +188,14 @@ def mha_forward(x, wq, wk, wv, wo):
         [w.transpose(1, 0, 2).reshape(d_model, d_model) for w in (wq, wk, wv)], axis=1)
     qkv = x.reshape(n * length, d_model) @ w_qkv
     q, k, v = _split_heads(qkv, n, length, heads)
-    attn = q @ k.swapaxes(-1, -2)
-    attn *= _score_scale(d_k, attn.dtype)
-    _softmax_rows(attn)
-    concat = (attn @ v).transpose(0, 2, 1, 3).reshape(n * length, d_model)
-    out = x + (concat @ wo).reshape(x.shape)
+    s = _key_major(k, q)
+    s *= _score_scale(d_k, s.dtype)
+    attn = _softmax_keys(s).transpose(1, 2, 3, 0)
+    concat = np.empty((n, length, heads, d_k), dtype=qkv.dtype)
+    np.matmul(attn, v, out=concat.transpose(0, 2, 1, 3))
+    concat = concat.reshape(n * length, d_model)
+    out = (concat @ wo).reshape(x.shape)
+    out += x
     return out, (x, w_qkv, qkv, concat, attn, wo)
 
 
@@ -218,13 +212,15 @@ def mha_backward(cache, grad_out):
     dqkv = np.empty((n, length, 3, heads, d_k), dtype=grad_out.dtype)
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
     dv[...] = attn.swapaxes(-1, -2) @ dhead
-    dscore = dhead @ v.swapaxes(-1, -2)
-    # softmax backward per row, then undo the score scaling
-    dscore -= _reduce_last(np.add, dscore * attn)
-    dscore *= attn
-    dscore *= _score_scale(d_k, dscore.dtype)
-    dq[...] = dscore @ k
-    dk[...] = dscore.swapaxes(-1, -2) @ q
+    # softmax backward per query, key-major like the forward scores, then
+    # undo the score scaling
+    s = attn.transpose(3, 0, 1, 2)  # the key-major forward buffer
+    ds = _key_major(v, dhead)
+    ds -= np.add.reduce(ds * s, axis=0)
+    ds *= s
+    ds *= _score_scale(d_k, ds.dtype)
+    dq[...] = ds.transpose(1, 2, 3, 0) @ k
+    dk[...] = ds.transpose(1, 2, 0, 3) @ q
 
     dqkv = dqkv.reshape(n * length, 3 * d_model)
     dw = x.reshape(n * length, d_model).T @ dqkv               # [D, 3D]
@@ -232,32 +228,43 @@ def mha_backward(cache, grad_out):
         dw.reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3))
     dx = (dqkv @ w_qkv.T).reshape(x.shape)
     # the skip add routes grad_out to the input unchanged, beside attention
-    return grad_out + dx, dwq, dwk, dwv, dwo
+    dx += grad_out
+    return dx, dwq, dwk, dwv, dwo
 
 
 def layernorm_forward(x, gamma, beta):
-    """Normalize each position's channel vector to zero mean, unit variance."""
+    """Normalize each position's channel vector to zero mean, unit variance,
+    then scale by gamma and shift by beta, each applied as one tiled row
+    per sample (`per_row`)."""
     xhat = x - x.mean(axis=-1, keepdims=True)
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
-    out = xhat * gamma
-    out += beta
-    return out, (xhat, inv, gamma)
+    rows = xhat.reshape(xhat.shape[0], -1)
+    out = rows * per_row(gamma, rows)
+    out += per_row(beta, rows)
+    return out.reshape(x.shape), (xhat, inv, gamma)
 
 
 def layernorm_backward(cache, grad_out):
-    """Returns (dx, dgamma): no dbeta, as `bnd1` cancels beta (`model.Net`)."""
+    """Returns (dx, dgamma): no dbeta, as `bnd1` cancels beta (`model.Net`).
+    With dxhat = grad_out * gamma (one tiled row per sample, `per_row`):
+
+        dx = (inv / c) * (c * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+
+    evaluated in place in dxhat, in that order of operations."""
     xhat, inv, gamma = cache
     c = grad_out.shape[-1]
     axes = tuple(range(grad_out.ndim - 1))
     dgamma = (grad_out * xhat).sum(axis=axes)
-    dxhat = grad_out * gamma
-    dx = (inv / c) * (
-        c * dxhat
-        - dxhat.sum(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-    )
+    rows = grad_out.reshape(grad_out.shape[0], -1)
+    dx = (rows * per_row(gamma, rows)).reshape(grad_out.shape)
+    sum_dxhat = dx.sum(axis=-1, keepdims=True)
+    sum_dxhat_xhat = (dx * xhat).sum(axis=-1, keepdims=True)
+    dx *= c
+    dx -= sum_dxhat
+    dx -= xhat * sum_dxhat_xhat
+    dx *= inv / c
     return dx, dgamma
 
 

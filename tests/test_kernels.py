@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seiznet import kernels
+from seiznet import kernels, model
 
 # N, L, C_in, K, C_out. Patch matrices narrower and wider than the output
 # (K * C_in below, at and above C_out), a single tap, a sequence shorter than
@@ -146,6 +146,30 @@ def test_maxpool_tie_goes_to_lower_index():
     out, idx = kernels.maxpool_forward(x), kernels.maxpool_index(x)
     assert out[0, :, 0].tolist() == [2.0, 5.0]
     assert idx[0, :, 0].tolist() == [0, 0]
+
+
+def conv_stages(config, dtype):
+    """(N, L, C_in, K, C_out, dtype) of each conv stage of config's network,
+    at a 64-row predict chunk in float32, or at 3 rows in float64."""
+    n = 64 if dtype == np.float32 else 3
+    length, c_in = config.input_len, 1
+    for c_out, k in zip(config.conv_filters, model.CONV_KERNELS):
+        yield n, length, c_in, k, c_out, dtype
+        length, c_in = length // 2, c_out
+
+
+@pytest.mark.parametrize("n,length,c_in,k,c_out,dtype", [
+    *conv_stages(model.ModelConfig(), np.float32), *conv_stages(model.toy_config(), np.float64)])
+def test_conv_bias_is_the_broadcast_add_bit_for_bit(n, length, c_in, k, c_out, dtype):
+    rng = np.random.default_rng(length * c_out)
+    x = rng.standard_normal((n, length, c_in)).astype(dtype)
+    w = rng.standard_normal((k, c_in, c_out)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    want = kernels._im2col(x, k) @ w.reshape(k * c_in, c_out)
+    want += b
+    got = kernels.conv1d_forward(x, w, b)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want.reshape(n, length, c_out))
 
 
 def test_conv_zero_padding_boundaries():

@@ -443,48 +443,52 @@ class TestAttention:
 
 
 class TestSoftmaxRows:
-    """The key-axis reductions on one predict chunk of float32 scores,
-    [N, H, L, L] = [64, 4, 22, 22]."""
+    """The key-major softmax on one predict chunk of float32 scores,
+    s[j, n, h, i] of shape [Lk, N, H, Lq] = [22, 64, 4, 22]: each query's
+    row of weights A[n, h, i, :] is the column s[:, n, h, i]."""
 
     @staticmethod
     def _scores():
         rng = np.random.default_rng(40)
-        return (rng.standard_normal((64, 4, 22, 22)) * 4.0).astype(np.float32)
+        return (rng.standard_normal((22, 64, 4, 22)) * 4.0).astype(np.float32)
 
     def test_a_row_alone_gives_its_bits_in_the_chunk(self):
         scores = self._scores()
-        chunk = [layers._reduce_last(np.maximum, scores), layers._reduce_last(np.add, scores),
-                 layers._softmax_rows(scores.copy())]
-        for n in range(scores.shape[0]):
-            row = scores[n:n + 1]
-            alone = [layers._reduce_last(np.maximum, row), layers._reduce_last(np.add, row),
-                     layers._softmax_rows(row.copy())]
-            for got, want in zip(alone, chunk):
-                assert got.dtype == np.float32
-                assert np.array_equal(got, want[n:n + 1]), n
+        chunk = layers._softmax_keys(scores.copy())
+        for n in range(scores.shape[1]):
+            for i in range(scores.shape[3]):
+                alone = layers._softmax_keys(scores[:, n:n + 1, :, i:i + 1].copy())
+                assert alone.dtype == np.float32
+                assert np.array_equal(alone, chunk[:, n:n + 1, :, i:i + 1]), (n, i)
 
     def test_max_matches_numpy_exactly(self):
+        # the softmax subtracts s.max(axis=0) exactly, and sums the keys
+        # left to right, as a fold over the key rows does
         scores = self._scores()
-        got = layers._reduce_last(np.maximum, scores)
-        assert got.shape == (64, 4, 22, 1)
-        assert np.array_equal(got, scores.max(axis=-1, keepdims=True))
+        e = np.exp(scores - scores.max(axis=0))
+        total = e[0].copy()
+        for j in range(1, e.shape[0]):
+            total += e[j]
+        assert np.array_equal(layers._softmax_keys(scores), e / total)
 
     def test_rows_sum_to_one(self):
-        probs = layers._softmax_rows(self._scores())
+        probs = layers._softmax_keys(self._scores())
         assert probs.dtype == np.float32
-        assert np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() < 1e-6
+        assert np.abs(probs.sum(axis=0, dtype=np.float64) - 1.0).max() < 1e-6
 
     def test_a_nan_stays_in_its_row(self):
         scores = self._scores()
-        scores[5, 2, 7, 3] = np.nan
-        probs = layers._softmax_rows(scores)
-        assert np.isnan(probs[5, 2, 7]).all()
-        probs[5, 2, 7] = 0.0
+        scores[3, 5, 2, 7] = np.nan
+        probs = layers._softmax_keys(scores)
+        assert np.isnan(probs[:, 5, 2, 7]).all()
+        probs[:, 5, 2, 7] = 0.0
         assert np.isfinite(probs).all()
 
     def test_float32_scores_are_scaled_in_float32(self):
         # NumPy 2 multiplies float32 by a float64 scalar in float64 (NEP 50),
-        # which rounds differently from the float32 product
+        # which rounds differently from the float32 product. The reference
+        # scores are k @ q^T, the GEMM mha_forward runs: on some BLAS kernels
+        # q @ k^T differs from it in the last bits
         rng = np.random.default_rng(41)
         heads, d_k, length = 4, 32, 22
         w = [(rng.standard_normal(shape) * 0.2).astype(np.float32)
@@ -492,9 +496,10 @@ class TestSoftmaxRows:
         x = rng.standard_normal((64, length, heads * d_k)).astype(np.float32)
         _, cache = layers.mha_forward(x, *w)
         q, k, _ = layers._split_heads(cache[2], 64, length, heads)
-        want = layers._softmax_rows(q @ k.swapaxes(-1, -2) * np.float32(1 / np.sqrt(d_k)))
+        scores = np.ascontiguousarray((k @ q.swapaxes(-1, -2)).transpose(2, 0, 1, 3))
+        want = layers._softmax_keys(scores * np.float32(1 / np.sqrt(d_k)))
         assert cache[4].dtype == np.float32
-        assert np.array_equal(cache[4], want)
+        assert np.array_equal(cache[4], want.transpose(1, 2, 3, 0))
 
 
 class TestLayerNorm:
@@ -510,6 +515,37 @@ class TestLayerNorm:
 
     def test_gradient(self):
         check_toy_layers("layernorm")
+
+    # the LayerNorm input of the default network at a 64-row predict chunk in
+    # float32, and of the toy network at 3 rows in float64
+    SHAPES = [((64, 22, 128), np.float32), ((3, 3, 4), np.float64)]
+
+    @staticmethod
+    def _inputs(shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        x, go = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        return x, go, gamma, beta
+
+    @pytest.mark.parametrize("shape,dtype", SHAPES)
+    def test_tiled_scale_and_shift_are_the_broadcast_forms_bit_for_bit(self, shape, dtype):
+        x, _, gamma, beta = self._inputs(shape, dtype)
+        out, (xhat, _, _) = layers.layernorm_forward(x, gamma, beta)
+        assert out.dtype == dtype
+        assert np.array_equal(out, xhat * gamma + beta)
+
+    @pytest.mark.parametrize("shape,dtype", SHAPES)
+    def test_backward_tiled_scale_is_the_broadcast_form_bit_for_bit(self, shape, dtype):
+        x, go, gamma, beta = self._inputs(shape, dtype)
+        _, cache = layers.layernorm_forward(x, gamma, beta)
+        xhat, inv, _ = cache
+        dx, _ = layers.layernorm_backward(cache, go)
+        c = shape[-1]
+        dxhat = go * gamma
+        want = (inv / c) * (c * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+        assert dx.dtype == dtype
+        assert np.array_equal(dx, want)
 
 
 class TestGlobalAveragePool:
