@@ -38,10 +38,14 @@ def conv1d_forward(x, w, b):
     return out, (x, w)
 
 
-def conv1d_backward(cache, grad_out):
+def conv1d_backward(cache, grad_out, input_grad=True):
+    """(grad_x, grad_w); with input_grad False, (None, grad_w), which skips
+    grad_x's per-tap GEMMs for a layer whose input gradient nothing reads."""
     x, w = cache
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[2]):
         raise ValueError(f"conv grad shape {grad_out.shape} does not match forward")
+    if not input_grad:
+        return None, kernels.conv1d_grad_w(x, grad_out, w.shape[0])
     return kernels.conv1d_backward(x, w, grad_out)
 
 
@@ -211,7 +215,7 @@ def mha_backward(cache, grad_out):
     dhead = (g @ wo.T).reshape(n, length, heads, d_k).transpose(0, 2, 1, 3)
     dqkv = np.empty((n, length, 3, heads, d_k), dtype=grad_out.dtype)
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-    dv[...] = attn.swapaxes(-1, -2) @ dhead
+    np.matmul(attn.swapaxes(-1, -2), dhead, out=dv)
     # softmax backward per query, key-major like the forward scores, then
     # undo the score scaling
     s = attn.transpose(3, 0, 1, 2)  # the key-major forward buffer
@@ -219,8 +223,8 @@ def mha_backward(cache, grad_out):
     ds -= np.add.reduce(ds * s, axis=0)
     ds *= s
     ds *= _score_scale(d_k, ds.dtype)
-    dq[...] = ds.transpose(1, 2, 3, 0) @ k
-    dk[...] = ds.transpose(1, 2, 0, 3) @ q
+    np.matmul(ds.transpose(1, 2, 3, 0), k, out=dq)
+    np.matmul(ds.transpose(1, 2, 0, 3), q, out=dk)
 
     dqkv = dqkv.reshape(n * length, 3 * d_model)
     dw = x.reshape(n * length, d_model).T @ dqkv               # [D, 3D]

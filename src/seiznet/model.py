@@ -78,7 +78,9 @@ class Layer:
     forward(params, x, rng) returns (y, cache); backward(cache, g) returns
     (g w.r.t. x, {learnable tensor name: gradient}). `<op>_backward` returns
     the input gradient, then one gradient per tensor in declaration order,
-    up to the last it computes. The functions are looked up on
+    up to the last it computes. backward(cache, g, input_grad=False) passes
+    input_grad=False on to an op that takes it, `conv1d`, the network's
+    first; the input gradient is then None. The functions are looked up on
     `layers` at call time, so a function patched there is the one every
     layer runs.
     """
@@ -95,8 +97,9 @@ class Layer:
     def forward(self, params, x, rng):
         return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params))
 
-    def backward(self, cache, g):
-        out = getattr(layers, f"{self.op}_backward")(cache, g)
+    def backward(self, cache, g, input_grad=True):
+        skip = {} if input_grad else {"input_grad": False}
+        out = getattr(layers, f"{self.op}_backward")(cache, g, **skip)
         if not self.shapes:  # tensor-free ops return the input gradient alone
             return out, {}
         grads = dict(zip(self.shapes, out[1:]))
@@ -237,10 +240,13 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
 
 
 def model_backward(trace, grad_probs):
-    """Gradients of every learnable tensor, given the train trace and dLoss/dprobs."""
+    """Gradients of every learnable tensor, given the train trace and
+    dLoss/dprobs. The first layer is asked for its tensors' gradients only:
+    nothing reads the gradient of the network's input."""
     grads, g = {}, grad_probs
-    for layer, cache in reversed(trace):
-        g, layer_grads = layer.backward(cache, g)
+    for i in range(len(trace) - 1, -1, -1):
+        layer, cache = trace[i]
+        g, layer_grads = layer.backward(cache, g, input_grad=i > 0)
         grads.update(layer_grads)
     return grads
 

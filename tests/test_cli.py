@@ -602,9 +602,10 @@ class TestGradcheckCommand:
     def test_detects_corrupted_backward(self, capsys, monkeypatch, row):
         real = getattr(layers, f"{row}_backward")
 
-        def broken(cache, grad_out):
-            gx, *rest = real(cache, grad_out)
-            return (gx * 1.05, *rest)
+        def broken(cache, grad_out, **kwargs):
+            # model_backward asks the first conv for no input gradient (None)
+            gx, *rest = real(cache, grad_out, **kwargs)
+            return (None if gx is None else gx * 1.05, *rest)
 
         monkeypatch.setattr(layers, f"{row}_backward", broken)
         names = [layer.name for layer in toy_config().net.layers if layer.op == row]

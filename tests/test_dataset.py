@@ -332,6 +332,42 @@ def test_synthesize_draws_its_noise_in_blocks_like_one_draw(monkeypatch, block_r
     assert got.tobytes() == loop_synthesize(n_per_class, 11).tobytes()
 
 
+def row_loop_synthesize(n_per_class, seed):
+    """`dataset.synthesize` with its spike trains added one row at a time,
+    three draws then three fancy-index adds per row: the form the blocked
+    adds replaced, which they must match bit for bit."""
+    n = dataset.N_FEATURES
+    rng = np.random.default_rng(seed)
+    rows = 2 * n_per_class
+    feat = np.zeros((rows, n))
+    for i in range(0, rows, dataset.SYNTH_BLOCK_ROWS):
+        block = feat[i:i + dataset.SYNTH_BLOCK_ROWS]
+        raw = rng.standard_normal((block.shape[0], n + 4))
+        for k in range(5):
+            block += raw[:, k:k + n]
+    feat *= 1.0 / np.sqrt(5.0)
+    for row in feat[n_per_class:]:
+        period = int(rng.integers(3, 7))
+        amp = float(rng.uniform(10.0, 20.0))
+        start = int(rng.integers(0, period))
+        t = np.arange(start, n, period)
+        spike = np.where(np.arange(t.size) % 2 == 0, amp, -amp)
+        row[t] += spike
+        left = t > 0
+        row[t[left] - 1] += spike[left] / 2.0
+        right = t < n - 1
+        row[t[right] + 1] += spike[right] / 2.0
+    return feat
+
+
+@pytest.mark.parametrize("seed", [0, 3, 29])
+@pytest.mark.parametrize("n_per_class", [1, 2, 3, 1023, 1024, 1025])
+def test_synthesize_adds_its_spikes_like_the_row_loop(n_per_class, seed):
+    # positive rows below, at and one past a SYNTH_BLOCK_ROWS block
+    got = dataset.synthesize(n_per_class, seed).features
+    assert got.tobytes() == row_loop_synthesize(n_per_class, seed).tobytes()
+
+
 class TestDataset:
     @pytest.mark.parametrize("features, labels, match", [
         (np.zeros((2, 177)), [0, 1], "rows x 178"),

@@ -172,6 +172,30 @@ def test_conv_bias_is_the_broadcast_add_bit_for_bit(n, length, c_in, k, c_out, d
     assert np.array_equal(got, want.reshape(n, length, c_out))
 
 
+@pytest.mark.parametrize("n,length,c_in,k,c_out,dtype", [
+    *conv_stages(model.ModelConfig(), np.float32), *conv_stages(model.toy_config(), np.float64)])
+def test_grad_w_alone_is_conv_backwards_grad_w_bit_for_bit(n, length, c_in, k, c_out, dtype):
+    # the network's first conv asks for grad_w alone (model.model_backward)
+    rng = np.random.default_rng(length + c_out)
+    x = rng.standard_normal((n, length, c_in)).astype(dtype)
+    w = rng.standard_normal((k, c_in, c_out)).astype(dtype)
+    go = rng.standard_normal((n, length, c_out)).astype(dtype)
+    got = kernels.conv1d_grad_w(x, go, k)
+    assert got.dtype == dtype
+    assert np.array_equal(got, kernels.conv1d_backward(x, w, go)[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,length,c", [(64, 178, 32), (3, 22, 128), (2, 5, 1), (4, 1, 3)])
+def test_per_row_is_np_tile(dtype, n, length, c):
+    rng = np.random.default_rng(c)
+    v = rng.standard_normal(c).astype(dtype)
+    rows = np.zeros((n, length * c), dtype=dtype)
+    got = kernels.per_row(v, rows)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.tile(v, length))
+
+
 def test_conv_zero_padding_boundaries():
     # interior of a [1,0,-1] difference kernel on a ramp is constant; the
     # boundary positions see zero padding

@@ -313,6 +313,27 @@ class TestBackward:
         for g in grads.values():
             assert not g.any()
 
+    @pytest.mark.parametrize("config, dtype", [(ModelConfig(), np.float32),
+                                               (toy_config(), np.float64)])
+    def test_backward_without_the_input_gradient_keeps_every_bit(self, config, dtype):
+        # model_backward asks the first layer for no input gradient; every
+        # tensor gradient must be the one a walk with the defaults gives
+        params = {n: a.astype(dtype) for n, a in config.net.init_params(0).items()}
+        x = np.random.default_rng(1).standard_normal((8, config.input_len))
+        probs, trace = model_forward(config, params, x, "train",
+                                     dropout_rng=np.random.default_rng(2))
+        g_probs = np.random.default_rng(3).standard_normal(probs.shape)
+        want, g = {}, g_probs
+        for layer, cache in reversed(trace):
+            g, layer_grads = layer.backward(cache, g)
+            want.update(layer_grads)
+        assert g.shape == (8, config.input_len, 1)
+        got = model_backward(trace, g_probs)
+        assert list(got) == list(want)
+        for name, w in want.items():
+            assert got[name].dtype == w.dtype, name
+            assert got[name].tobytes() == w.tobytes(), name
+
     def test_layers_reach_functions_patched_on_the_module(self, monkeypatch):
         # tracing and fault injection patch layers.<fn>; each layer must run
         # the patched function, not one captured before the patch

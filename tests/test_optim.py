@@ -257,9 +257,9 @@ def _spy_dtypes(monkeypatch, net):
             seen.append((_name, "forward", x.dtype, y.dtype))
             return y, cache
 
-        def backward(cache, g, _name=layer.name, _real=layer.backward):
-            gx, grads = _real(cache, g)
-            seen.append((_name, "backward", g.dtype, gx.dtype))
+        def backward(cache, g, input_grad=True, _name=layer.name, _real=layer.backward):
+            gx, grads = _real(cache, g, input_grad)
+            seen.append((_name, "backward", g.dtype, None if gx is None else gx.dtype))
             grad_dtypes.update((n, a.dtype) for n, a in grads.items())
             return gx, grads
         monkeypatch.setattr(layer, "forward", forward)
@@ -289,7 +289,11 @@ class TestMixedPrecisionStep:
         trunk_layers = set(names[:names.index("gap")])
         assert len(seen) == 2 * len(names)
         for name, pass_, d_in, d_out in seen:
-            if name in trunk_layers:
+            if (name, pass_) == (names[0], "backward"):
+                # the network's input gradient is not computed; conv1's
+                # tensor gradients are checked with the others below
+                assert d_in == f32 and d_out is None
+            elif name in trunk_layers:
                 assert d_in == d_out == f32, (name, pass_)
             elif name == "gap":
                 assert (d_in, d_out) == ((f32, f64) if pass_ == "forward" else (f64, f32))
