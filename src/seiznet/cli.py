@@ -148,7 +148,7 @@ def _training_inputs(rc):
         else:
             raise ConfigError("no data path given and synthetic fallback is disabled")
     with _stage("split"):
-        train_ds, test_ds = dataset.split(ds, rc.train_fraction, rc.split_seed, rc.stratified)
+        train_ds, test_ds = dataset.split(ds, rc.split_seed)
     source = ds.source
     del ds
     with _stage("denoise"):

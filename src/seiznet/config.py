@@ -11,22 +11,20 @@ import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .optim import TrainHyper
+from .optim import MIN_LR, TrainHyper
 from .preprocess import parse_policy
 
 
 @dataclass
 class RunConfig(TrainHyper):
     """Every config key: the training settings of `TrainHyper` plus the
-    run's data, split, wavelet and output settings. A key's type is its
+    run's data, split seed, wavelet and output settings. A key's type is its
     default's type."""
 
     data: str = ""
     synthetic: bool = False
     synthetic_per_class: int = 250
-    train_fraction: float = 0.8
     split_seed: int = 42
-    stratified: bool = True
     wavelet: str = "universal"
     out_dir: str = "out"
 
@@ -82,26 +80,15 @@ def parse_config_file(path) -> RunConfig:
 
 
 def validate(rc: RunConfig):
-    if not 0.0 < rc.train_fraction < 1.0:
-        raise ConfigError(
-            f"train_fraction must be strictly between 0 and 1, got {rc.train_fraction}")
-    if not 0.0 < rc.val_fraction < 0.5:
-        raise ConfigError(f"val_fraction must be in (0, 0.5), got {rc.val_fraction}")
     if rc.batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {rc.batch_size}")
     if rc.max_epochs < 1:
         raise ConfigError(f"max_epochs must be >= 1, got {rc.max_epochs}")
-    if rc.lr <= 0:
-        raise ConfigError(f"lr must be positive, got {rc.lr}")
-    if rc.min_lr <= 0:
-        raise ConfigError(f"min_lr must be positive, got {rc.min_lr}")
-    if rc.min_lr > rc.lr:
-        # the plateau step max(lr * lr_factor, min_lr) would raise the rate
-        raise ConfigError(f"min_lr must not exceed lr, got min_lr = {rc.min_lr}, lr = {rc.lr}")
-    if not 0.0 < rc.lr_factor < 1.0:
-        raise ConfigError(f"lr_factor must be in (0, 1), got {rc.lr_factor}")
-    if rc.patience_es < 1 or rc.patience_lr < 1:
-        raise ConfigError("patience_es and patience_lr must be >= 1")
+    if rc.lr < MIN_LR:
+        # the plateau step max(lr * LR_FACTOR, MIN_LR) would raise the rate
+        raise ConfigError(f"lr must be at least the plateau floor {MIN_LR:g}, got {rc.lr}")
+    if rc.patience_es < 1:
+        raise ConfigError(f"patience_es must be >= 1, got {rc.patience_es}")
     if rc.synthetic_per_class < 1:
         raise ConfigError(
             f"synthetic_per_class must be >= 1, got {rc.synthetic_per_class}")

@@ -6,17 +6,16 @@ Expected CSV schema: 178 numeric EEG amplitude fields plus a trailing integer
 label in 1..5 per row. An optional header row and an optional leading
 row-identifier column are detected and skipped.
 
-A CSV is read in binary blocks of PARSE_BLOCK_LINES lines. Once a data row
-has been seen, a block whose bytes are all in BULK_BYTES (digits, ". e E + -",
-commas and line feeds) and which has no blank line is converted by one
-np.loadtxt call; it is kept when it gives exactly one row of the expected
-width per line, every feature is finite and, in a labelled file, every
-label is an integer in 1..5. Any other block (the first data rows, a
-header, an identifier column, "\r", a byte-order mark, a byte that is not
-ASCII, any bad value) is decoded and parsed line by line by `_parse_row`,
-so values, line numbers and messages are those of the row parser. The
-allow-list matters: loadtxt reads a number followed by one of the
-separators \x1c-\x1f, which float() refuses.
+A CSV is read in binary blocks of PARSE_BLOCK_LINES lines. A block whose
+bytes are all in BULK_BYTES (digits, ". e E + -", commas and line feeds) and
+which has no blank line is converted by one np.loadtxt call; it is kept
+when it gives exactly one row of the expected width per line, every
+feature is finite and, in a labelled file, every label is an integer in
+1..5. Any other block (a header, an identifier column, "\r", a byte-order
+mark, a byte that is not ASCII, any bad value) is decoded and parsed line
+by line by `_parse_row`, so values, line numbers and messages are those of
+the row parser. The allow-list matters: loadtxt reads a number followed by
+one of the separators \x1c-\x1f, which float() refuses.
 """
 
 import io
@@ -30,6 +29,7 @@ from .errors import ConfigError, DataError
 N_FEATURES = 178
 SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
+TRAIN_FRACTION = 0.8  # the share of rows `split` puts in the training split
 # the only bytes of a block that one np.loadtxt call converts
 BULK_BYTES = b"0123456789.eE+-,\n"
 # what float() ignores around a number: str.isspace() but for the ASCII
@@ -190,17 +190,17 @@ def _parse_rows(path, labelled: bool):
     bad row does not stop the parse; it becomes a (line_no, message)
     problem, and problems come in line order.
 
-    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time.
-    Once a data row has been seen, a block that `_convert_block` takes is
-    converted in one call; any other block goes through `_parse_row` one
-    line at a time. Both give the same values, line numbers and messages.
+    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time. A
+    block that `_convert_block` takes is converted in one call; any other
+    block, such as one holding a header, goes through `_parse_row` one line
+    at a time. Both give the same values, line numbers and messages.
     """
     blocks, labels, row_nos, problems = [], [], [], []
     offset = line_no = 0  # bytes and lines before the block; a pipe has no tell()
     try:
         with open(path, "rb") as fh:
             while raw := list(itertools.islice(fh, PARSE_BLOCK_LINES)):
-                values = _convert_block(raw, labelled) if row_nos else None
+                values = _convert_block(raw, labelled)
                 if values is None:
                     lines = _block_lines(b"".join(raw), offset, path)
                     blocks.append(_parse_lines(lines, line_no + 1, labelled,
@@ -240,45 +240,37 @@ def load_features_csv(path) -> tuple[np.ndarray, list[int], list[tuple[int, str]
     return features, row_nos, problems
 
 
-def partition_indices(labels, train_fraction, seed, stratified):
-    """Disjoint (train, test) index arrays; train size = round(fraction * n).
-
-    Stratified mode keeps each class's train count within one sample of the
-    global fraction. Indices are returned sorted so partition row order
+def partition_indices(labels, fraction, seed):
+    """Disjoint stratified (first, second) index arrays: the first holds
+    round(fraction * n) rows, and each class's share of it is within one
+    sample of `fraction`. Indices are returned sorted so partition row order
     follows the input. Deterministic in the seed.
     """
-    n = len(labels)
-    total = int(np.floor(train_fraction * n + 0.5))
+    labels = np.asarray(labels)
+    total = int(np.floor(fraction * len(labels) + 0.5))
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
+    if len(pos) == 0 or len(neg) == 0:
+        raise DataError("stratified split requires both classes to be present")
+    t_pos = int(np.floor(fraction * len(pos) + 0.5))
+    t_pos = min(max(t_pos, total - len(neg)), total, len(pos))
+    t_neg = total - t_pos
     rng = np.random.default_rng(seed)
-    if stratified:
-        labels = np.asarray(labels)
-        pos = np.flatnonzero(labels == 1)
-        neg = np.flatnonzero(labels == 0)
-        if len(pos) == 0 or len(neg) == 0:
-            raise DataError("stratified split requires both classes to be present")
-        t_pos = int(np.floor(train_fraction * len(pos) + 0.5))
-        t_pos = min(max(t_pos, total - len(neg)), total, len(pos))
-        t_neg = total - t_pos
-        pos = rng.permutation(pos)
-        neg = rng.permutation(neg)
-        train = np.concatenate([pos[:t_pos], neg[:t_neg]])
-        test = np.concatenate([pos[t_pos:], neg[t_neg:]])
-    else:
-        perm = rng.permutation(n)
-        train, test = perm[:total], perm[total:]
-    return np.sort(train), np.sort(test)
+    pos = rng.permutation(pos)
+    neg = rng.permutation(neg)
+    first = np.concatenate([pos[:t_pos], neg[:t_neg]])
+    second = np.concatenate([pos[t_pos:], neg[t_neg:]])
+    return np.sort(first), np.sort(second)
 
 
-def split(d: Dataset, train_fraction, seed, stratified) -> tuple[Dataset, Dataset]:
-    """(train, test) by `partition_indices`; neither side may be empty."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(
-            f"train_fraction must be strictly between 0 and 1, got {train_fraction}"
-        )
-    tr, te = partition_indices(d.labels, train_fraction, seed, stratified)
-    if len(tr) == 0 or len(te) == 0:
-        raise DataError(f"train_fraction = {train_fraction} on {len(d)} rows "
-                        f"leaves an empty {'train' if len(tr) == 0 else 'test'} split")
+def split(d: Dataset, seed) -> tuple[Dataset, Dataset]:
+    """(train, test): TRAIN_FRACTION of the rows by `partition_indices`, the
+    rest to test. `partition_indices` refuses data without both classes, so
+    the train side is never empty; the test side is empty only on 2 rows."""
+    tr, te = partition_indices(d.labels, TRAIN_FRACTION, seed)
+    if len(te) == 0:
+        raise DataError(f"train_fraction = {TRAIN_FRACTION} on {len(d)} rows "
+                        f"leaves an empty test split")
     return (
         Dataset(d.features[tr], d.labels[tr], d.source),
         Dataset(d.features[te], d.labels[te], d.source),
@@ -286,28 +278,21 @@ def split(d: Dataset, train_fraction, seed, stratified) -> tuple[Dataset, Datase
 
 
 def _add_spikes(block, period, amp, start):
-    """Adds each row's spike train to the rows of block, in place, by fancy
-    index: spike n of row r sits at start[r] + n * period[r], with amp[r]
-    for even n and -amp[r] for odd n, and half of it on each neighbour
-    inside the row. No sample gets two additions, so each gets the one add
-    a per-row loop would make. At 1,024 rows the index arrays take less
-    memory than the two noise blocks `synthesize` holds at once before
-    them, so they do not raise its peak."""
-    t = start[:, None] + period[:, None] * np.arange(-(-N_FEATURES // 3))
-    pos, nth = np.nonzero(t < N_FEATURES)
-    t = t[pos, nth]
-    spike = amp[pos]
-    spike[nth % 2 == 1] *= -1.0  # exactly -amp
-    del nth
-    pos *= N_FEATURES
-    pos += t  # the flat position of each spike in block
-    left, right = t > 0, t < N_FEATURES - 1
-    del t
-    flat = block.reshape(-1)
-    flat[pos] += spike
-    spike /= 2.0
-    flat[pos[left] - 1] += spike[left]
-    flat[pos[right] + 1] += spike[right]
+    """Adds each row's spike train to the rows of block, in place: spike n
+    of row r sits at start[r] + n * period[r], with amp[r] for even n and
+    -amp[r] for odd n, and half of it on each neighbour inside the row. The
+    trains are scattered into one zero array whose last column takes every
+    spike past the row's end; as the period is at least 3, no sample gets
+    two non-zero additions, so each gets the one add a per-row loop would
+    make."""
+    n = np.arange(-(-N_FEATURES // 3))
+    t = np.minimum(start[:, None] + period[:, None] * n, N_FEATURES)
+    s = np.zeros((len(block), N_FEATURES + 1))
+    np.put_along_axis(s, t, np.where(n % 2 == 1, -amp[:, None], amp[:, None]), axis=1)
+    block += s[:, :N_FEATURES]
+    s /= 2.0
+    block[:, :-1] += s[:, 1:N_FEATURES]
+    block[:, 1:] += s[:, :N_FEATURES - 1]
 
 
 def synthesize(n_per_class: int, seed: int) -> Dataset:

@@ -26,6 +26,12 @@ from .model import model_backward, model_forward, predict_probs
 PROB_EPS = 1e-7
 IMPROVE_TOL = 1e-4
 L2_LAMBDA = 0.001  # weight of the squared conv and dense kernels in the loss
+VAL_FRACTION = 0.1  # the share of the training rows `train` validates on
+# plateau schedule: the rate is cut to max(lr * LR_FACTOR, MIN_LR) after
+# every PATIENCE_LR epochs without improvement
+PATIENCE_LR = 5
+LR_FACTOR = 0.5
+MIN_LR = 1e-5
 
 
 @dataclass
@@ -38,10 +44,6 @@ class TrainHyper:
     max_epochs: int = 100
     seed: int = 42
     patience_es: int = 10
-    patience_lr: int = 5
-    lr_factor: float = 0.5
-    min_lr: float = 1e-5
-    val_fraction: float = 0.1
 
 
 @dataclass
@@ -156,16 +158,12 @@ def train(config, features, labels, hyper: TrainHyper):
     """Fit the model; returns (params at the best validation epoch, TrainState)."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    # partition_indices refuses zero rows and one class
-    tr_idx, val_idx = partition_indices(
-        y, 1.0 - hyper.val_fraction, hyper.seed, stratified=True)
-    if len(tr_idx) < 2:
-        raise DataError(f"training split holds {len(tr_idx)} of {len(y)} rows at "
-                        f"val_fraction = {hyper.val_fraction}; batch norm needs at "
-                        f"least 2; need more data or a smaller val_fraction")
+    # partition_indices refuses zero rows and one class, and 0.9 of 2 or
+    # more rows rounds to at least 2, the rows batch norm needs
+    tr_idx, val_idx = partition_indices(y, 1.0 - VAL_FRACTION, hyper.seed)
     if len(np.unique(y[val_idx])) < 2:
         raise DataError(f"validation split holds {len(val_idx)} of {len(y)} rows at "
-                        f"val_fraction = {hyper.val_fraction} and needs both classes; "
+                        f"val_fraction = {VAL_FRACTION} and needs both classes; "
                         f"need more data")
     # batches are gathered from `x` by index; only the validation rows are
     # copied whole
@@ -209,8 +207,8 @@ def train(config, features, labels, hyper: TrainHyper):
             state.epochs_since_improvement = 0
         else:
             state.epochs_since_improvement += 1
-            if state.epochs_since_improvement % hyper.patience_lr == 0:
-                adam.lr = max(adam.lr * hyper.lr_factor, hyper.min_lr)
+            if state.epochs_since_improvement % PATIENCE_LR == 0:
+                adam.lr = max(adam.lr * LR_FACTOR, MIN_LR)
             if state.epochs_since_improvement >= hyper.patience_es:
                 state.stopped_early = True
                 break

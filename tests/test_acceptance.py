@@ -140,7 +140,7 @@ def test_criterion_7_synthetic_end_to_end(tmp_path):
     from seiznet.artifact import load_artifact
     cfg, params, scaler, policy, _ = load_artifact(out / "model.bin")
     ds = dataset.synthesize(250, seed=42)
-    _, test_ds = dataset.split(ds, 0.8, 42, True)
+    _, test_ds = dataset.split(ds, 42)
     pos = test_ds.features[test_ds.labels == 1]
     z = preprocess.apply_scaler(preprocess.wavelet_denoise(pos, policy), scaler)
     labels = (predict_probs(cfg, params, z) > 0.5).astype(int)

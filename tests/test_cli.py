@@ -123,7 +123,7 @@ class TestTrain:
         main(["train", "--config", tiny_config, "--out", str(out)])
         _, _, scaler, policy, _ = load_artifact(out / "model.bin")
         ds = dataset.synthesize(30, seed=9)
-        train_ds, _ = dataset.split(ds, 0.8, 9, True)
+        train_ds, _ = dataset.split(ds, 9)
         denoised = preprocess.wavelet_denoise(train_ds.features, policy)
         expected = preprocess.fit_scaler(denoised)
         assert np.array_equal(scaler.mean, expected.mean)
@@ -138,12 +138,15 @@ class TestTrain:
         assert "train_fraction" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("lr", "nan"), ("lr", "inf"), ("min_lr", "nan"), ("wavelet", "fixed:nan"),
-        # finite but out of range, or not a bool
-        ("val_fraction", "0.5"), ("batch_size", "1"), ("max_epochs", "0"),
-        ("lr", "0"), ("min_lr", "-1e-5"), ("min_lr", "0.5"), ("lr_factor", "1.0"),
-        ("patience_es", "0"), ("patience_lr", "0"), ("synthetic_per_class", "0"),
-        ("seed", "-1"), ("split_seed", "-1"), ("stratified", "maybe")])
+        ("lr", "nan"), ("lr", "inf"), ("wavelet", "fixed:nan"),
+        # finite but out of range (lr below the plateau floor optim.MIN_LR), or not a bool
+        ("batch_size", "1"), ("max_epochs", "0"), ("lr", "0"), ("lr", "1e-6"),
+        ("patience_es", "0"), ("synthetic_per_class", "0"), ("seed", "-1"),
+        ("split_seed", "-1"), ("synthetic", "maybe"),
+        # keys of the fixed split and plateau schedule, refused as unknown
+        ("min_lr", "nan"), ("val_fraction", "0.5"), ("min_lr", "-1e-5"),
+        ("min_lr", "0.5"), ("lr_factor", "1.0"), ("patience_lr", "0"),
+        ("stratified", "maybe")])
     def test_non_finite_value_names_field(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
@@ -152,10 +155,16 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
+        # the run's fixed split and plateau schedule, each at its value,
+        # are unknown keys too: a config that names one must drop it
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("banana = 3\n")
-        assert main(["train", "--config", str(cfg)]) == 1
-        assert "banana" in capsys.readouterr().err
+        for line in ("banana = 3", "train_fraction = 0.8", "stratified = true",
+                     "val_fraction = 0.1", "patience_lr = 5", "lr_factor = 0.5",
+                     "min_lr = 1e-5"):
+            key = line.partition(" =")[0]
+            cfg.write_text(f"seed = 1\n{line}\n")
+            assert main(["train", "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
 
     @pytest.mark.parametrize("text", ["seed 3\n", None])
     def test_unreadable_config_names_path(self, tmp_path, capsys, text):
@@ -211,14 +220,13 @@ class TestTrain:
     def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "split.cfg"
         cfg.write_text(TINY_CONFIG.replace("synthetic_per_class = 30",
-                                           "synthetic_per_class = 60")
-                       + "train_fraction = 0.999\n")
+                                           "synthetic_per_class = 1"))
 
         def refuse(*args, **kwargs):
             raise AssertionError("trained although the test split is empty")
         monkeypatch.setattr(optim, "train", refuse)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-        assert ("error: split: train_fraction = 0.999 on 120 rows leaves an empty "
+        assert ("error: split: train_fraction = 0.8 on 2 rows leaves an empty "
                 "test split") in capsys.readouterr().err
 
     def test_no_data_and_no_synthetic(self, capsys):
@@ -278,7 +286,7 @@ class TestEvaluate:
 
     def _write_split_csv(self, tmp_path, csv, which="test"):
         ds = dataset.load_csv(csv)
-        train_ds, test_ds = dataset.split(ds, 0.8, 9, True)
+        train_ds, test_ds = dataset.split(ds, 9)
         part = test_ds if which == "test" else train_ds
         lines = []
         for i in range(len(part)):

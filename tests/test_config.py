@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from seiznet import optim
 from seiznet.config import RunConfig, parse_config_file
 from seiznet.errors import ConfigError
 
@@ -46,9 +47,8 @@ def test_byte_order_mark_is_skipped(tmp_path):
     assert parse_config_file(path) == parse_config_file(write(tmp_path, text))
 
 
-def test_min_lr_above_lr_names_both_keys(tmp_path):
-    # the plateau step max(lr * lr_factor, min_lr) would raise the rate to min_lr
-    with pytest.raises(ConfigError, match=r"min_lr .*\blr\b") as info:
-        parse_config_file(write(tmp_path, "lr = 0.001\nmin_lr = 0.5\n"))
-    assert "0.5" in str(info.value) and "0.001" in str(info.value)
-    assert parse_config_file(write(tmp_path, "lr = 0.001\nmin_lr = 0.001\n")).min_lr == 0.001
+def test_lr_below_min_lr_is_refused(tmp_path):
+    # the plateau step max(lr * LR_FACTOR, MIN_LR) would raise the rate to MIN_LR
+    with pytest.raises(ConfigError, match=r"^lr .*1e-05, got 1e-06$"):
+        parse_config_file(write(tmp_path, "lr = 1e-6\n"))
+    assert parse_config_file(write(tmp_path, f"lr = {optim.MIN_LR}\n")).lr == optim.MIN_LR

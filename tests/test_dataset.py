@@ -186,14 +186,14 @@ def test_binarize_label():
 class TestSplit:
     def test_80_20_sizes_at_full_scale(self):
         ds = dataset.synthesize(5750, seed=3)  # 11500 rows
-        train, test = dataset.split(ds, 0.8, 42, True)
+        train, test = dataset.split(ds, 42)
         assert len(train) == 9200
         assert len(test) == 2300
 
     def test_deterministic(self):
         ds = dataset.synthesize(5, seed=1)  # 10 rows
-        a1, b1 = dataset.split(ds, 0.8, seed=9, stratified=False)
-        a2, b2 = dataset.split(ds, 0.8, seed=9, stratified=False)
+        a1, b1 = dataset.split(ds, seed=9)
+        a2, b2 = dataset.split(ds, seed=9)
         assert np.array_equal(a1.features, a2.features)
         assert np.array_equal(b1.features, b2.features)
         assert np.array_equal(a1.labels, a2.labels)
@@ -204,23 +204,22 @@ class TestSplit:
         feats = rng.standard_normal((100, 178))
         labels = np.array([1] * 20 + [0] * 80)
         ds = dataset.Dataset(feats, labels, "synthetic")
-        train, test = dataset.split(ds, 0.8, 5, True)
+        train, test = dataset.split(ds, 5)
         assert len(train) == 80
         assert int(train.labels.sum()) == 16
         assert int(test.labels.sum()) == 4
 
     def test_stratified_within_one_sample(self):
-        rng = np.random.default_rng(1)
-        for n_pos, n_neg, frac in [(7, 13, 0.6), (3, 50, 0.85), (11, 11, 0.5)]:
+        for n_pos, n_neg, frac in [(7, 13, 0.6), (3, 50, 0.85), (11, 11, 0.5), (5, 4, 0.9)]:
             labels = np.array([1] * n_pos + [0] * n_neg)
-            ds = dataset.Dataset(rng.standard_normal((len(labels), 178)), labels, "synthetic")
-            train, _ = dataset.split(ds, frac, 2, True)
-            assert len(train) == int(np.floor(frac * len(labels) + 0.5))
-            assert abs(int(train.labels.sum()) - frac * n_pos) <= 1.0
+            first, second = dataset.partition_indices(labels, frac, 2)
+            assert len(first) == int(np.floor(frac * len(labels) + 0.5))
+            assert abs(int(labels[first].sum()) - frac * n_pos) <= 1.0
+            assert sorted(np.concatenate([first, second]).tolist()) == list(range(len(labels)))
 
     def test_union_is_input_multiset(self):
         ds = dataset.synthesize(30, seed=4)
-        train, test = dataset.split(ds, 0.7, 11, True)
+        train, test = dataset.split(ds, 11)
         merged = np.vstack([train.features, test.features])
         key = np.lexsort(merged.T)
         orig_key = np.lexsort(ds.features.T)
@@ -231,23 +230,17 @@ class TestSplit:
         rng = np.random.default_rng(0)
         ds = dataset.Dataset(rng.standard_normal((10, 178)), np.zeros(10, dtype=int), "synthetic")
         with pytest.raises(DataError, match="both classes"):
-            dataset.split(ds, 0.8, 1, True)
+            dataset.split(ds, 1)
+        with pytest.raises(DataError, match="both classes"):
+            dataset.split(dataset.Dataset(np.empty((0, 178)), np.empty(0), "synthetic"), 1)
 
-    def test_bad_fraction(self):
-        ds = dataset.synthesize(5, seed=0)
-        for frac in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(ConfigError, match="train_fraction"):
-                dataset.split(ds, frac, 1, True)
-
-    @pytest.mark.parametrize("rows, frac, stratified, side", [
-        (120, 0.999, True, "test"), (120, 0.001, True, "train"),
-        (10, 0.96, False, "test"), (0, 0.8, False, "train")])
-    def test_empty_side_names_fraction_and_rows(self, rows, frac, stratified, side):
-        ds = dataset.synthesize(rows // 2, seed=0) if rows else dataset.Dataset(
-            np.empty((0, 178)), np.empty(0), "synthetic")
-        with pytest.raises(DataError, match=(f"train_fraction = {frac} on {rows} rows "
-                                             f"leaves an empty {side} split")):
-            dataset.split(ds, frac, 1, stratified)
+    def test_empty_test_split_names_fraction_and_rows(self):
+        # 0.8 of 2 rows rounds to 2: the only size that leaves no test row
+        with pytest.raises(DataError, match="train_fraction = 0.8 on 2 rows "
+                                            "leaves an empty test split"):
+            dataset.split(dataset.synthesize(1, seed=0), 1)
+        train, test = dataset.split(dataset.synthesize(2, seed=0), 1)
+        assert (len(train), len(test)) == (3, 1)
 
 
 class TestSynthesize:
@@ -628,18 +621,23 @@ def test_a_pipe_reads_like_a_file(tmp_path, monkeypatch):
 
 
 def test_blocks_after_the_first_data_row_skip_the_row_parser(tmp_path, monkeypatch):
-    path = tmp_path / "features.csv"
-    path.write_bytes(("\n".join(FOUR_ROWS * 2) + "\n").encode())
-    expected = row_path(path, labelled=False)
+    # a clean file never reaches the row parser; a header sends its own
+    # block, and only that one, through it
     parsed = []
     parse_row = dataset._parse_row
     monkeypatch.setattr(dataset, "_parse_row",
                         lambda fields, *args: parsed.append(fields) or parse_row(fields, *args))
     monkeypatch.setattr(dataset, "PARSE_BLOCK_LINES", 3)
-    features, row_nos, problems = dataset.load_features_csv(path)
-    assert len(parsed) == 3  # the first block: no data row came before it
-    assert features.tobytes() == expected[0].tobytes()
-    assert row_nos == list(range(1, 9)) and problems == []
+    for header, calls in (("", 0), (HEADER + "\n", 2)):
+        path = tmp_path / "features.csv"
+        path.write_bytes((header + "\n".join(FOUR_ROWS * 2) + "\n").encode())
+        expected = row_path(path, labelled=False)
+        parsed.clear()
+        features, row_nos, problems = dataset.load_features_csv(path)
+        assert len(parsed) == calls
+        assert features.tobytes() == expected[0].tobytes()
+        first = 2 if header else 1
+        assert row_nos == list(range(first, first + 8)) and problems == []
 
 
 @pytest.fixture(scope="module")

@@ -193,7 +193,7 @@ class TestFoldedInference:
     def test_trained_model_matches_textbook_on_holdout(self):
         from seiznet import dataset, preprocess
         ds = dataset.synthesize(40, seed=8)
-        train, test = dataset.split(ds, 0.8, seed=2, stratified=True)
+        train, test = dataset.split(ds, seed=2)
         scaler = preprocess.fit_scaler(train.features)
         cfg = ModelConfig()
         params, _ = optim.train(cfg, preprocess.apply_scaler(train.features, scaler),

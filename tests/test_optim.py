@@ -376,8 +376,8 @@ class TestTrainLoop:
         monkeypatch.setattr(
             optim, "predict_probs",
             lambda config, params, feats: np.full(len(feats), 0.7))
-        hyper = TrainHyper(lr=0.0, min_lr=0.0, batch_size=8,
-                           patience_es=3, patience_lr=10, max_epochs=50, seed=3)
+        # early stopping's patience 3 stops the run before the first plateau cut
+        hyper = TrainHyper(lr=0.0, batch_size=8, patience_es=3, max_epochs=50, seed=3)
         _, state = train(ModelConfig(), x, y, hyper)
         assert state.stopped_early
         assert state.epoch == 4  # best epoch 1 + patience 3
@@ -390,24 +390,26 @@ class TestTrainLoop:
         monkeypatch.setattr(
             optim, "predict_probs",
             lambda config, params, feats: np.full(len(feats), 0.7))
-        hyper = TrainHyper(lr=1e-8, min_lr=1e-12, lr_factor=0.5, batch_size=8,
-                           patience_es=5, patience_lr=2, max_epochs=50, seed=3)
+        monkeypatch.setattr(optim, "PATIENCE_LR", 2)
+        monkeypatch.setattr(optim, "MIN_LR", 1e-12)
+        hyper = TrainHyper(lr=1e-8, batch_size=8, patience_es=5, max_epochs=50, seed=3)
         _, state = train(ModelConfig(), x, y, hyper)
         lrs = [row[4] for row in state.history]
         assert lrs == [1e-8, 1e-8, 1e-8, 5e-9, 5e-9, 2.5e-9]
         assert lrs == sorted(lrs, reverse=True)  # never increases
-        assert min(lrs) >= hyper.min_lr
+        assert min(lrs) >= optim.MIN_LR
 
     def test_improvement_restarts_the_plateau_count(self, monkeypatch):
         # validation loss: best at epoch 1, flat at epochs 2-3, better at
-        # epoch 4, flat after. The first cut comes patience_lr = 3 flat
+        # epoch 4, flat after. The first cut comes PATIENCE_LR = 3 flat
         # epochs after epoch 4, not 3 flat epochs in all, then one every 3.
         x, y = prepared_synthetic(15)
         epoch_probs = iter([0.99] * 3 + [0.5] * 8)
         monkeypatch.setattr(optim, "predict_probs",
                             lambda config, params, feats: np.full(len(feats), next(epoch_probs)))
-        hyper = TrainHyper(lr=1e-8, min_lr=1e-12, lr_factor=0.5, batch_size=8,
-                           patience_es=20, patience_lr=3, max_epochs=11, seed=3)
+        monkeypatch.setattr(optim, "PATIENCE_LR", 3)
+        monkeypatch.setattr(optim, "MIN_LR", 1e-12)
+        hyper = TrainHyper(lr=1e-8, batch_size=8, patience_es=20, max_epochs=11, seed=3)
         _, state = train(ModelConfig(), x, y, hyper)
         assert state.epochs_since_improvement == 7
         lrs = [row[4] for row in state.history]
@@ -420,7 +422,7 @@ class TestTrainLoop:
         params, state = train(cfg, x, y, hyper)
         assert state.best_val_loss == min(row[2] for row in state.history)
         # returned parameters reproduce the recorded best validation loss
-        _, val_idx = partition_indices(y, 1.0 - hyper.val_fraction, hyper.seed, True)
+        _, val_idx = partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)
         val_probs = predict_probs(cfg, params, x[val_idx])
         val_loss = bce_loss(val_probs, y[val_idx])[0] + l2_penalty(cfg, params)
         assert val_loss == pytest.approx(state.best_val_loss, abs=1e-12)
@@ -457,19 +459,16 @@ class TestTrainLoop:
         x = np.random.default_rng(0).standard_normal((3, 178))
         with pytest.raises(DataError, match="validation split holds 0 of 3 rows"):
             train(ModelConfig(), x, np.array([0, 1, 0]), TrainHyper())
-        # config.validate keeps val_fraction below 0.5, the Python API does not
-        with pytest.raises(DataError, match=r"training split holds 0 of 4 rows at "
-                                            r"val_fraction = 0\.9"):
-            train(ModelConfig(), np.vstack([x, x[:1]]), np.array([0, 1, 0, 1]),
-                  TrainHyper(val_fraction=0.9))
 
     def test_validation_split_decides_the_minimum_size(self):
-        # 10 rows leave 1 validation row at the default fraction, 3 at 0.3
+        # VAL_FRACTION = 0.1 leaves 1 validation row of 10, and 2 of 20,
+        # one of each class
         x, y = prepared_synthetic(5)
         with pytest.raises(DataError, match=r"validation split holds 1 of 10 rows at "
                                             r"val_fraction = 0\.1 and needs both classes"):
             train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
-        _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=1, val_fraction=0.3))
+        x, y = prepared_synthetic(10)
+        _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
         assert state.epoch == 1
 
     def test_single_class_data(self):
