@@ -231,6 +231,9 @@ class TestSplit:
         ds = dataset.Dataset(rng.standard_normal((10, 178)), np.zeros(10, dtype=int), "synthetic")
         with pytest.raises(DataError, match="both classes"):
             dataset.split(ds, 1)
+
+    def test_zero_rows_errors(self):
+        # no rows hold neither class, so the both-classes check refuses them
         with pytest.raises(DataError, match="both classes"):
             dataset.split(dataset.Dataset(np.empty((0, 178)), np.empty(0), "synthetic"), 1)
 
