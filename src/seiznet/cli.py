@@ -139,7 +139,9 @@ def _training_inputs(rc):
     its labels, raw test split, scaler, data source). Each stage drops the
     rows the next one no longer reads, so the loaded dataset, the raw
     training features and the unscaled denoised matrix are gone before the
-    model is fitted."""
+    model is fitted. The scaled matrix is cast once to float32, the dtype
+    the trunk computes in, and its float64 copy dropped: the same bits as
+    casting each batch, at half the memory."""
     with _stage("load"):
         if rc.data:
             ds = dataset.load_csv(rc.data)
@@ -158,6 +160,7 @@ def _training_inputs(rc):
     with _stage("scale"):
         scaler = preprocess.fit_scaler(x_train)
         x_train = preprocess.apply_scaler(x_train, scaler)
+        x_train = x_train.astype(np.float32)  # once the denoised matrix is gone
     return x_train, y_train, test_ds, scaler, source
 
 

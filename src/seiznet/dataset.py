@@ -16,11 +16,22 @@ mark, a byte that is not ASCII, any bad value) is decoded and parsed line
 by line by `_parse_row`, so values, line numbers and messages are those of
 the row parser. The allow-list matters: loadtxt reads a number followed by
 one of the separators \x1c-\x1f, which float() refuses.
+
+Every block's rows are written into one matrix, sized by a count of the
+file's line feeds. A regular file of at least SPLIT_PARSE_BYTES is split
+at a line start near its middle, and a forked child parses the second
+half while this process parses the first (`_parse_split`), with the same
+values, line numbers, messages and errors as one process.
 """
 
 import io
 import itertools
-from dataclasses import dataclass
+import os
+import pickle
+import signal
+import stat
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +40,8 @@ from .errors import ConfigError, DataError
 N_FEATURES = 178
 SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
+# a regular CSV of at least this many bytes is parsed by two processes at once
+SPLIT_PARSE_BYTES = 1 << 20
 TRAIN_FRACTION = 0.8  # the share of rows `split` puts in the training split
 # the only bytes of a block that one np.loadtxt call converts
 BULK_BYTES = b"0123456789.eE+-,\n"
@@ -158,27 +171,192 @@ def _block_lines(block: bytes, offset: int, path) -> list[str]:
     return lines
 
 
-def _parse_lines(lines, first_no, labelled, labels, row_nos, problems) -> np.ndarray:
-    """The rows of `lines`, the first of which is line `first_no`, parsed one
-    at a time by `_parse_row`: their features, with each label, line
-    number and problem appended to the lists given."""
-    features, good = np.empty((len(lines), N_FEATURES)), 0
+@dataclass
+class _Rows:
+    """What a parse has found so far: its good rows are the first `n` rows
+    of `features`, with their line numbers and, in a labelled file, their
+    labels, and its bad rows are (line_no, message) problems. `header`
+    holds until the first row or problem; header lines are skipped only
+    while it does."""
+
+    features: np.ndarray
+    n: int = 0
+    labels: list = field(default_factory=list)
+    row_nos: list = field(default_factory=list)
+    problems: list = field(default_factory=list)
+    header: bool = True
+
+    def room(self, rows: int) -> np.ndarray:
+        r"""The `rows` rows of `features` after its first `n`. The matrix
+        doubles when they do not fit, which only a pipe (its lines are not
+        counted first) or "\r" line ends (not counted as lines) bring about."""
+        if self.n + rows > len(self.features):
+            grown = np.empty((max(self.n + rows, 2 * len(self.features)), N_FEATURES))
+            grown[:self.n] = self.features[:self.n]
+            self.features = grown
+        return self.features[self.n:self.n + rows]
+
+
+def _parse_lines(lines, first_no, labelled, rows: _Rows):
+    """The rows of `lines`, the first of which is line `first_no`, parsed
+    one at a time by `_parse_row` into `rows`."""
+    out, good = rows.room(len(lines)), 0
     for line_no, line in enumerate(lines, start=first_no):
         if not line.strip():
             continue
         fields = line.split(",")
-        if not (row_nos or problems) and not any(map(_is_number, fields)):
+        if rows.header and not any(map(_is_number, fields)):
             continue
+        rows.header = False
         try:
             # a failed row's partial values are overwritten by the next row
-            label = _parse_row(fields, labelled, features[good])
+            label = _parse_row(fields, labelled, out[good])
         except DataError as exc:
-            problems.append((line_no, str(exc)))
+            rows.problems.append((line_no, str(exc)))
             continue
-        labels.append(label)
-        row_nos.append(line_no)
+        if labelled:
+            rows.labels.append(label)
+        rows.row_nos.append(line_no)
         good += 1
-    return features[:good]
+    rows.n += good
+
+
+def _parse_range(lines, rows: _Rows, offset, line_no, path, labelled) -> int:
+    r"""Parse the raw lines the iterator `lines` yields (split at b"\n"),
+    the first of which starts `offset` bytes and `line_no` lines into the
+    file, into `rows`, PARSE_BLOCK_LINES lines at a time; returns the line
+    count at the end of the range. A block that `_convert_block` takes is
+    converted in one call; any other block goes through `_parse_row` one
+    line at a time. Both give the same values, line numbers and messages.
+    """
+    while raw := list(itertools.islice(lines, PARSE_BLOCK_LINES)):
+        values = _convert_block(raw, labelled)
+        if values is None:
+            text = _block_lines(b"".join(raw), offset, path)
+            _parse_lines(text, line_no + 1, labelled, rows)
+            line_no += len(text)
+        else:
+            rows.room(len(raw))[:] = values[:, :N_FEATURES]
+            rows.n += len(raw)
+            rows.header = False
+            if labelled:
+                rows.labels += (values[:, N_FEATURES] == 1).astype(np.int64).tolist()
+            rows.row_nos += range(line_no + 1, line_no + len(raw) + 1)
+            line_no += len(raw)
+        offset += sum(map(len, raw))
+    return line_no
+
+
+def _count_lines(fh, start, stop) -> int:
+    r"""The b"\n" bytes from byte `start` to `stop` of the binary file `fh`,
+    which is left at its start."""
+    fh.seek(start)
+    count = 0
+    while start < stop and (chunk := fh.read(min(stop - start, 1 << 20))):
+        count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+        start += len(chunk)
+    fh.seek(0)
+    return count
+
+
+class _FileFrom(io.RawIOBase):
+    """The open file `fd` from byte `pos` on, read with os.pread: the two
+    processes of a split parse share the file's offset, so the child
+    reads without it."""
+
+    def __init__(self, fd, pos):
+        super().__init__()
+        self.fd, self.pos = fd, pos
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        data = os.pread(self.fd, len(buf), self.pos)
+        buf[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _send_rows(fd, start, lines, path, labelled, out):
+    r"""The child's half of a split parse: parse the open file `fd` from
+    byte `start`, a line start, to its end as if rows came before it (so a
+    header line there is a bad row), and write to the binary stream `out`
+    a pickled (row count, labels, line numbers counted from `start`,
+    problems), then the rows' float64 bytes. `lines` is the range's count
+    of b"\n", which sizes its matrix."""
+    rows = _Rows(np.empty((lines + 1, N_FEATURES)), header=False)
+    _parse_range(io.BufferedReader(_FileFrom(fd, start)), rows, start, 0, path, labelled)
+    pickle.dump((rows.n, rows.labels, rows.row_nos, rows.problems), out)
+    out.write(rows.features[:rows.n])
+
+
+def _receive_rows(pipe, rows: _Rows, line_no) -> bool:
+    """Add what `_send_rows` wrote to `pipe` to `rows`, its line numbers
+    shifted by `line_no`; False when the stream ends short, as it does
+    when the child raised or died."""
+    try:
+        n, labels, row_nos, problems = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return False
+    out = rows.room(n)
+    if pipe.readinto(out) != out.nbytes:
+        return False
+    rows.n += n
+    rows.labels += labels
+    rows.row_nos += [line_no + r for r in row_nos]
+    rows.problems += [(line_no + r, message) for r, message in problems]
+    return True
+
+
+def _parse_split(fh, size, path, labelled) -> _Rows | None:
+    """A regular file's rows, parsed by two processes at once: a forked
+    child parses from the first line start past the middle to the end
+    (`_send_rows`) while this process parses up to it, then reads the
+    child's results through a pipe. None when no line starts past the
+    middle or no process can be forked.
+
+    This process parses the rest itself, with the child's results
+    dropped, when its own half held no row and no problem (the child's
+    half may then hold header lines) and when the child sends too
+    little, as it does when it raised (a byte that is not UTF-8) or died:
+    values, line numbers, messages and errors are those of one process
+    reading the whole file. The child is killed and reaped before this
+    returns or raises. Threads could not do this: np.loadtxt and the row
+    parser hold the GIL.
+    """
+    fh.seek(size // 2)
+    fh.readline()
+    mid = fh.tell()
+    if mid == size:
+        return None
+    head, tail = _count_lines(fh, 0, mid), _count_lines(fh, mid, size)
+    fd = fh.fileno()
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:  # the child; it never returns into the caller
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as out:
+                _send_rows(fd, mid, tail, path, labelled, out)
+        finally:
+            os._exit(0)  # no stdio flush, no atexit
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            rows = _Rows(np.empty((head + tail + 1, N_FEATURES)))
+            line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
+            if rows.header or not _receive_rows(pipe, rows, line_no):
+                _parse_range(fh, rows, mid, line_no, path, labelled)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return rows
 
 
 def _parse_rows(path, labelled: bool):
@@ -190,32 +368,32 @@ def _parse_rows(path, labelled: bool):
     bad row does not stop the parse; it becomes a (line_no, message)
     problem, and problems come in line order.
 
-    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time. A
-    block that `_convert_block` takes is converted in one call; any other
-    block, such as one holding a header, goes through `_parse_row` one line
-    at a time. Both give the same values, line numbers and messages.
+    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time
+    (`_parse_range`), and each block's rows are written into one matrix.
+    A regular file's lines are counted first, so the matrix is allocated
+    once at their count; a pipe's matrix doubles as it fills. A regular
+    file of at least SPLIT_PARSE_BYTES is parsed by two processes
+    (`_parse_split`) where os.fork exists and no other thread runs, which
+    a forked child could find holding a lock. The matrix is cut to the
+    rows found at the end.
     """
-    blocks, labels, row_nos, problems = [], [], [], []
-    offset = line_no = 0  # bytes and lines before the block; a pipe has no tell()
     try:
         with open(path, "rb") as fh:
-            while raw := list(itertools.islice(fh, PARSE_BLOCK_LINES)):
-                values = _convert_block(raw, labelled)
-                if values is None:
-                    lines = _block_lines(b"".join(raw), offset, path)
-                    blocks.append(_parse_lines(lines, line_no + 1, labelled,
-                                               labels, row_nos, problems))
-                    line_no += len(lines)
-                else:
-                    blocks.append(values[:, :N_FEATURES])
-                    if labelled:
-                        labels += (values[:, N_FEATURES] == 1).astype(np.int64).tolist()
-                    row_nos += range(line_no + 1, line_no + len(raw) + 1)
-                    line_no += len(raw)
-                offset += sum(map(len, raw))
+            info = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(info.st_mode)
+            rows = None
+            if (regular and info.st_size >= SPLIT_PARSE_BYTES and hasattr(os, "fork")
+                    and threading.active_count() == 1):
+                rows = _parse_split(fh, info.st_size, path, labelled)
+            if rows is None:
+                lines = _count_lines(fh, 0, info.st_size) if regular else 0
+                rows = _Rows(np.empty((lines + 1, N_FEATURES)))
+                _parse_range(fh, rows, 0, 0, path, labelled)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    return np.concatenate(blocks or [np.empty((0, N_FEATURES))]), labels, row_nos, problems
+    features = rows.features
+    features.resize((rows.n, N_FEATURES), refcheck=False)  # no view of it is left
+    return features, rows.labels, rows.row_nos, rows.problems
 
 
 def load_csv(path) -> Dataset:

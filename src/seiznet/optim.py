@@ -155,9 +155,13 @@ def _batch_slices(n, batch_size, perm):
 
 
 def train(config, features, labels, hyper: TrainHyper):
-    """Fit the model; returns (params at the best validation epoch, TrainState)."""
-    x = np.asarray(features, dtype=np.float64)
+    """Fit the model; returns (params at the best validation epoch, TrainState).
+    The features are used in the dtype given; `model_forward` casts each
+    batch to float32, so a float32 matrix is never cast or copied."""
+    x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float64)
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
     # partition_indices refuses zero rows and one class, and 0.9 of 2 or
     # more rows rounds to at least 2, the rows batch norm needs
     tr_idx, val_idx = partition_indices(y, 1.0 - VAL_FRACTION, hyper.seed)

@@ -211,10 +211,11 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         x = seen["features"]
-        test_bytes = (2 * 600 - x.shape[0]) * x.shape[1] * x.itemsize
+        assert x.dtype == np.float32  # cast once, its float64 source dropped
+        test_bytes = (2 * 600 - x.shape[0]) * x.shape[1] * 8  # float64, as loaded
         # the scaled training matrix and the raw test split, nothing more:
-        # the loaded set, the raw training rows and the unscaled denoised
-        # matrix are gone before training starts
+        # the loaded set, the raw training rows, the unscaled denoised
+        # matrix and the float64 scaled one are gone before training starts
         assert seen["live"] <= 1.3 * (x.nbytes + test_bytes)
 
     def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):

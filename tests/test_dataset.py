@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
@@ -482,10 +483,9 @@ def row_path(path, labelled):
             text = fh.read()
     except UnicodeDecodeError as exc:
         return f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-    labels, row_nos, problems = [], [], []
-    features = dataset._parse_lines(text.removeprefix("\ufeff").split("\n"), 1, labelled,
-                                    labels, row_nos, problems)
-    return features, labels, row_nos, problems
+    rows = dataset._Rows(np.empty((0, dataset.N_FEATURES)))
+    dataset._parse_lines(text.removeprefix("\ufeff").split("\n"), 1, labelled, rows)
+    return rows.features[:rows.n], rows.labels, rows.row_nos, rows.problems
 
 
 # values the two parsers must agree on: loadtxt reads the separators
@@ -551,20 +551,14 @@ def mixed_csv(draw, labelled):
     return raw
 
 
-@settings(max_examples=300, deadline=None)
-@example(content=("\n".join(FOUR_ROWS) + "\n").encode(), block_lines=1)
-@example(content=with_field(5, 2, "2.0\x1c"), block_lines=2)
-@example(content=with_field(4, 0, "\ufeff0.0"), block_lines=4)
-@example(content=with_field(6, 177, "1e400"), block_lines=3)
-@example(content=("\n".join(FOUR_ROWS * 2) + "\n").encode() + b"\xff\n", block_lines=3)
-@given(content=mixed_csv(labelled=False), block_lines=st.integers(1, 4))
-def test_block_parse_of_features_matches_the_row_path(tmp_path_factory, content,
-                                                      block_lines):
-    path = tmp_path_factory.mktemp("diff") / "features.csv"
-    path.write_bytes(content)
+def features_match_the_row_path(path, block_lines, split_bytes):
+    """load_features_csv of `path`, read `block_lines` lines at a time and
+    split across two processes from `split_bytes` bytes on, against
+    `row_path`."""
     expected = row_path(path, labelled=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "PARSE_BLOCK_LINES", block_lines)
+        mp.setattr(dataset, "SPLIT_PARSE_BYTES", split_bytes)
         try:
             features, row_nos, problems = dataset.load_features_csv(path)
         except DataError as exc:
@@ -576,13 +570,9 @@ def test_block_parse_of_features_matches_the_row_path(tmp_path_factory, content,
     assert (row_nos, problems) == (expected[2], expected[3])
 
 
-@settings(max_examples=200, deadline=None)
-@example(content=("\n".join(f"{r},3" for r in FOUR_ROWS) + "\n").encode(), block_lines=1)
-@given(content=mixed_csv(labelled=True), block_lines=st.integers(1, 4))
-def test_block_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, content,
-                                                           block_lines):
-    path = tmp_path_factory.mktemp("diff") / "data.csv"
-    path.write_bytes(content)
+def labelled_rows_match_the_row_path(path, block_lines, split_bytes):
+    """load_csv of `path`, as `features_match_the_row_path` reads it,
+    against `row_path`."""
     expected = row_path(path, labelled=True)
     if not isinstance(expected, str):
         features, labels, row_nos, problems = expected
@@ -592,6 +582,7 @@ def test_block_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, con
             expected = f"{path}: no data rows"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "PARSE_BLOCK_LINES", block_lines)
+        mp.setattr(dataset, "SPLIT_PARSE_BYTES", split_bytes)
         try:
             ds = dataset.load_csv(path)
         except DataError as exc:
@@ -600,6 +591,60 @@ def test_block_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, con
     assert not isinstance(expected, str), expected
     assert ds.features.tobytes() == features.tobytes()
     assert ds.labels.tolist() == labels
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=300, deadline=None)
+@example(content=("\n".join(FOUR_ROWS) + "\n").encode(), block_lines=1)
+@example(content=with_field(5, 2, "2.0\x1c"), block_lines=2)
+@example(content=with_field(4, 0, "\ufeff0.0"), block_lines=4)
+@example(content=with_field(6, 177, "1e400"), block_lines=3)
+@example(content=("\n".join(FOUR_ROWS * 2) + "\n").encode() + b"\xff\n", block_lines=3)
+@given(content=mixed_csv(labelled=False), block_lines=st.integers(1, 4))
+def test_block_parse_of_features_matches_the_row_path(tmp_path_factory, content,
+                                                      block_lines):
+    path = tmp_path_factory.mktemp("diff") / "features.csv"
+    path.write_bytes(content)
+    features_match_the_row_path(path, block_lines, dataset.SPLIT_PARSE_BYTES)
+
+
+@settings(max_examples=200, deadline=None)
+@example(content=("\n".join(f"{r},3" for r in FOUR_ROWS) + "\n").encode(), block_lines=1)
+@given(content=mixed_csv(labelled=True), block_lines=st.integers(1, 4))
+def test_block_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, content,
+                                                           block_lines):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(content)
+    labelled_rows_match_the_row_path(path, block_lines, dataset.SPLIT_PARSE_BYTES)
+
+
+# The same files with the split on at any size: a file whose last line
+# does not span its middle is parsed by two processes.
+@settings(max_examples=200, deadline=None)
+@example(content=with_field(6, 177, "1e400"), block_lines=3)
+@example(content=("\n".join(FOUR_ROWS * 2) + "\n").encode() + b"\xff\n", block_lines=3)
+@given(content=mixed_csv(labelled=False), block_lines=st.integers(1, 4))
+def test_split_parse_of_features_matches_the_row_path(tmp_path_factory, content,
+                                                      block_lines):
+    path = tmp_path_factory.mktemp("diff") / "features.csv"
+    path.write_bytes(content)
+    features_match_the_row_path(path, block_lines, 1)
+    assert_no_child_left()
+
+
+@settings(max_examples=150, deadline=None)
+@example(content=("\n".join(f"{r},3" for r in FOUR_ROWS) + "\n").encode(), block_lines=1)
+@given(content=mixed_csv(labelled=True), block_lines=st.integers(1, 4))
+def test_split_parse_of_labelled_rows_matches_the_row_path(tmp_path_factory, content,
+                                                           block_lines):
+    path = tmp_path_factory.mktemp("diff") / "data.csv"
+    path.write_bytes(content)
+    labelled_rows_match_the_row_path(path, block_lines, 1)
+    assert_no_child_left()
 
 
 def test_a_pipe_reads_like_a_file(tmp_path, monkeypatch):
@@ -641,6 +686,195 @@ def test_blocks_after_the_first_data_row_skip_the_row_parser(tmp_path, monkeypat
         assert features.tobytes() == expected[0].tobytes()
         first = 2 if header else 1
         assert row_nos == list(range(first, first + 8)) and problems == []
+
+
+def parse(path, labelled=False):
+    """_parse_rows of `path` as comparable values, or its DataError message."""
+    try:
+        features, labels, row_nos, problems = dataset._parse_rows(path, labelled)
+    except DataError as exc:
+        return str(exc)
+    return features.shape, features.tobytes(), labels, row_nos, problems
+
+
+class TestSplitParse:
+    """A file parsed by two processes against the same file parsed by one.
+    SPLIT_PARSE_BYTES is 1, so any file whose last line does not span its
+    middle is split at the first line start past it."""
+
+    @pytest.fixture(autouse=True)
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(dataset, "SPLIT_PARSE_BYTES", 1)
+        fork, self.forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: self.forks.append(None) or fork())
+        yield
+        assert_no_child_left()
+
+    def both_ways(self, monkeypatch, path, labelled=False):
+        """(the split parse, the one-process parse) of `path`; fails unless
+        the first forked a child."""
+        split = parse(path, labelled)
+        assert len(self.forks) == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(dataset, "SPLIT_PARSE_BYTES", 1 << 62)
+            whole = parse(path, labelled)
+        assert len(self.forks) == 1
+        return split, whole
+
+    def test_a_first_half_of_headers_leaves_the_second_half_to_this_process(
+            self, tmp_path, monkeypatch):
+        # the split falls after line 3: the child reads line 4 as a bad row,
+        # one process as a header, so its results are dropped unread
+        path = tmp_path / "features.csv"
+        path.write_bytes(((HEADER + "\n") * 4 + FOUR_ROWS[0] + "\n").encode())
+        received = []
+        monkeypatch.setattr(dataset, "_receive_rows", lambda *a: received.append(a))
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole and received == []
+        assert whole[2:] == ([], [5], [])
+
+    def test_a_byte_order_mark_is_skipped_before_the_split(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\ufeff" + "\n".join(FOUR_ROWS * 2) + "\n").encode())
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole and whole[3] == list(range(1, 9))
+
+    @pytest.mark.parametrize("ends", [["\r\n"] * 8, ["\r"] * 4 + ["\n"] + ["\r"] * 3],
+                             ids=["crlf", "cr"])
+    def test_carriage_returns_end_lines_in_both_halves(self, tmp_path, monkeypatch, ends):
+        # the split needs a "\n" past the middle; lone "\r" ends are not
+        # counted ahead, so each matrix grows
+        path = tmp_path / "features.csv"
+        path.write_bytes("".join(r + e for r, e in zip(FOUR_ROWS * 2, ends)).encode())
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole and whole[3] == list(range(1, 9))
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_bad_rows_in_both_halves_keep_their_line_numbers(self, tmp_path, monkeypatch,
+                                                             labelled):
+        rows = [r + (",2" if labelled else "") for r in FOUR_ROWS * 2]
+        rows[1], rows[6] = "1.0,x", HEADER
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode())
+        split, whole = self.both_ways(monkeypatch, path, labelled)
+        assert split == whole
+        assert whole[3] == [1, 3, 4, 5, 6, 8]
+        assert [n for n, _ in whole[4]] == [2, 7]
+
+    @pytest.mark.parametrize("line", [1, 6])
+    def test_a_byte_that_is_not_utf8_is_named_at_its_offset(self, tmp_path, monkeypatch,
+                                                           line):
+        rows = [r.encode() for r in FOUR_ROWS * 2]
+        rows[line] = rows[line].replace(b",5.0,", b",5\xff.0,", 1)
+        content = b"\n".join(rows) + b"\n"
+        path = tmp_path / "features.csv"
+        path.write_bytes(content)
+        offset = content.index(b"\xff")
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole == f"{path}: not UTF-8 text (byte {offset}: invalid start byte)"
+
+    @pytest.mark.parametrize("sent", ["nothing", "short"])
+    def test_a_child_that_sends_too_little_leaves_the_rest_to_this_process(
+            self, tmp_path, monkeypatch, sent):
+        send_rows = dataset._send_rows
+
+        def send_too_little(*args):
+            *args, out = args
+            if sent == "nothing":
+                os._exit(1)
+            buf = io.BytesIO()
+            send_rows(*args, buf)
+            out.write(buf.getvalue()[:-8])  # the last row's last value is cut
+
+        monkeypatch.setattr(dataset, "_send_rows", send_too_little)
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n".join(FOUR_ROWS * 2) + "\n").encode())
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole and whole[3] == list(range(1, 9))
+
+    def test_no_process_to_spare_parses_in_one(self, tmp_path, monkeypatch):
+        def no_fork():
+            self.forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n".join(FOUR_ROWS * 2) + "\n").encode())
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole and whole[3] == list(range(1, 9))
+
+    def test_a_last_line_across_the_middle_is_not_split(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n" + FOUR_ROWS[0]).encode())
+        assert parse(path)[3] == [2] and self.forks == []
+
+    def test_a_process_running_another_thread_is_not_forked(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n".join(FOUR_ROWS * 2) + "\n").encode())
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert parse(path)[3] == list(range(1, 9)) and self.forks == []
+        finally:
+            release.set()
+            thread.join()
+
+    def test_the_child_sends_its_half_and_exits(self, tmp_path, monkeypatch):
+        # the child's body, run in this process: a fork that returns 0 and
+        # an exit that raises
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            raise Exited(code)
+
+        half = ("\n".join(FOUR_ROWS) + "\n").encode()
+        path = tmp_path / "features.csv"
+        path.write_bytes(half * 2)
+        with open(path, "rb") as fh:
+            out = io.BytesIO()
+            dataset._send_rows(fh.fileno(), len(half), 4, path, False, out)
+        rows = dataset._Rows(np.empty((0, dataset.N_FEATURES)))
+        assert dataset._receive_rows(io.BytesIO(out.getvalue()), rows, 10)
+        assert rows.features[:rows.n].tobytes() == parse(path)[1][4 * 178 * 8:]
+        assert rows.row_nos == [11, 12, 13, 14] and rows.problems == []
+        # the pipe's reader is closed by the child, so its write fails; it
+        # exits all the same, and never returns into the caller
+        monkeypatch.setattr(os, "fork", lambda: 0)
+        monkeypatch.setattr(os, "_exit", exit_)
+        with pytest.raises(Exited) as exited:
+            parse(path)
+        assert exited.value.args == (0,)
+
+
+SPLIT_PEAK = """
+import sys, tracemalloc
+from seiznet import dataset
+dataset.SPLIT_PARSE_BYTES = int(sys.argv[2])
+dataset.load_features_csv(sys.argv[1])  # lazy imports happen untraced
+tracemalloc.start()
+features, _, _ = dataset.load_features_csv(sys.argv[1])
+print(tracemalloc.get_traced_memory()[1], features.nbytes)
+"""
+
+
+@pytest.mark.parametrize("split_bytes", [1 << 20, 1 << 62], ids=["split", "whole"])
+def test_the_parse_peak_is_the_matrix_it_returns(tmp_path, split_bytes):
+    # 6,000 rows of 536 bytes: 3.2 MB of text for an 8.5 MB matrix. A block's
+    # own arrays and lines add about 1 MB; a second copy of the matrix, as
+    # joining per-block arrays makes, reads 2x.
+    path = tmp_path / "features.csv"
+    row = ",".join(["1.5"] * 177 + ["-2.5"]) + "\n"
+    path.write_bytes(row.encode() * 6000)
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    run = subprocess.run([sys.executable, "-c", SPLIT_PEAK, str(path), str(split_bytes)],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    peak, nbytes = map(int, run.stdout.split())
+    assert nbytes == 6000 * 178 * 8
+    assert peak < 1.2 * nbytes
 
 
 @pytest.fixture(scope="module")

@@ -471,6 +471,22 @@ class TestTrainLoop:
         _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
         assert state.epoch == 1
 
+    def test_labels_other_than_0_and_1_are_refused(self):
+        x, _ = prepared_synthetic(10)
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            train(ModelConfig(), x, np.arange(20) % 3, TrainHyper(max_epochs=1))
+
+    def test_a_float32_matrix_trains_to_the_bits_of_its_float64_source(self):
+        # the trunk casts each float64 batch to float32, so casting the
+        # whole matrix first changes no bit
+        x, y = prepared_synthetic(10)
+        hyper = TrainHyper(max_epochs=2, seed=3)
+        params64, state64 = train(ModelConfig(), x, y, hyper)
+        params32, state32 = train(ModelConfig(), x.astype(np.float32), y, hyper)
+        assert state32.history == state64.history
+        for name, a in params64.items():
+            assert params32[name].tobytes() == a.tobytes(), name
+
     def test_single_class_data(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DataError):
