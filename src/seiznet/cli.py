@@ -225,8 +225,7 @@ def cmd_predict(args) -> int:
         problems += [(row_nos[i], "non-finite model output") for i in np.flatnonzero(~scored)]
         for line_no, message in sorted(problems):
             print(f"row {line_no}: {message}", file=sys.stderr)
-    for p in probs[scored]:
-        print(f"{p:.6f},{1 if p > THRESHOLD else 0}")
+    sys.stdout.write("".join(f"{p:.6f},{1 if p > THRESHOLD else 0}\n" for p in probs[scored]))
     return EXIT_CODES[DataError] if problems else EXIT_OK
 
 

@@ -28,13 +28,12 @@ import io
 import itertools
 import os
 import pickle
-import signal
 import stat
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, DataError
 
 N_FEATURES = 178
@@ -244,6 +243,7 @@ def _parse_range(lines, rows: _Rows, offset, line_no, path, labelled) -> int:
             rows.row_nos += range(line_no + 1, line_no + len(raw) + 1)
             line_no += len(raw)
         offset += sum(map(len, raw))
+        del values  # not held while the next block is read and converted
     return line_no
 
 
@@ -310,20 +310,20 @@ def _receive_rows(pipe, rows: _Rows, line_no) -> bool:
 
 
 def _parse_split(fh, size, path, labelled) -> _Rows | None:
-    """A regular file's rows, parsed by two processes at once: a forked
-    child parses from the first line start past the middle to the end
-    (`_send_rows`) while this process parses up to it, then reads the
-    child's results through a pipe. None when no line starts past the
-    middle or no process can be forked.
+    """A regular file's rows, parsed by two processes at once: a child
+    forked by `parallel.forked` parses from the first line start past the
+    middle to the end (`_send_rows`) while this process parses up to it,
+    then reads the child's results through a pipe. None when no line
+    starts past the middle or no process can be forked.
 
     This process parses the rest itself, with the child's results
     dropped, when its own half held no row and no problem (the child's
     half may then hold header lines) and when the child sends too
     little, as it does when it raised (a byte that is not UTF-8) or died:
     values, line numbers, messages and errors are those of one process
-    reading the whole file. The child is killed and reaped before this
-    returns or raises. Threads could not do this: np.loadtxt and the row
-    parser hold the GIL.
+    reading the whole file. The child is killed and reaped before that,
+    and before this returns or raises. Threads could not do this:
+    np.loadtxt and the row parser hold the GIL.
     """
     fh.seek(size // 2)
     fh.readline()
@@ -332,30 +332,14 @@ def _parse_split(fh, size, path, labelled) -> _Rows | None:
         return None
     head, tail = _count_lines(fh, 0, mid), _count_lines(fh, mid, size)
     fd = fh.fileno()
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:  # the child; it never returns into the caller
-        try:
-            os.close(rfd)
-            with open(wfd, "wb") as out:
-                _send_rows(fd, mid, tail, path, labelled, out)
-        finally:
-            os._exit(0)  # no stdio flush, no atexit
-    os.close(wfd)
-    try:
-        with open(rfd, "rb") as pipe:
-            rows = _Rows(np.empty((head + tail + 1, N_FEATURES)))
-            line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
-            if rows.header or not _receive_rows(pipe, rows, line_no):
-                _parse_range(fh, rows, mid, line_no, path, labelled)
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    with parallel.forked(lambda out: _send_rows(fd, mid, tail, path, labelled, out)) as pipe:
+        if pipe is None:
+            return None
+        rows = _Rows(np.empty((head + tail + 1, N_FEATURES)))
+        line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
+        received = not rows.header and _receive_rows(pipe, rows, line_no)
+    if not received:
+        _parse_range(fh, rows, mid, line_no, path, labelled)
     return rows
 
 
@@ -373,8 +357,7 @@ def _parse_rows(path, labelled: bool):
     A regular file's lines are counted first, so the matrix is allocated
     once at their count; a pipe's matrix doubles as it fills. A regular
     file of at least SPLIT_PARSE_BYTES is parsed by two processes
-    (`_parse_split`) where os.fork exists and no other thread runs, which
-    a forked child could find holding a lock. The matrix is cut to the
+    (`_parse_split`) where `parallel.can_fork`. The matrix is cut to the
     rows found at the end.
     """
     try:
@@ -382,8 +365,7 @@ def _parse_rows(path, labelled: bool):
             info = os.fstat(fh.fileno())
             regular = stat.S_ISREG(info.st_mode)
             rows = None
-            if (regular and info.st_size >= SPLIT_PARSE_BYTES and hasattr(os, "fork")
-                    and threading.active_count() == 1):
+            if regular and info.st_size >= SPLIT_PARSE_BYTES and parallel.can_fork():
                 rows = _parse_split(fh, info.st_size, path, labelled)
             if rows is None:
                 lines = _count_lines(fh, 0, info.st_size) if regular else 0

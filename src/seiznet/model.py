@@ -20,10 +20,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import layers
+from . import layers, parallel
 from .dataset import N_FEATURES
 
 CHUNK_ROWS = 64  # rows per infer-mode forward pass in predict_probs
+# predict_probs scores an input of at least this many chunks in two processes
+SPLIT_SCORE_CHUNKS = 16
 CONV_KERNELS = (7, 5, 3)  # the paper's kernel size per conv stage, each odd
 
 
@@ -254,11 +256,56 @@ def model_backward(trace, grad_probs):
 def predict_probs(config, params, features):
     """Infer-mode probabilities, folded once, run CHUNK_ROWS rows at a time.
     No infer-mode layer mixes rows, so a row whose output is not finite
-    leaves every other row's finite."""
+    leaves every other row's finite.
+
+    An input of at least SPLIT_SCORE_CHUNKS chunks is scored by two
+    processes (`_score_split`) where `parallel.can_fork` and the loaded
+    OpenBLAS reports at least 2 threads, which it can set. The split falls
+    on a chunk boundary, so every chunk holds the rows it holds in one
+    process."""
     x = np.asarray(features, dtype=np.float64)
     folded = config.net.fold(params)
-    parts = []
-    for start in range(0, x.shape[0], CHUNK_ROWS):
-        p, _ = model_forward(config, folded, x[start:start + CHUNK_ROWS], mode="infer")
-        parts.append(p)
+    chunks = -(-x.shape[0] // CHUNK_ROWS)
+    probs = None
+    if chunks >= SPLIT_SCORE_CHUNKS and parallel.can_fork():
+        blas = parallel.openblas_threads()
+        if blas is not None and blas[0]() >= 2:
+            probs = _score_split(config, folded, x, (chunks + 1) // 2 * CHUNK_ROWS, *blas)
+    return _score(config, folded, x) if probs is None else probs
+
+
+def _score(config, folded, x):
+    """The probabilities of the rows of x, CHUNK_ROWS rows per forward pass."""
+    parts = [model_forward(config, folded, x[start:start + CHUNK_ROWS], mode="infer")[0]
+             for start in range(0, x.shape[0], CHUNK_ROWS)]
     return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _score_split(config, folded, x, mid, get_threads, set_threads):
+    """The probabilities of the rows of x, scored by two processes at once,
+    each with half of OpenBLAS's threads: a child forked by
+    `parallel.forked` scores rows mid on and writes their float64 bytes
+    into a pipe while this process scores the rows before mid, then reads
+    them. None when no process can be forked.
+
+    When the child sends too little, as it does when it raised or died,
+    this process scores its rows itself, with the same thread count. The
+    thread count is restored before this returns or raises. OpenBLAS's
+    second thread buys this model little, because most of its time goes
+    to numpy's single-threaded ops, so one thread in each of two processes
+    scores faster than two threads in one."""
+    threads = get_threads()
+    probs = np.empty(x.shape[0])
+    back = probs[mid:]
+    set_threads(threads // 2)
+    try:
+        with parallel.forked(lambda out: out.write(_score(config, folded, x[mid:]))) as pipe:
+            if pipe is None:
+                return None
+            probs[:mid] = _score(config, folded, x[:mid])
+            received = pipe.readinto(back) == back.nbytes
+        if not received:
+            back[:] = _score(config, folded, x[mid:])
+    finally:
+        set_threads(threads)
+    return probs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import seiznet
-from seiznet import artifact, dataset, gradcheck, layers, optim, preprocess
+from seiznet import artifact, dataset, gradcheck, layers, model, optim, parallel, preprocess
 from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
 from seiznet.model import ModelConfig, toy_config
@@ -380,6 +380,38 @@ class TestPredict:
         assert captured.err == ("row 3: non-finite model output\n"
                                 "row 5: expected 178 features, got 3 fields\n")
         assert captured.out == alone
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or parallel.openblas_threads() is None
+                        or parallel.openblas_threads()[0]() < 2,
+                        reason="no os.fork, or no OpenBLAS thread to hand to a second process")
+    def test_a_non_finite_row_in_each_half_of_a_split_keeps_its_line(self, tmp_path, trained,
+                                                                      capsys, monkeypatch):
+        # 1,030 rows are 17 chunks: rows 577 on are scored by a second process
+        rows = dataset.synthesize(515, seed=4).features
+        rows[[2, 900]] = 1e20
+        csv = self._feature_csv(tmp_path, rows)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        argv = ["predict", "--model", str(trained), "--data", str(csv)]
+        assert main(argv) == 2
+        split = capsys.readouterr()
+        assert split.err == ("row 3: non-finite model output\n"
+                             "row 901: non-finite model output\n")
+        assert len(split.out.splitlines()) == 1028
+        # one process, at the thread count each process of the split ran;
+        # the CSV parse forks once either way
+        monkeypatch.setattr(model, "SPLIT_SCORE_CHUNKS", 1 << 30)
+        get, set_ = parallel.openblas_threads()
+        threads = get()
+        set_(threads // 2)
+        try:
+            assert main(argv) == 2
+        finally:
+            set_(threads)
+        assert capsys.readouterr() == split
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_byte_order_mark_predicts_like_the_plain_file(self, tmp_path, trained, capsys):
         plain = self._feature_csv(tmp_path, dataset.synthesize(2, seed=3).features)

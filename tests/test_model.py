@@ -1,7 +1,13 @@
+import ctypes
+import glob
+import os
+import threading
+import types
+
 import numpy as np
 import pytest
 
-from seiznet import gradcheck, layers, model, optim
+from seiznet import gradcheck, layers, model, optim, parallel
 from seiznet.model import (ModelConfig, model_backward, model_forward, predict_probs,
                            toy_config)
 
@@ -455,3 +461,155 @@ def test_hundred_training_steps_stay_finite():
         adam.step(grads)
     for v in params.values():
         assert np.isfinite(v).all()
+
+
+def split_skip_reason():
+    """Why predict_probs cannot score in two processes here, or None."""
+    if not hasattr(os, "fork"):
+        return "no os.fork"
+    blas = parallel.openblas_threads()
+    if blas is None:
+        return "numpy's OpenBLAS, or its thread-count getter or setter, was not found"
+    if blas[0]() < 2:
+        return "OpenBLAS runs 1 thread"
+    return None
+
+
+SPLIT_SKIP = split_skip_reason()
+
+
+def at_half_the_threads(fn, *args):
+    """fn(*args) with OpenBLAS at half its threads, the count each process
+    of a split scoring pass runs."""
+    get, set_ = parallel.openblas_threads()
+    threads = get()
+    set_(threads // 2)
+    try:
+        return fn(*args)
+    finally:
+        set_(threads)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(SPLIT_SKIP is not None, reason=str(SPLIT_SKIP))
+class TestSplitScoring:
+    """predict_probs of at least SPLIT_SCORE_CHUNKS chunks scored by two
+    processes, against the same rows scored by one. OpenBLAS's thread
+    count moves bits under some kernels (Haswell, Zen), so the one-process
+    result is scored at the split's per-process thread count."""
+
+    @pytest.fixture(autouse=True)
+    def count_forks(self, monkeypatch):
+        fork, self.forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: self.forks.append(None) or fork())
+        get = parallel.openblas_threads()[0]
+        self.threads = get()
+        yield
+        assert get() == self.threads
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("rows, forks", [(1024, 1), (1088, 1), (1000, 1), (960, 0)],
+                             ids=["threshold", "odd-chunks", "partial-chunk", "under"])
+    def test_the_split_gives_the_bits_of_one_process(self, rows, forks):
+        assert model.SPLIT_SCORE_CHUNKS * model.CHUNK_ROWS == 1024
+        cfg, params, x = default_setup(n=rows, seed=3)
+        probs = predict_probs(cfg, params, x)
+        assert len(self.forks) == forks
+        if forks:
+            want = at_half_the_threads(model._score, cfg, cfg.net.fold(params), x)
+        else:
+            want = model._score(cfg, cfg.net.fold(params), x)
+        assert probs.dtype == np.float64 and probs.shape == (rows,)
+        assert probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sent", ["nothing", "short"])
+    def test_a_child_that_sends_too_little_leaves_its_rows_to_this_process(
+            self, monkeypatch, sent):
+        parent, score = os.getpid(), model._score
+
+        def child_fails(config, folded, x):
+            if os.getpid() == parent:
+                return score(config, folded, x)
+            if sent == "nothing":
+                os._exit(1)
+            return score(config, folded, x)[:-1]  # the last row is not sent
+
+        monkeypatch.setattr(model, "_score", child_fails)
+        cfg, params, x = default_setup(n=1030, seed=4)
+        probs = predict_probs(cfg, params, x)
+        assert len(self.forks) == 1
+        want = at_half_the_threads(score, cfg, cfg.net.fold(params), x)
+        assert probs.tobytes() == want.tobytes()
+
+    def test_no_process_to_spare_scores_in_one(self, monkeypatch):
+        def no_fork():
+            self.forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg, params, x = default_setup(n=1024, seed=5)
+        probs = predict_probs(cfg, params, x)
+        assert len(self.forks) == 1
+        assert probs.tobytes() == model._score(cfg, cfg.net.fold(params), x).tobytes()
+
+    @pytest.mark.parametrize("blas", [None, "one thread"], ids=["no-openblas", "one-thread"])
+    def test_without_a_second_blas_thread_to_hand_out_scores_in_one(self, monkeypatch, blas):
+        get, set_ = parallel.openblas_threads()
+        found = None if blas is None else (lambda: 1, set_)
+        monkeypatch.setattr(parallel, "openblas_threads", lambda: found)
+        cfg, params, x = default_setup(n=1024, seed=6)
+        probs = predict_probs(cfg, params, x)
+        assert self.forks == []
+        assert probs.tobytes() == model._score(cfg, cfg.net.fold(params), x).tobytes()
+
+    def test_a_process_running_another_thread_scores_in_one(self):
+        cfg, params, x = default_setup(n=1024, seed=7)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            probs = predict_probs(cfg, params, x)
+        finally:
+            release.set()
+            thread.join()
+        assert self.forks == []
+        assert probs.tobytes() == model._score(cfg, cfg.net.fold(params), x).tobytes()
+
+    def test_the_thread_count_is_restored_after_a_raise(self, monkeypatch):
+        # the fixture checks it after every return
+        parent, score = os.getpid(), model._score
+
+        class Failed(Exception):
+            pass
+
+        def parent_fails(config, folded, x):
+            if os.getpid() == parent:
+                assert parallel.openblas_threads()[0]() == self.threads // 2
+                raise Failed
+            return score(config, folded, x)
+
+        monkeypatch.setattr(model, "_score", parent_fails)
+        cfg, params, x = default_setup(n=1024, seed=8)
+        with pytest.raises(Failed):
+            predict_probs(cfg, params, x)
+        assert len(self.forks) == 1
+
+
+def test_an_openblas_that_will_not_load_or_lacks_a_function_is_not_used(monkeypatch):
+    # the first library fails to load; the second has a getter, no setter
+    libs = iter([OSError("cannot open"),
+                 types.SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: 2)])
+
+    def cdll(path):
+        lib = next(libs)
+        if isinstance(lib, OSError):
+            raise lib
+        return lib
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: ["a_openblas.so", "b_openblas.so"])
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert parallel.openblas_threads.__wrapped__() is None
