@@ -2,7 +2,8 @@
 
 Subcommands: train, evaluate, predict, gradcheck, synth.
 Exit codes: 0 success, 1 usage/config error or an unwritable output, 2 data
-error, 3 numeric failure.
+error (an allocation that fails included: each is sized by the run's
+input), 3 numeric failure.
 All output files are written to a temp path and renamed, so failures never
 leave partial artifacts behind.
 """
@@ -24,13 +25,22 @@ EXIT_OK = 0
 EXIT_CODES = {ConfigError: 1, DataError: 2, NumericError: 3}
 
 
+def _out_of_memory(exc: MemoryError) -> str:
+    """The message of a failed allocation, which is a data error: every
+    array a run allocates is sized by its input."""
+    return f"out of memory ({exc})" if str(exc) else "out of memory"
+
+
 @contextmanager
 def _stage(name):
-    """Prefix any pipeline error with the stage it came from."""
+    """Prefix any pipeline error, or a failed allocation, with the stage it
+    came from."""
     try:
         yield
     except tuple(EXIT_CODES) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    except MemoryError as exc:
+        raise DataError(f"{name}: {_out_of_memory(exc)}") from exc
 
 
 @contextmanager
@@ -87,7 +97,7 @@ def confusion_csv(c) -> str:
 
 def curves_csv(history) -> str:
     lines = ["epoch,train_loss,train_acc,val_loss,val_acc,lr"]
-    for epoch, (tl, ta, vl, va, lr) in enumerate(history, start=1):
+    for epoch, tl, ta, vl, va, lr in history:
         lines.append(f"{epoch},{tl:.6f},{ta:.6f},{vl:.6f},{va:.6f},{lr:.6f}")
     return "\n".join(lines) + "\n"
 
@@ -171,7 +181,9 @@ def cmd_train(args) -> int:
 
     model_cfg = ModelConfig()
     with _stage("train"):
-        params, tstate = optim.train(model_cfg, x_train, y_train, rc)
+        params, history = optim.train(model_cfg, x_train, y_train, rc)
+    # the first epoch with the lowest val_loss, as the loop's strict `<` keeps
+    best_epoch = min(history, key=lambda row: row[3])[0]
     report = _evaluate_and_report(test_ds, rc.wavelet, scaler, model_cfg, params,
                                   rc.out_dir)
 
@@ -180,17 +192,17 @@ def cmd_train(args) -> int:
             "seed": str(rc.seed),
             "split_seed": str(rc.split_seed),
             "data_source": source,
-            "epochs_run": str(tstate.epoch),
-            "best_epoch": str(tstate.best_epoch),
+            "epochs_run": str(len(history)),
+            "best_epoch": str(best_epoch),
             "test_accuracy": f"{report.accuracy:.6f}",
             "test_f1": f"{report.f1:.6f}",
         }
         model_path = os.path.join(rc.out_dir, "model.bin")
         with _writing(model_path):
             artifact.save_artifact(model_path, model_cfg, params, scaler, rc.wavelet, meta)
-        _write_text(os.path.join(rc.out_dir, "curves.csv"), curves_csv(tstate.history))
+        _write_text(os.path.join(rc.out_dir, "curves.csv"), curves_csv(history))
 
-    print(f"trained {tstate.epoch} epochs (best epoch {tstate.best_epoch}) "
+    print(f"trained {len(history)} epochs (best epoch {best_epoch}) "
           f"on {len(y_train)} samples [{source}]")
     print(f"test accuracy = {report.accuracy:.6f}, f1 = {report.f1:.6f}")
     for name in ("model.bin", "curves.csv", "confusion.csv", "metrics.txt"):
@@ -310,7 +322,9 @@ def main(argv=None) -> int:
         # failure as one error or row line, so numpy's own warnings are muted
         with np.errstate(all="ignore"):
             return args.func(args)
-    except tuple(EXIT_CODES) as exc:
+    except (*EXIT_CODES, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # raised outside any stage
+            exc = DataError(_out_of_memory(exc))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
 

@@ -18,7 +18,8 @@ the row parser. The allow-list matters: loadtxt reads a number followed by
 one of the separators \x1c-\x1f, which float() refuses.
 
 Every block's rows are written into one matrix, sized by a count of the
-file's line feeds. A regular file of at least SPLIT_PARSE_BYTES is split
+file's line feeds, but never past the rows its bytes can hold
+(`_capacity`). A regular file of at least SPLIT_PARSE_BYTES is split
 at a line start near its middle, and a forked child parses the second
 half while this process parses the first (`_parse_split`), with the same
 values, line numbers, messages and errors as one process.
@@ -41,6 +42,8 @@ SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
 # a regular CSV of at least this many bytes is parsed by two processes at once
 SPLIT_PARSE_BYTES = 1 << 20
+# the fewest bytes a good row takes: 178 one-digit features and their 177 commas
+MIN_ROW_BYTES = 2 * N_FEATURES - 1
 TRAIN_FRACTION = 0.8  # the share of rows `split` puts in the training split
 # the only bytes of a block that one np.loadtxt call converts
 BULK_BYTES = b"0123456789.eE+-,\n"
@@ -188,7 +191,8 @@ class _Rows:
     def room(self, rows: int) -> np.ndarray:
         r"""The `rows` rows of `features` after its first `n`. The matrix
         doubles when they do not fit, which only a pipe (its lines are not
-        counted first) or "\r" line ends (not counted as lines) bring about."""
+        counted first), "\r" line ends (not counted as lines) or a block of
+        lines too short to be rows (not counted by `_capacity`) bring about."""
         if self.n + rows > len(self.features):
             grown = np.empty((max(self.n + rows, 2 * len(self.features)), N_FEATURES))
             grown[:self.n] = self.features[:self.n]
@@ -247,6 +251,13 @@ def _parse_range(lines, rows: _Rows, offset, line_no, path, labelled) -> int:
     return line_no
 
 
+def _capacity(lines, nbytes) -> int:
+    """The rows of the matrix for a range of `nbytes` bytes and `lines` line
+    feeds: one per line, but no more than the good rows its bytes can hold,
+    plus one for a last line with no line feed."""
+    return min(lines, nbytes // MIN_ROW_BYTES) + 1
+
+
 def _count_lines(fh, start, stop) -> int:
     r"""The b"\n" bytes from byte `start` to `stop` of the binary file `fh`,
     which is left at its start."""
@@ -278,14 +289,14 @@ class _FileFrom(io.RawIOBase):
         return len(data)
 
 
-def _send_rows(fd, start, lines, path, labelled, out):
+def _send_rows(fd, start, capacity, path, labelled, out):
     r"""The child's half of a split parse: parse the open file `fd` from
     byte `start`, a line start, to its end as if rows came before it (so a
     header line there is a bad row), and write to the binary stream `out`
     a pickled (row count, labels, line numbers counted from `start`,
-    problems), then the rows' float64 bytes. `lines` is the range's count
-    of b"\n", which sizes its matrix."""
-    rows = _Rows(np.empty((lines + 1, N_FEATURES)), header=False)
+    problems), then the rows' float64 bytes. `capacity` is the range's
+    `_capacity`, the rows of its matrix."""
+    rows = _Rows(np.empty((capacity, N_FEATURES)), header=False)
     _parse_range(io.BufferedReader(_FileFrom(fd, start)), rows, start, 0, path, labelled)
     pickle.dump((rows.n, rows.labels, rows.row_nos, rows.problems), out)
     out.write(rows.features[:rows.n])
@@ -331,11 +342,11 @@ def _parse_split(fh, size, path, labelled) -> _Rows | None:
     if mid == size:
         return None
     head, tail = _count_lines(fh, 0, mid), _count_lines(fh, mid, size)
-    fd = fh.fileno()
-    with parallel.forked(lambda out: _send_rows(fd, mid, tail, path, labelled, out)) as pipe:
+    fd, capacity = fh.fileno(), _capacity(tail, size - mid)
+    with parallel.forked(lambda out: _send_rows(fd, mid, capacity, path, labelled, out)) as pipe:
         if pipe is None:
             return None
-        rows = _Rows(np.empty((head + tail + 1, N_FEATURES)))
+        rows = _Rows(np.empty((_capacity(head + tail, size), N_FEATURES)))
         line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
         received = not rows.header and _receive_rows(pipe, rows, line_no)
     if not received:
@@ -355,7 +366,7 @@ def _parse_rows(path, labelled: bool):
     The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time
     (`_parse_range`), and each block's rows are written into one matrix.
     A regular file's lines are counted first, so the matrix is allocated
-    once at their count; a pipe's matrix doubles as it fills. A regular
+    once at their `_capacity`; a pipe's matrix doubles as it fills. A regular
     file of at least SPLIT_PARSE_BYTES is parsed by two processes
     (`_parse_split`) where `parallel.can_fork`. The matrix is cut to the
     rows found at the end.
@@ -369,7 +380,7 @@ def _parse_rows(path, labelled: bool):
                 rows = _parse_split(fh, info.st_size, path, labelled)
             if rows is None:
                 lines = _count_lines(fh, 0, info.st_size) if regular else 0
-                rows = _Rows(np.empty((lines + 1, N_FEATURES)))
+                rows = _Rows(np.empty((_capacity(lines, info.st_size), N_FEATURES)))
                 _parse_range(fh, rows, 0, 0, path, labelled)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")

@@ -262,8 +262,9 @@ def predict_probs(config, params, features):
     processes (`_score_split`) where `parallel.can_fork` and the loaded
     OpenBLAS reports at least 2 threads, which it can set. The split falls
     on a chunk boundary, so every chunk holds the rows it holds in one
-    process."""
-    x = np.asarray(features, dtype=np.float64)
+    process. The features are used in the dtype given: `model_forward`
+    casts each chunk to float32, so a float32 matrix is never copied."""
+    x = np.asarray(features)
     folded = config.net.fold(params)
     chunks = -(-x.shape[0] // CHUNK_ROWS)
     probs = None

@@ -14,7 +14,7 @@ gradients into one such vector, which casts the head's gradients to
 float32; training casts no tensor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +44,6 @@ class TrainHyper:
     max_epochs: int = 100
     seed: int = 42
     patience_es: int = 10
-
-
-@dataclass
-class TrainState:
-    epoch: int = 0
-    # per-epoch rows: (train_loss, train_acc, val_loss, val_acc, lr)
-    history: list = field(default_factory=list)
-    best_val_loss: float = float("inf")
-    best_epoch: int = 0
-    epochs_since_improvement: int = 0
-    stopped_early: bool = False
 
 
 def l2_penalty(config, params):
@@ -155,9 +144,12 @@ def _batch_slices(n, batch_size, perm):
 
 
 def train(config, features, labels, hyper: TrainHyper):
-    """Fit the model; returns (params at the best validation epoch, TrainState).
-    The features are used in the dtype given; `model_forward` casts each
-    batch to float32, so a float32 matrix is never cast or copied."""
+    """Fit the model; returns (params at the best validation epoch, history).
+    history holds one row per epoch run: (epoch, train_loss, train_acc,
+    val_loss, val_acc, lr), the lr being the one the epoch trained at. The
+    best epoch is the first with the lowest val_loss. The features are used
+    in the dtype given; `model_forward` casts each batch to float32, so a
+    float32 matrix is never cast or copied."""
     x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
@@ -177,8 +169,8 @@ def train(config, features, labels, hyper: TrainHyper):
     adam = Adam(hyper.lr, {n: params[n] for n in config.net.learnable})
     rng = np.random.default_rng(hyper.seed)
 
-    state = TrainState()
-    best_params = None
+    history, best_params = [], None
+    best_val_loss, since_improvement = float("inf"), 0
     n_tr = len(tr_idx)
 
     for epoch in range(1, hyper.max_epochs + 1):
@@ -196,35 +188,31 @@ def train(config, features, labels, hyper: TrainHyper):
         val_probs = _finite(predict_probs(config, params, x_val))
         val_loss = bce_loss(val_probs, y_val)[0] + l2_penalty(config, params)
         val_acc = float(((val_probs > THRESHOLD) == (y_val == 1)).mean())
-        state.epoch = epoch
-        state.history.append(
-            (loss_sum / n_tr, correct / n_tr, val_loss, val_acc, adam.lr))
+        history.append((epoch, loss_sum / n_tr, correct / n_tr, val_loss, val_acc, adam.lr))
 
-        improved = val_loss < state.best_val_loss - IMPROVE_TOL
-        if val_loss < state.best_val_loss:
+        improved = val_loss < best_val_loss - IMPROVE_TOL
+        if val_loss < best_val_loss:
             # track the exact minimum for restore-best even when the drop is
             # below the improvement tolerance
-            state.best_val_loss = val_loss
-            state.best_epoch = epoch
+            best_val_loss = val_loss
             best_params = {k: v.copy() for k, v in params.items()}
         if improved:
-            state.epochs_since_improvement = 0
+            since_improvement = 0
         else:
-            state.epochs_since_improvement += 1
-            if state.epochs_since_improvement % PATIENCE_LR == 0:
+            since_improvement += 1
+            if since_improvement % PATIENCE_LR == 0:
                 adam.lr = max(adam.lr * LR_FACTOR, MIN_LR)
-            if state.epochs_since_improvement >= hyper.patience_es:
-                state.stopped_early = True
+            if since_improvement >= hyper.patience_es:
                 break
 
     if best_params is not None:
         params = best_params
-    return params, state
+    return params, history
 
 
 def evaluate(config, params, features, labels) -> EvalReport:
     """Infer-mode confusion matrix at `metrics.THRESHOLD`, plus all six metrics."""
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     if x.shape[0] == 0:
         raise DataError("cannot evaluate an empty dataset")
     probs = _finite(predict_probs(config, params, x))

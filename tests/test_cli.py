@@ -5,6 +5,11 @@ import subprocess
 import sys
 import tracemalloc
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -217,6 +222,25 @@ class TestTrain:
         # the loaded set, the raw training rows, the unscaled denoised
         # matrix and the float64 scaled one are gone before training starts
         assert seen["live"] <= 1.3 * (x.nbytes + test_bytes)
+
+    def test_epochs_and_best_epoch_agree_with_the_curves(self, tmp_path, capsys):
+        # at lr 0.01 the val loss rises after epoch 1, so patience 3 stops
+        # the run early, at a best epoch before its last
+        cfg = tmp_path / "early.cfg"
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 12")
+                       + "lr = 0.01\npatience_es = 3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+        val_losses = [float(row[3]) for row in rows]
+        meta = load_artifact(out / "model.bin")[4]
+        epochs, best = int(meta["epochs_run"]), int(meta["best_epoch"])
+        assert epochs == len(rows) < 12
+        assert best < epochs and val_losses[best - 1] == min(val_losses)
+        assert min(val_losses[:best - 1], default=np.inf) > min(val_losses)
+        assert capsys.readouterr().out.startswith(
+            f"trained {epochs} epochs (best epoch {best}) on 48 samples [synthetic]\n")
 
     def test_empty_test_split_fails_before_training(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "split.cfg"
@@ -658,6 +682,58 @@ class TestGradcheckCommand:
         failed = [l.split()[0] for l in captured.out.splitlines() if l.endswith(" FAIL")]
         assert failed == names + ["model_end_to_end"]
         assert captured.err == f"gradient check failed for: {', '.join(failed)}\n"
+
+
+# `seiznet argv` with its address space capped at what it has mapped after
+# importing the CLI plus 256 MB, so no allocation sized by the run's input
+# can take the shared machine's memory
+UNDER_MEMORY_LIMIT = """
+import resource, sys
+from seiznet.cli import main
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+limit = mapped + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/status"),
+                    reason="no RLIMIT_AS, or no /proc/self/status to read the mapped size from")
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_run_out_of_memory_prints_one_error_and_exits_two(tmp_path, command):
+    # 2 x 10,000,000 synthetic rows of 178 float64 values need 26.5 GiB
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("synthetic = true\nsynthetic_per_class = 10000000\n")
+    argv = {"synth": ["synth", "--n-per-class", "10000000", "--out",
+                      str(tmp_path / "out" / "synth.csv")],
+            "train": ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]}[command]
+    (tmp_path / "out").mkdir()
+    src = os.path.dirname(os.path.dirname(seiznet.__file__))
+    run = subprocess.run([sys.executable, "-c", UNDER_MEMORY_LIMIT, *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    stage = "load: " if command == "train" else ""
+    assert run.returncode == 2, run.stderr
+    assert re.fullmatch(f"error: {stage}out of memory \\(.+\\)\n", run.stderr), run.stderr
+    assert run.stdout == "" and list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 26.5 GiB", "out of memory (Unable to allocate 26.5 GiB)"),
+    ("", "out of memory")])
+def test_out_of_memory_inside_and_outside_a_stage_is_a_data_error(
+        tmp_path, tiny_config, monkeypatch, capsys, message, line):
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dataset, "synthesize", no_memory)
+    out = tmp_path / "run"
+    assert main(["synth", "--out", str(tmp_path / "synth.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert main(["train", "--config", tiny_config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: load: {line}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_usage_error_exits_one(capsys):

@@ -877,6 +877,68 @@ def test_the_parse_peak_is_the_matrix_it_returns(tmp_path, split_bytes):
     assert peak < 1.2 * nbytes
 
 
+BLANK_PEAK = """
+import sys, tracemalloc
+from seiznet import dataset
+path, child_peak = sys.argv[1], sys.argv[3]
+dataset.SPLIT_PARSE_BYTES = int(sys.argv[2])
+send_rows = dataset._send_rows
+
+def traced_send_rows(*args):
+    # the forked child's own peak, which this process does not see
+    tracemalloc.reset_peak()
+    send_rows(*args)
+    with open(child_peak, "w") as fh:
+        fh.write(str(tracemalloc.get_traced_memory()[1]))
+
+dataset._send_rows = traced_send_rows
+tracemalloc.start()
+features, row_nos, problems = dataset.load_features_csv(path)
+print(tracemalloc.get_traced_memory()[1], len(features), len(row_nos), len(problems))
+"""
+
+
+@pytest.mark.parametrize("split_bytes", [1 << 20, 1 << 62], ids=["split", "whole"])
+def test_a_file_of_blank_lines_is_not_parsed_into_a_matrix_per_line(tmp_path, split_bytes):
+    # 2,000,000 line feeds: a matrix of one row per line would take 2.85 GB
+    # (np.empty is traced without touching its pages). The 2 MB can hold at
+    # most 2,000,003 // MIN_ROW_BYTES = 5,633 rows, 8.0 MB. The bad first
+    # row makes a split parse wait for the child's half, not kill it.
+    lines = 2_000_000
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"1,2\n" + b"\n" * (lines - 1))
+    cap = dataset._capacity(lines, lines + 3)
+    assert cap == (lines + 3) // dataset.MIN_ROW_BYTES + 1 == 5634
+    child_peak = tmp_path / "child_peak"
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    run = subprocess.run([sys.executable, "-c", BLANK_PEAK, str(path), str(split_bytes),
+                          str(child_peak)],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    peak, rows, row_nos, problems = map(int, run.stdout.split())
+    assert rows == row_nos == 0 and problems == 1
+    bound = 2 * cap * dataset.N_FEATURES * 8
+    assert peak < bound
+    if split_bytes == 1 << 20:
+        assert int(child_peak.read_text()) < bound / 2
+    else:
+        assert not child_peak.exists()
+
+
+def test_rows_past_the_capacity_grow_the_matrix(tmp_path):
+    # compact rows of MIN_ROW_BYTES between blank lines: the row parser asks
+    # room for a block's every line, past the matrix `_capacity` sizes
+    row = ",".join(["0"] * dataset.N_FEATURES)
+    assert len(row) == dataset.MIN_ROW_BYTES
+    path = tmp_path / "features.csv"
+    path.write_bytes(((row + "\n\n") * 600).encode())
+    assert dataset._capacity(1200, path.stat().st_size) == 604
+    shape, values, _, row_nos, problems = parse(path)
+    assert shape == (600, dataset.N_FEATURES) and not any(values)
+    assert row_nos == list(range(1, 1200, 2)) and problems == []
+
+
 @pytest.fixture(scope="module")
 def untrained_model(tmp_path_factory):
     cfg = ModelConfig()

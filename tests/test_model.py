@@ -526,6 +526,28 @@ class TestSplitScoring:
         assert probs.dtype == np.float64 and probs.shape == (rows,)
         assert probs.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("rows, forks", [(960, 0), (1000, 1), (1100, 1)],
+                             ids=["under", "partial-chunk", "split"])
+    def test_a_float32_matrix_scores_the_bits_of_its_float64_source(self, monkeypatch,
+                                                                   rows, forks):
+        # model_forward casts each chunk to float32, so a float32 matrix is
+        # scored as given: this process's chunks are views of it
+        cfg, params, x = default_setup(n=rows, seed=9)
+        x32 = x.astype(np.float32)
+        want = predict_probs(cfg, params, x)
+        views, forward = [], model.model_forward
+
+        def spy(config, folded, batch, mode="infer"):
+            views.append(np.shares_memory(batch, x32))
+            return forward(config, folded, batch, mode)
+
+        monkeypatch.setattr(model, "model_forward", spy)
+        assert predict_probs(cfg, params, x32).tobytes() == want.tobytes()
+        assert views and all(views)
+        labels = np.arange(rows) % 2
+        assert optim.evaluate(cfg, params, x32, labels) == optim.evaluate(cfg, params, x, labels)
+        assert len(self.forks) == 4 * forks
+
     @pytest.mark.parametrize("sent", ["nothing", "short"])
     def test_a_child_that_sends_too_little_leaves_its_rows_to_this_process(
             self, monkeypatch, sent):

@@ -353,21 +353,28 @@ def test_batch_slices_fold_trailing_singleton():
     assert [len(b) for b in optim._batch_slices(8, 4, np.arange(8))] == [4, 4]
 
 
+def first_best_epoch(history):
+    """The first epoch with the lowest val_loss: the epoch `train` restores."""
+    val_losses = [row[3] for row in history]
+    return val_losses.index(min(val_losses)) + 1
+
+
 class TestTrainLoop:
     def test_deterministic_history_and_params(self):
         x, y = prepared_synthetic(20)
         hyper = TrainHyper(max_epochs=3, batch_size=8, seed=11)
         cfg = ModelConfig()
-        p1, s1 = train(cfg, x, y, hyper)
-        p2, s2 = train(cfg, x, y, hyper)
-        assert s1.history == s2.history
+        p1, h1 = train(cfg, x, y, hyper)
+        p2, h2 = train(cfg, x, y, hyper)
+        assert h1 == h2
+        assert [row[0] for row in h1] == [1, 2, 3]
         for k in p1:
             assert np.array_equal(p1[k], p2[k])
 
     def test_loss_decreases_over_first_epochs(self):
         x, y = prepared_synthetic(30)
-        _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=5, seed=1))
-        assert state.history[4][0] < state.history[0][0]
+        _, history = train(ModelConfig(), x, y, TrainHyper(max_epochs=5, seed=1))
+        assert history[4][1] < history[0][1]
 
     def test_early_stopping_restores_first_epoch(self, monkeypatch):
         x, y = prepared_synthetic(15)
@@ -378,12 +385,11 @@ class TestTrainLoop:
             lambda config, params, feats: np.full(len(feats), 0.7))
         # early stopping's patience 3 stops the run before the first plateau cut
         hyper = TrainHyper(lr=0.0, batch_size=8, patience_es=3, max_epochs=50, seed=3)
-        _, state = train(ModelConfig(), x, y, hyper)
-        assert state.stopped_early
-        assert state.epoch == 4  # best epoch 1 + patience 3
-        assert state.best_epoch == 1
-        assert state.epochs_since_improvement == 3
-        assert len(state.history) == 4
+        _, history = train(ModelConfig(), x, y, hyper)
+        assert len(history) == 4 < hyper.max_epochs  # best epoch 1 + patience 3
+        val_losses = [row[3] for row in history]
+        assert val_losses == [val_losses[0]] * 4
+        assert first_best_epoch(history) == 1
 
     def test_plateau_halves_learning_rate(self, monkeypatch):
         x, y = prepared_synthetic(15)
@@ -393,8 +399,8 @@ class TestTrainLoop:
         monkeypatch.setattr(optim, "PATIENCE_LR", 2)
         monkeypatch.setattr(optim, "MIN_LR", 1e-12)
         hyper = TrainHyper(lr=1e-8, batch_size=8, patience_es=5, max_epochs=50, seed=3)
-        _, state = train(ModelConfig(), x, y, hyper)
-        lrs = [row[4] for row in state.history]
+        _, history = train(ModelConfig(), x, y, hyper)
+        lrs = [row[5] for row in history]
         assert lrs == [1e-8, 1e-8, 1e-8, 5e-9, 5e-9, 2.5e-9]
         assert lrs == sorted(lrs, reverse=True)  # never increases
         assert min(lrs) >= optim.MIN_LR
@@ -410,22 +416,26 @@ class TestTrainLoop:
         monkeypatch.setattr(optim, "PATIENCE_LR", 3)
         monkeypatch.setattr(optim, "MIN_LR", 1e-12)
         hyper = TrainHyper(lr=1e-8, batch_size=8, patience_es=20, max_epochs=11, seed=3)
-        _, state = train(ModelConfig(), x, y, hyper)
-        assert state.epochs_since_improvement == 7
-        lrs = [row[4] for row in state.history]
+        _, history = train(ModelConfig(), x, y, hyper)
+        # epoch 4 is the last to improve by more than IMPROVE_TOL, so 7
+        # epochs without improvement end the run
+        val_losses = [row[3] for row in history]
+        assert val_losses[3] < min(val_losses[:3]) - optim.IMPROVE_TOL
+        assert min(val_losses[4:]) > val_losses[3] - optim.IMPROVE_TOL
+        lrs = [row[5] for row in history]
         assert lrs == [1e-8] * 7 + [5e-9] * 3 + [2.5e-9]
 
     def test_restore_best_contract(self):
         x, y = prepared_synthetic(20)
         hyper = TrainHyper(max_epochs=6, batch_size=8, seed=5)
         cfg = ModelConfig()
-        params, state = train(cfg, x, y, hyper)
-        assert state.best_val_loss == min(row[2] for row in state.history)
+        params, history = train(cfg, x, y, hyper)
+        best_val_loss = min(row[3] for row in history)
         # returned parameters reproduce the recorded best validation loss
         _, val_idx = partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)
         val_probs = predict_probs(cfg, params, x[val_idx])
         val_loss = bce_loss(val_probs, y[val_idx])[0] + l2_penalty(cfg, params)
-        assert val_loss == pytest.approx(state.best_val_loss, abs=1e-12)
+        assert val_loss == pytest.approx(best_val_loss, abs=1e-12)
 
     def test_cancelled_shifts_stay_zero_and_hold_no_adam_state(self, monkeypatch):
         # under float32 training, rounding noise in their exactly-zero
@@ -468,8 +478,8 @@ class TestTrainLoop:
                                             r"val_fraction = 0\.1 and needs both classes"):
             train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
         x, y = prepared_synthetic(10)
-        _, state = train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
-        assert state.epoch == 1
+        _, history = train(ModelConfig(), x, y, TrainHyper(max_epochs=1))
+        assert len(history) == 1
 
     def test_labels_other_than_0_and_1_are_refused(self):
         x, _ = prepared_synthetic(10)
@@ -481,9 +491,9 @@ class TestTrainLoop:
         # whole matrix first changes no bit
         x, y = prepared_synthetic(10)
         hyper = TrainHyper(max_epochs=2, seed=3)
-        params64, state64 = train(ModelConfig(), x, y, hyper)
-        params32, state32 = train(ModelConfig(), x.astype(np.float32), y, hyper)
-        assert state32.history == state64.history
+        params64, history64 = train(ModelConfig(), x, y, hyper)
+        params32, history32 = train(ModelConfig(), x.astype(np.float32), y, hyper)
+        assert history32 == history64
         for name, a in params64.items():
             assert params32[name].tobytes() == a.tobytes(), name
 
