@@ -191,8 +191,8 @@ class _Rows:
     def room(self, rows: int) -> np.ndarray:
         r"""The `rows` rows of `features` after its first `n`. The matrix
         doubles when they do not fit, which only a pipe (its lines are not
-        counted first), "\r" line ends (not counted as lines) or a block of
-        lines too short to be rows (not counted by `_capacity`) bring about."""
+        counted first) or "\r" line ends (not counted as lines) bring
+        about."""
         if self.n + rows > len(self.features):
             grown = np.empty((max(self.n + rows, 2 * len(self.features)), N_FEATURES))
             grown[:self.n] = self.features[:self.n]
@@ -202,8 +202,12 @@ class _Rows:
 
 def _parse_lines(lines, first_no, labelled, rows: _Rows):
     """The rows of `lines`, the first of which is line `first_no`, parsed
-    one at a time by `_parse_row` into `rows`."""
-    out, good = rows.room(len(lines)), 0
+    one at a time by `_parse_row` into `rows`. A good row is at least
+    MIN_ROW_BYTES characters long, so `rows` is asked room for no more
+    rows than the lines' characters can hold, plus the one a bad row's
+    values are written into: blank, header and bad lines do not grow the
+    matrix past `_capacity`."""
+    out, good = rows.room(min(len(lines), sum(map(len, lines)) // MIN_ROW_BYTES + 1)), 0
     for line_no, line in enumerate(lines, start=first_no):
         if not line.strip():
             continue
@@ -343,9 +347,11 @@ def _parse_split(fh, size, path, labelled) -> _Rows | None:
         return None
     head, tail = _count_lines(fh, 0, mid), _count_lines(fh, mid, size)
     fd, capacity = fh.fileno(), _capacity(tail, size - mid)
-    with parallel.forked(lambda out: _send_rows(fd, mid, capacity, path, labelled, out)) as pipe:
-        if pipe is None:
+    with parallel.forked(lambda _, out: _send_rows(fd, mid, capacity, path, labelled,
+                                                   out)) as ends:
+        if ends is None:
             return None
+        pipe = ends[0]
         rows = _Rows(np.empty((_capacity(head + tail, size), N_FEATURES)))
         line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
         received = not rows.header and _receive_rows(pipe, rows, line_no)
@@ -368,7 +374,7 @@ def _parse_rows(path, labelled: bool):
     A regular file's lines are counted first, so the matrix is allocated
     once at their `_capacity`; a pipe's matrix doubles as it fills. A regular
     file of at least SPLIT_PARSE_BYTES is parsed by two processes
-    (`_parse_split`) where `parallel.can_fork`. The matrix is cut to the
+    (`_parse_split`) where `parallel.forked` can fork. The matrix is cut to the
     rows found at the end.
     """
     try:
@@ -376,7 +382,7 @@ def _parse_rows(path, labelled: bool):
             info = os.fstat(fh.fileno())
             regular = stat.S_ISREG(info.st_mode)
             rows = None
-            if regular and info.st_size >= SPLIT_PARSE_BYTES and parallel.can_fork():
+            if regular and info.st_size >= SPLIT_PARSE_BYTES:
                 rows = _parse_split(fh, info.st_size, path, labelled)
             if rows is None:
                 lines = _count_lines(fh, 0, info.st_size) if regular else 0

@@ -11,10 +11,11 @@ is tap-major: column k*C_in + c holds tap k of channel c. That is the row
 order of w viewed as [K*C_in, C_out], so neither w nor grad_w is transposed.
 Each patch row is also one contiguous K*C_in run of the padded input, so the
 matrix is built by a block copy; a channel-major matrix gathers with stride
-C_in and takes 2-3.5x as long to build on wide inputs. grad_x is a per-tap
-loop of GEMMs into a padded buffer; `conv1d_grad_w` computes grad_w alone,
-for a layer whose input gradient nothing reads. Every result is
-deterministic for a fixed input.
+C_in and takes 2-3.5x as long to build on wide inputs. grad_x
+(`conv1d_grad_x`) is a per-tap loop of GEMMs into a padded buffer. Training
+calls `conv1d_grad_w` once per shard of a batch (`layers.Shards`) and
+`conv1d_grad_x` once on every row; `conv1d_backward` is the two of them
+over every row of x. Every result is deterministic for a fixed input.
 """
 
 import numpy as np
@@ -63,21 +64,23 @@ def conv1d_grad_w(x, grad_out, k_size):
     return (_im2col(x, k_size).T @ go_flat).reshape(k_size, c_in, c_out)
 
 
+def conv1d_grad_x(w, grad_out):
+    """grad_x of conv1d_forward, [N, L, C_in]: one GEMM per tap, each added
+    into a zero-padded buffer at the tap's offset."""
+    n, length, c_out = grad_out.shape
+    k_size, c_in, _ = w.shape
+    pad = (k_size - 1) // 2
+    go_flat = grad_out.reshape(n * length, c_out)
+    gxp = np.zeros((n, length + k_size - 1, c_in), dtype=np.result_type(w, grad_out))
+    for k in range(k_size):
+        gxp[:, k:k + length, :] += (go_flat @ w[k].T).reshape(n, length, c_in)
+    return gxp[:, pad:pad + length, :]
+
+
 def conv1d_backward(x, w, grad_out):
     """Returns (grad_x, grad_w) of conv1d_forward. No grad_b: every conv
     bias sits ahead of a batch norm, which cancels it, so none learns."""
-    n, length, c_in = x.shape
-    k_size, _, c_out = w.shape
-    pad = (k_size - 1) // 2
-    go_flat = grad_out.reshape(n * length, c_out)
-
-    grad_w = conv1d_grad_w(x, grad_out, k_size)
-
-    gxp = np.zeros((n, length + k_size - 1, c_in), dtype=x.dtype)
-    for k in range(k_size):
-        gxp[:, k:k + length, :] += (go_flat @ w[k].T).reshape(n, length, c_in)
-    grad_x = gxp[:, pad:pad + length, :]
-    return grad_x, grad_w
+    return conv1d_grad_x(w, grad_out), conv1d_grad_w(x, grad_out, w.shape[0])
 
 
 def _pairs(x):

@@ -2,6 +2,13 @@
 cache), and `<op>_backward`, consuming the cache and the upstream gradient;
 `model.Layer` finds both by that name. Arrays carry a leading batch axis:
 conv/pool/attention work on [N, L, C], dense layers on [N, D].
+
+Every sum a train-mode pass takes over a batch's rows goes through the
+batch's `Shards`: the batch norm statistics and gradients, LayerNorm's
+dgamma and every weight-gradient GEMM. An op that takes `shards` and is
+given none treats the rows it is given as the whole batch, held by one
+process, but for `dense_forward`, which then runs one GEMM, as infer mode
+does.
 """
 
 import numpy as np
@@ -13,6 +20,63 @@ BN_EPS = 1e-5  # batch norm's variance floor, in train mode and in `batchnorm_fo
 BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
 LN_EPS = 1e-5  # layer norm's variance floor
 DROPOUT_RATE = 0.5  # share of units each train-mode dropout zeroes
+
+
+class Shards:
+    """A train-mode batch of `n` rows, cut into two fixed shards: rows
+    [0, mid) (shard A) and [mid, n) (shard B), mid = ceil(n / 2). Every sum
+    over the batch's rows is shard A's sum plus shard B's sum, in that
+    order, so the batch gets the same bits whether one process holds both
+    shards or each of two processes holds one (`optim.train`).
+
+    This is the one-process form: `rows`, the batch rows this process
+    holds, are all n, and `total` and `part` both sum each shard's rows
+    and add the two sums."""
+
+    def __init__(self, n):
+        self.n, self.mid = n, (n + 1) // 2
+        self.rows = slice(0, n)
+
+    def total(self, fn, *arrays):
+        """fn(shard A's rows of `arrays`) + fn(shard B's rows), each array
+        cut along its first axis: a sum the pass needs at once, such as a
+        batch norm's statistics."""
+        return (fn(*(a[:self.mid] for a in arrays))
+                + fn(*(a[self.mid:] for a in arrays)))
+
+    def part(self, fn, *arrays):
+        """The same sum for a weight gradient, which nothing reads before
+        the step ends; a process holding one shard returns its own
+        shard's sum here and adds the other's in `gather`."""
+        return self.total(fn, *arrays)
+
+    def each(self, fn, *arrays):
+        """fn of each shard's rows of `arrays`, stacked along the first axis:
+        a row-wise product whose rows' bits can depend on how many rows it
+        runs on, as a float64 GEMM's do where OpenBLAS turns a one-row or
+        one-column GEMM into a GEMV. A process holding one shard runs fn on
+        that shard alone."""
+        return np.concatenate([fn(*(a[:self.mid] for a in arrays)),
+                               fn(*(a[self.mid:] for a in arrays))])
+
+    def gather(self, probs):
+        """The probabilities of all the batch's rows, given those of the rows
+        this process holds; from here on each `part` holds the whole
+        batch's sum. In one process both already do."""
+        return probs
+
+
+def _column_sums(a):
+    """Per-channel sums of [..., C] as one GEMV: a ones vector times the
+    [m, C] view."""
+    flat = a.reshape(-1, a.shape[-1])
+    return np.ones(flat.shape[0], dtype=a.dtype) @ flat
+
+
+def _column_dots(a, b):
+    """Per-channel sums of a * b, both [..., C]."""
+    c = a.shape[-1]
+    return np.einsum("ij,ij->j", a.reshape(-1, c), b.reshape(-1, c))
 
 
 def relu_forward(x):
@@ -38,40 +102,43 @@ def conv1d_forward(x, w, b):
     return out, (x, w)
 
 
-def conv1d_backward(cache, grad_out, input_grad=True):
-    """(grad_x, grad_w); with input_grad False, (None, grad_w), which skips
-    grad_x's per-tap GEMMs for a layer whose input gradient nothing reads."""
+def conv1d_backward(cache, grad_out, input_grad=True, shards=None):
+    """(grad_x, grad_w), grad_w a `Shards.part`; with input_grad False,
+    (None, grad_w), which skips grad_x's per-tap GEMMs for a layer whose
+    input gradient nothing reads."""
     x, w = cache
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[2]):
         raise ValueError(f"conv grad shape {grad_out.shape} does not match forward")
-    if not input_grad:
-        return None, kernels.conv1d_grad_w(x, grad_out, w.shape[0])
-    return kernels.conv1d_backward(x, w, grad_out)
+    k_size = w.shape[0]
+    grad_w = (shards or Shards(len(x))).part(
+        lambda xs, gs: kernels.conv1d_grad_w(xs, gs, k_size), x, grad_out)
+    return (kernels.conv1d_grad_x(w, grad_out) if input_grad else None), grad_w
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, shards=None):
     """Normalize per channel over all leading axes with the batch statistics,
     and update the running estimates in place (running <- BN_MOMENTUM *
     running + (1 - BN_MOMENTUM) * batch).
 
-    The per-channel sum is one GEMV (a ones vector times the [m, C] view),
-    the variance the sum of squares of the centred array, never
-    E[x^2] - E[x]^2, and out = xc * (gamma * inv) + beta is applied to the
-    one-row-per-sample view. Caches (xc, inv, gamma), xc the centred input.
+    The statistics are `Shards.total`s over the batch's m rows per channel,
+    x holding the rows `shards.rows`: the mean from per-channel sums (one
+    GEMV per shard, `_column_sums`), then the variance from the sum of
+    squares of the centred array, never E[x^2] - E[x]^2. out = xc *
+    (gamma * inv) + beta is applied to the one-row-per-sample view. Caches
+    (xc, inv, gamma), xc the centred input.
 
     This is the training pass. Infer mode never calls it: the model folds
     the running estimates into the conv or dense layer before each
     batch norm (`batchnorm_fold`, called by `model.Net.fold`).
     """
-    if x.shape[0] < 2:
+    shards = shards or Shards(len(x))
+    if shards.n < 2:
         raise ValueError("batchnorm train mode needs a batch of at least 2")
-    flat = x.reshape(-1, x.shape[-1])
-    m = flat.shape[0]
-    mean = np.ones(m, dtype=x.dtype) @ flat / m
+    m = shards.n * (x[0].size // x.shape[-1])
+    mean = shards.total(_column_sums, x) / m
     rows = x.reshape(x.shape[0], -1)
     xc = rows - per_row(mean, rows)
-    xc_flat = xc.reshape(flat.shape)
-    var = np.einsum("ij,ij->j", xc_flat, xc_flat) / m
+    var = shards.total(lambda a: _column_dots(a, a), xc.reshape(x.shape)) / m
     running_mean[:] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
     running_var[:] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
@@ -80,7 +147,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     return out.reshape(x.shape), (xc.reshape(x.shape), inv, gamma)
 
 
-def batchnorm_backward(cache, grad_out):
+def batchnorm_backward(cache, grad_out, shards=None):
     """Exact gradient of the train-mode forward, including the dependence of
     the batch statistics on x. With m rows per channel, xhat = xc * inv and
     S = sum(dy * xc):
@@ -90,12 +157,14 @@ def batchnorm_backward(cache, grad_out):
              b = a * inv * dgamma / m,  c = a * dbeta / m
 
     with dgamma = inv * S and dbeta = sum(dy), a GEMV like the forward mean.
+    dbeta and S are one `Shards.total`, taken as one [2, C] array.
     """
     xc, inv, gamma = cache
-    dy = grad_out.reshape(-1, inv.shape[0])
-    m = dy.shape[0]
-    dbeta = np.ones(m, dtype=dy.dtype) @ dy
-    dgamma = inv * np.einsum("ij,ij->j", dy, xc.reshape(dy.shape))
+    shards = shards or Shards(len(grad_out))
+    m = shards.n * (grad_out[0].size // inv.shape[0])
+    dbeta, s = shards.total(lambda dy, xcs: np.stack([_column_sums(dy), _column_dots(dy, xcs)]),
+                            grad_out, xc)
+    dgamma = inv * s
     a = gamma * inv
     rows = grad_out.reshape(grad_out.shape[0], -1)
     dx = rows * per_row(a, rows)
@@ -203,15 +272,19 @@ def mha_forward(x, wq, wk, wv, wo):
     return out, (x, w_qkv, qkv, concat, attn, wo)
 
 
-def mha_backward(cache, grad_out):
+def mha_backward(cache, grad_out, shards=None):
+    """(dx, dwq, dwk, dwv, dwo); dwo and the one [D, 3D] product the other
+    three come from are `Shards.part`s."""
     x, w_qkv, qkv, concat, attn, wo = cache
     n, length, d_model = x.shape
     heads = attn.shape[1]
     d_k = d_model // heads
+    shards = shards or Shards(n)
     q, k, v = _split_heads(qkv, n, length, heads)
     g = grad_out.reshape(n * length, d_model)
 
-    dwo = concat.T @ g
+    dwo = shards.part(lambda c, gs: c.reshape(-1, d_model).T @ gs.reshape(-1, d_model),
+                      concat.reshape(x.shape), grad_out)
     dhead = (g @ wo.T).reshape(n, length, heads, d_k).transpose(0, 2, 1, 3)
     dqkv = np.empty((n, length, 3, heads, d_k), dtype=grad_out.dtype)
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
@@ -226,10 +299,14 @@ def mha_backward(cache, grad_out):
     np.matmul(ds.transpose(1, 2, 3, 0), k, out=dq)
     np.matmul(ds.transpose(1, 2, 0, 3), q, out=dk)
 
+    # each shard's [D, 3D] product, laid out as [3, H, D, dk]: dwq, dwk
+    # and dwv are views of the part, so a sum added into it reaches them
+    dwq, dwk, dwv = shards.part(
+        lambda xs, ds: np.ascontiguousarray(
+            (xs.reshape(-1, d_model).T @ ds.reshape(-1, 3 * d_model))
+            .reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3)),
+        x, dqkv)
     dqkv = dqkv.reshape(n * length, 3 * d_model)
-    dw = x.reshape(n * length, d_model).T @ dqkv               # [D, 3D]
-    dwq, dwk, dwv = np.ascontiguousarray(
-        dw.reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3))
     dx = (dqkv @ w_qkv.T).reshape(x.shape)
     # the skip add routes grad_out to the input unchanged, beside attention
     dx += grad_out
@@ -250,9 +327,10 @@ def layernorm_forward(x, gamma, beta):
     return out.reshape(x.shape), (xhat, inv, gamma)
 
 
-def layernorm_backward(cache, grad_out):
-    """Returns (dx, dgamma): no dbeta, as `bnd1` cancels beta (`model.Net`).
-    With dxhat = grad_out * gamma (one tiled row per sample, `per_row`):
+def layernorm_backward(cache, grad_out, shards=None):
+    """Returns (dx, dgamma), dgamma a `Shards.part`: no dbeta, as `bnd1`
+    cancels beta (`model.Net`). With dxhat = grad_out * gamma (one tiled
+    row per sample, `per_row`):
 
         dx = (inv / c) * (c * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
 
@@ -260,7 +338,8 @@ def layernorm_backward(cache, grad_out):
     xhat, inv, gamma = cache
     c = grad_out.shape[-1]
     axes = tuple(range(grad_out.ndim - 1))
-    dgamma = (grad_out * xhat).sum(axis=axes)
+    dgamma = (shards or Shards(len(grad_out))).part(
+        lambda gs, xs: (gs * xs).sum(axis=axes), grad_out, xhat)
     rows = grad_out.reshape(grad_out.shape[0], -1)
     dx = (rows * per_row(gamma, rows)).reshape(grad_out.shape)
     sum_dxhat = dx.sum(axis=-1, keepdims=True)
@@ -311,22 +390,33 @@ def sigmoid_backward(probs, grad_out):
     return (grad_out * probs * (1.0 - probs))[:, None]
 
 
-def dense_forward(x, w, b):
+def dense_forward(x, w, b, shards=None):
+    """x @ w + b: one GEMM over x's rows without `shards` (infer mode), and
+    one per shard (`Shards.each`) in train mode."""
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"dense input width {x.shape[-1]} does not match {w.shape}")
-    return x @ w + b, (x, w)
+    out = x @ w if shards is None else shards.each(lambda xs: xs @ w, x)
+    return out + b, (x, w)
 
 
-def dense_backward(cache, grad_out):
+def dense_backward(cache, grad_out, shards=None):
+    """(grad_x, grad_w, grad_b): grad_x one GEMM per shard, as the forward
+    pass, and grad_w and grad_b `Shards.part`s."""
     x, w = cache
-    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
+    shards = shards or Shards(len(x))
+    return (shards.each(lambda gs: gs @ w.T, grad_out),
+            shards.part(lambda xs, gs: xs.T @ gs, x, grad_out),
+            shards.part(lambda gs: gs.sum(axis=0), grad_out))
 
 
-def dropout_forward(x, rng):
+def dropout_forward(x, rng, shards=None):
     """Inverted dropout at DROPOUT_RATE: survivors are scaled by
     1/(1-DROPOUT_RATE), so infer mode is an exact identity and never calls
-    this (`model.Net.infer_layers`)."""
-    mask = rng.random(x.shape) >= DROPOUT_RATE
+    this (`model.Net.infer_layers`). The mask is drawn for the whole batch
+    and cut to the rows x holds, `shards.rows`, so a process holding one
+    shard draws what one holding both does."""
+    shards = shards or Shards(len(x))
+    mask = rng.random((shards.n, *x.shape[1:]))[shards.rows] >= DROPOUT_RATE
     return x * mask / (1.0 - DROPOUT_RATE), mask
 
 

@@ -77,14 +77,16 @@ class Layer:
     Each keyword gives a tensor, named `<layer name>_<keyword>`, as (role,
     shape). `shapes` and `roles` map the names, in artifact order, to their
     shapes and roles; `learnable` lists those that receive gradients.
-    forward(params, x, rng) returns (y, cache); backward(cache, g) returns
-    (g w.r.t. x, {learnable tensor name: gradient}). `<op>_backward` returns
-    the input gradient, then one gradient per tensor in declaration order,
-    up to the last it computes. backward(cache, g, input_grad=False) passes
-    input_grad=False on to an op that takes it, `conv1d`, the network's
-    first; the input gradient is then None. The functions are looked up on
-    `layers` at call time, so a function patched there is the one every
-    layer runs.
+    forward(params, x, rng, shards) returns (y, cache); backward(cache, g,
+    shards=shards) returns (g w.r.t. x, {learnable tensor name: gradient}).
+    `<op>_backward` returns the input gradient, then one gradient per
+    tensor in declaration order, up to the last it computes. Each of those
+    gradients sums over the batch's rows, so backward passes the batch's
+    `layers.Shards` on to every op with tensors; None stands for the rows
+    given. backward(cache, g, input_grad=False) passes input_grad=False on
+    to an op that takes it, `conv1d`, the network's first; the input
+    gradient is then None. The functions are looked up on `layers` at call
+    time, so a function patched there is the one every layer runs.
     """
 
     def __init__(self, name, op, **tensors):
@@ -96,14 +98,14 @@ class Layer:
     def tensors(self, params):
         return [params[n] for n in self.shapes]
 
-    def forward(self, params, x, rng):
+    def forward(self, params, x, rng, shards=None):
         return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params))
 
-    def backward(self, cache, g, input_grad=True):
+    def backward(self, cache, g, input_grad=True, shards=None):
         skip = {} if input_grad else {"input_grad": False}
-        out = getattr(layers, f"{self.op}_backward")(cache, g, **skip)
         if not self.shapes:  # tensor-free ops return the input gradient alone
-            return out, {}
+            return getattr(layers, f"{self.op}_backward")(cache, g, **skip), {}
+        out = getattr(layers, f"{self.op}_backward")(cache, g, **skip, shards=shards)
         grads = dict(zip(self.shapes, out[1:]))
         missing = [n for n in self.learnable if n not in grads]
         if missing:
@@ -111,11 +113,21 @@ class Layer:
         return out[0], {n: grads[n] for n in self.learnable}
 
 
+class BatchLayer(Layer):
+    """A layer whose forward op takes the batch's `layers.Shards` too: a
+    batch norm, whose statistics sum over the batch's rows, and a dense
+    layer, which in train mode runs its GEMMs on each shard
+    (`layers.dense_forward`)."""
+
+    def forward(self, params, x, rng, shards=None):
+        return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params), shards=shards)
+
+
 def batch_norm(name, c):
     """A batch norm over c channels. Train mode only: `Net.fold` folds it
     into the layer before it for infer mode."""
-    return Layer(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
-                 mean=(MEAN, (c,)), var=(VAR, (c,)))
+    return BatchLayer(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
+                      mean=(MEAN, (c,)), var=(VAR, (c,)))
 
 
 def attention(name, heads, d):
@@ -127,13 +139,13 @@ def attention(name, heads, d):
 
 class Dropout(Layer):
     """Train mode only: `Net.infer_layers` leaves out this identity. The one
-    layer whose op takes the dropout generator, so the one subclass."""
+    layer whose op takes the dropout generator."""
 
     def __init__(self, name):
         super().__init__(name, "dropout")
 
-    def forward(self, params, x, rng):
-        return layers.dropout_forward(x, rng)
+    def forward(self, params, x, rng, shards=None):
+        return layers.dropout_forward(x, rng, shards)
 
 
 class Net:
@@ -161,13 +173,13 @@ class Net:
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
-            net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
-                          b=(CANCELLED, (units,))),
+            net += [BatchLayer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
+                               b=(CANCELLED, (units,))),
                     batch_norm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
                     Dropout(f"drop{i}")]
             width = units
         out = len(config.dense_units) + 1
-        net += [Layer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
+        net += [BatchLayer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
                 Layer("probs", "sigmoid")]
         self.layers = net
         self.infer_layers = [m for m in net if m.op not in ("batchnorm", "dropout")]
@@ -208,13 +220,15 @@ class Net:
         return MappingProxyType(folded)
 
 
-def model_forward(config, params, batch, mode="infer", dropout_rng=None):
+def model_forward(config, params, batch, mode="infer", dropout_rng=None, shards=None):
     """Run the network on a batch of signals.
 
     batch: [N, input_len] or [N, input_len, 1]. Returns (probs, trace);
     trace is the list of (layer, cache) pairs in forward order, which
     model_backward walks, and None in infer mode. Train mode requires a
-    dropout_rng; infer mode requires params to be what `config.net.fold`
+    dropout_rng, and runs on the rows `shards.rows` of a batch cut by
+    `shards` (`layers.Shards`), the whole batch when it is None; infer mode
+    requires params to be what `config.net.fold`
     returned, so batch norm is never skipped. An output that is not finite
     is returned as it is; the callers decide what it means. The
     batch is cast to the dtype of the first layer's kernel, so the trunk
@@ -234,21 +248,24 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None):
     if not train and not isinstance(params, MappingProxyType):
         raise TypeError("infer mode needs the tensors config.net.fold returns")
     trace = [] if train else None
+    if train:
+        shards = shards or layers.Shards(x.shape[0])
     for layer in config.net.layers if train else config.net.infer_layers:
-        x, cache = layer.forward(params, x, dropout_rng)
+        x, cache = layer.forward(params, x, dropout_rng, shards=shards)
         if train:
             trace.append((layer, cache))
     return x, trace
 
 
-def model_backward(trace, grad_probs):
+def model_backward(trace, grad_probs, shards=None):
     """Gradients of every learnable tensor, given the train trace and
-    dLoss/dprobs. The first layer is asked for its tensors' gradients only:
-    nothing reads the gradient of the network's input."""
+    dLoss/dprobs, over the batch `model_forward` cut by `shards`. The first
+    layer is asked for its tensors' gradients only: nothing reads the
+    gradient of the network's input."""
     grads, g = {}, grad_probs
     for i in range(len(trace) - 1, -1, -1):
         layer, cache = trace[i]
-        g, layer_grads = layer.backward(cache, g, input_grad=i > 0)
+        g, layer_grads = layer.backward(cache, g, input_grad=i > 0, shards=shards)
         grads.update(layer_grads)
     return grads
 
@@ -259,8 +276,8 @@ def predict_probs(config, params, features):
     leaves every other row's finite.
 
     An input of at least SPLIT_SCORE_CHUNKS chunks is scored by two
-    processes (`_score_split`) where `parallel.can_fork` and the loaded
-    OpenBLAS reports at least 2 threads, which it can set. The split falls
+    processes (`_score_split`) where `parallel.split_threads` allows a
+    second process. The split falls
     on a chunk boundary, so every chunk holds the rows it holds in one
     process. The features are used in the dtype given: `model_forward`
     casts each chunk to float32, so a float32 matrix is never copied."""
@@ -268,10 +285,8 @@ def predict_probs(config, params, features):
     folded = config.net.fold(params)
     chunks = -(-x.shape[0] // CHUNK_ROWS)
     probs = None
-    if chunks >= SPLIT_SCORE_CHUNKS and parallel.can_fork():
-        blas = parallel.openblas_threads()
-        if blas is not None and blas[0]() >= 2:
-            probs = _score_split(config, folded, x, (chunks + 1) // 2 * CHUNK_ROWS, *blas)
+    if chunks >= SPLIT_SCORE_CHUNKS and (blas := parallel.split_threads()) is not None:
+        probs = _score_split(config, folded, x, (chunks + 1) // 2 * CHUNK_ROWS, *blas)
     return _score(config, folded, x) if probs is None else probs
 
 
@@ -300,11 +315,11 @@ def _score_split(config, folded, x, mid, get_threads, set_threads):
     back = probs[mid:]
     set_threads(threads // 2)
     try:
-        with parallel.forked(lambda out: out.write(_score(config, folded, x[mid:]))) as pipe:
-            if pipe is None:
+        with parallel.forked(lambda _, out: out.write(_score(config, folded, x[mid:]))) as ends:
+            if ends is None:
                 return None
             probs[:mid] = _score(config, folded, x[:mid])
-            received = pipe.readinto(back) == back.nbytes
+            received = ends[0].readinto(back) == back.nbytes
         if not received:
             back[:] = _score(config, folded, x[mid:])
     finally:

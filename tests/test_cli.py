@@ -405,8 +405,7 @@ class TestPredict:
                                 "row 5: expected 178 features, got 3 fields\n")
         assert captured.out == alone
 
-    @pytest.mark.skipif(not hasattr(os, "fork") or parallel.openblas_threads() is None
-                        or parallel.openblas_threads()[0]() < 2,
+    @pytest.mark.skipif(not parallel.can_fork() or parallel.split_threads() is None,
                         reason="no os.fork, or no OpenBLAS thread to hand to a second process")
     def test_a_non_finite_row_in_each_half_of_a_split_keeps_its_line(self, tmp_path, trained,
                                                                       capsys, monkeypatch):

@@ -926,9 +926,19 @@ def test_a_file_of_blank_lines_is_not_parsed_into_a_matrix_per_line(tmp_path, sp
         assert not child_peak.exists()
 
 
-def test_rows_past_the_capacity_grow_the_matrix(tmp_path):
+def test_rows_past_the_capacity_grow_the_matrix(tmp_path, monkeypatch):
     # compact rows of MIN_ROW_BYTES between blank lines: the row parser asks
-    # room for a block's every line, past the matrix `_capacity` sizes
+    # room for no more rows than a block's characters can hold, so the
+    # matrix stays at the `_capacity` the file's lines and bytes give it.
+    # "\r" line ends are not counted as lines, so rows ended by them grow it
+    sizes, room = [], dataset._Rows.room
+
+    def spy(self, rows):
+        out = room(self, rows)
+        sizes.append(len(self.features))
+        return out
+
+    monkeypatch.setattr(dataset._Rows, "room", spy)
     row = ",".join(["0"] * dataset.N_FEATURES)
     assert len(row) == dataset.MIN_ROW_BYTES
     path = tmp_path / "features.csv"
@@ -937,6 +947,15 @@ def test_rows_past_the_capacity_grow_the_matrix(tmp_path):
     shape, values, _, row_nos, problems = parse(path)
     assert shape == (600, dataset.N_FEATURES) and not any(values)
     assert row_nos == list(range(1, 1200, 2)) and problems == []
+    assert max(sizes) == 604
+
+    sizes.clear()
+    path.write_bytes(((row + "\r") * 600).encode())
+    shape, values, _, row_nos, problems = parse(path)
+    assert shape == (600, dataset.N_FEATURES) and not any(values)
+    assert row_nos == list(range(1, 601)) and problems == []
+    assert dataset._capacity(0, path.stat().st_size) == 1
+    assert sizes == [600]
 
 
 @pytest.fixture(scope="module")

@@ -234,8 +234,8 @@ class TestFloat32Trunk:
         """(layer name, input dtype, output dtype) of each layer, as run."""
         seen = []
         for layer in layer_list:
-            def spy(p, x, rng, _name=layer.name, _real=layer.forward):
-                y, cache = _real(p, x, rng)
+            def spy(p, x, rng, shards=None, _name=layer.name, _real=layer.forward):
+                y, cache = _real(p, x, rng, shards)
                 seen.append((_name, x.dtype, y.dtype))
                 return y, cache
             monkeypatch.setattr(layer, "forward", spy)
@@ -464,14 +464,13 @@ def test_hundred_training_steps_stay_finite():
 
 
 def split_skip_reason():
-    """Why predict_probs cannot score in two processes here, or None."""
-    if not hasattr(os, "fork"):
-        return "no os.fork"
-    blas = parallel.openblas_threads()
-    if blas is None:
-        return "numpy's OpenBLAS, or its thread-count getter or setter, was not found"
-    if blas[0]() < 2:
-        return "OpenBLAS runs 1 thread"
+    """Why predict_probs cannot score, nor train train, in two processes
+    here, or None."""
+    if not parallel.can_fork():
+        return "no os.fork, or another thread runs"
+    if parallel.split_threads() is None:
+        return ("numpy's OpenBLAS, or its thread-count getter or setter, was not found, "
+                "or it runs 1 thread")
     return None
 
 

@@ -1,18 +1,22 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import seiznet
-from seiznet import gradcheck, layers, optim
+from seiznet import gradcheck, layers, optim, parallel
+from seiznet.artifact import save_artifact
+from seiznet.cli import main
 from seiznet.dataset import partition_indices, synthesize
 from seiznet.errors import DataError, NumericError
 from seiznet.model import (CANCELLED, MEAN, VAR, ModelConfig, model_backward, model_forward,
                            predict_probs, toy_config)
 from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
+from test_model import assert_no_child_left, split_skip_reason
 
 
 def prepared_synthetic(n_per_class, seed=7):
@@ -252,13 +256,14 @@ def _spy_dtypes(monkeypatch, net):
     call, and the dtype of each tensor gradient a backward pass returns."""
     seen, grad_dtypes = [], {}
     for layer in net.layers:
-        def forward(p, x, rng, _name=layer.name, _real=layer.forward):
-            y, cache = _real(p, x, rng)
+        def forward(p, x, rng, shards=None, _name=layer.name, _real=layer.forward):
+            y, cache = _real(p, x, rng, shards)
             seen.append((_name, "forward", x.dtype, y.dtype))
             return y, cache
 
-        def backward(cache, g, input_grad=True, _name=layer.name, _real=layer.backward):
-            gx, grads = _real(cache, g, input_grad)
+        def backward(cache, g, input_grad=True, shards=None, _name=layer.name,
+                     _real=layer.backward):
+            gx, grads = _real(cache, g, input_grad, shards)
             seen.append((_name, "backward", g.dtype, None if gx is None else gx.dtype))
             grad_dtypes.update((n, a.dtype) for n, a in grads.items())
             return gx, grads
@@ -502,6 +507,225 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train(ModelConfig(), rng.standard_normal((20, 178)),
                   np.zeros(20), TrainHyper())
+
+
+def test_batch_norm_counts_the_whole_batch_not_its_shard():
+    # one row is too few for a batch; the same row as shard A of a 2-row
+    # batch, beside a shard B that holds it too, is normalized as the
+    # 2-row batch of that row twice is
+    class Mirror:
+        """A link to a shard B whose every sum equals this shard's."""
+        b = False
+
+        def swap(self, mine, theirs):
+            theirs[...] = mine
+            return theirs
+
+    def tensors():
+        return [np.ones(3, np.float32), np.zeros(3, np.float32),
+                np.zeros(3, np.float32), np.ones(3, np.float32)]
+
+    x = np.random.default_rng(0).standard_normal((1, 6, 3)).astype(np.float32)
+    with pytest.raises(ValueError, match="at least 2"):
+        layers.batchnorm_forward(x, *tensors())
+    got, _ = layers.batchnorm_forward(x, *tensors(), shards=optim._Shard(2, Mirror()))
+    want, _ = layers.batchnorm_forward(np.concatenate([x, x]), *tensors())
+    assert got.tobytes() == want[:1].tobytes()
+
+
+SPLIT_SKIP = split_skip_reason()
+
+
+def params_and_model_bin(path, cfg, fitted, x):
+    """(params, history) with the bytes of the model.bin they make with a
+    scaler fitted on x."""
+    params, history = fitted
+    save_artifact(path, cfg, params, fit_scaler(x), "universal")
+    return params, history, path.read_bytes()
+
+
+def assert_same_bits(got, want):
+    assert got[1] == want[1]
+    assert got[0].keys() == want[0].keys()
+    for name, a in want[0].items():
+        assert got[0][name].tobytes() == a.tobytes(), name
+
+
+@pytest.mark.skipif(SPLIT_SKIP is not None, reason=str(SPLIT_SKIP))
+class TestSplitTraining:
+    """train in two processes, each with one shard of every batch, against
+    train in one, at the same per-process thread count: OpenBLAS's thread
+    count moves a GEMM's bits on some kernels, SkylakeX's included."""
+
+    @pytest.fixture(autouse=True)
+    def count_forks(self, monkeypatch):
+        fork, self.forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: self.forks.append(None) or fork())
+        get = parallel.openblas_threads()[0]
+        self.threads = get()
+        yield
+        assert get() == self.threads
+        assert_no_child_left()
+
+    def one_process(self, monkeypatch, way, *args):
+        """train(*args) in one process, made so by `way`."""
+        if way == "fork-fails":
+            def no_fork():
+                self.forks.append(None)
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+            return train(*args)
+        if way == "another-thread":
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            try:
+                return train(*args)
+            finally:
+                release.set()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        get, set_ = parallel.openblas_threads()
+        set_(self.threads // 2)
+        try:
+            return train(*args)
+        finally:
+            set_(self.threads)
+
+    @pytest.mark.parametrize("way", ["fork-fails", "another-thread", "one-blas-thread"])
+    @pytest.mark.parametrize("n_per_class, batch, sizes", [(10, 2, [2] * 9), (36, 32, [32, 33])],
+                             ids=["batches-of-1+1", "batches-of-32-and-33"])
+    def test_one_process_gives_the_bits_of_two(self, monkeypatch, tmp_path, way,
+                                              n_per_class, batch, sizes):
+        # 18 training rows make 9 batches of 2 rows; 65 make a batch of 32
+        # rows and one of 33, a trailing singleton folded in
+        x, y = prepared_synthetic(n_per_class, seed=5)
+        cfg, hyper = ModelConfig(), TrainHyper(max_epochs=2, batch_size=batch, seed=3)
+        n_tr = len(partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)[0])
+        assert [len(b) for b in optim._batch_slices(n_tr, batch, np.arange(n_tr))] == sizes
+        two = params_and_model_bin(tmp_path / "two.bin", cfg, train(cfg, x, y, hyper), x)
+        assert len(self.forks) == 1
+        one = params_and_model_bin(tmp_path / "one.bin", cfg,
+                                   self.one_process(monkeypatch, way, cfg, x, y, hyper), x)
+        assert len(self.forks) == (2 if way == "fork-fails" else 1)
+        assert_same_bits(one, two)
+        assert one[2] == two[2]
+
+    def test_a_child_that_dies_mid_epoch_leaves_the_training_to_this_process(
+            self, monkeypatch):
+        x, y = prepared_synthetic(36, seed=6)
+        cfg, hyper = ModelConfig(), TrainHyper(max_epochs=2, batch_size=16, seed=4)
+        want = train(cfg, x, y, hyper)
+        parent, step, steps = os.getpid(), optim.loss_and_grads, []
+
+        def child_dies(*args):
+            if os.getpid() != parent:
+                steps.append(None)  # the child's own count
+                if len(steps) == 2:  # of 4 steps an epoch
+                    os._exit(1)
+            return step(*args)
+
+        monkeypatch.setattr(optim, "loss_and_grads", child_dies)
+        got = train(cfg, x, y, hyper)
+        assert len(self.forks) == 2 and steps == []
+        assert_same_bits(got, want)
+
+    def test_a_non_finite_output_in_shard_b_alone_is_a_numeric_error(
+            self, tmp_path, monkeypatch, capsys):
+        # row 20 of every 32-row batch scores NaN: shard B's, so the child
+        # raises and ends, and this process trains again alone and raises
+        forward = optim.model_forward
+
+        def nan_row_20(config, params, x, mode, dropout_rng=None, shards=None):
+            probs, trace = forward(config, params, x, mode, dropout_rng, shards)
+            if shards.n == 32 and shards.rows.start <= 20 < shards.rows.stop:
+                assert shards.rows.start in (0, 16)
+                probs[20 - shards.rows.start] = np.nan
+            return probs, trace
+
+        monkeypatch.setattr(optim, "model_forward", nan_row_20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synthetic = true\nsynthetic_per_class = 30\nmax_epochs = 1\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: train: non-finite model output\n")
+        assert len(self.forks) == 1
+        assert not out.exists()
+
+    def test_the_thread_count_is_restored_after_a_raise(self, monkeypatch):
+        # the fixture checks it after every return
+        parent, epoch = os.getpid(), optim._epoch
+
+        class Failed(Exception):
+            pass
+
+        def parent_fails(*args):
+            if os.getpid() == parent:
+                assert parallel.openblas_threads()[0]() == self.threads // 2
+                raise Failed
+            return epoch(*args)
+
+        monkeypatch.setattr(optim, "_epoch", parent_fails)
+        x, y = prepared_synthetic(10)
+        with pytest.raises(Failed):
+            train(ModelConfig(), x, y, TrainHyper(max_epochs=1, batch_size=8))
+        assert len(self.forks) == 1
+
+    def test_the_child_sends_what_the_forked_child_sent(self, tmp_path, monkeypatch):
+        # the child's loop, run in this process on the messages the parent
+        # sent a forked child, at the child's thread count, sends the bytes
+        # that child sent
+        from_parent, to_parent = bytearray(), bytearray()
+        send, recv = optim._Link.send, optim._Link.recv
+
+        def record_send(link, a):
+            if not link.b:
+                from_parent.extend(memoryview(a).cast("B"))
+            send(link, a)
+
+        def record_recv(link, a):
+            recv(link, a)
+            if not link.b:
+                to_parent.extend(memoryview(a).cast("B"))
+            return a
+
+        monkeypatch.setattr(optim._Link, "send", record_send)
+        monkeypatch.setattr(optim._Link, "recv", record_recv)
+        x, y = prepared_synthetic(36, seed=7)
+        cfg, hyper = ModelConfig(), TrainHyper(max_epochs=2, batch_size=16, seed=5)
+        train(cfg, x, y, hyper)
+        assert len(self.forks) == 1
+        (tmp_path / "from_parent").write_bytes(from_parent)
+        tr_idx, _ = partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)
+        get, set_ = parallel.openblas_threads()
+        set_(self.threads // 2)
+        try:
+            with open(tmp_path / "from_parent", "rb") as inp, \
+                    open(tmp_path / "to_parent", "wb") as out:
+                # the parent's stream ends after the last epoch's lr
+                with pytest.raises(optim._PeerLost):
+                    optim._train_child(cfg, x, y, tr_idx, hyper, optim._Link(True, inp, out))
+        finally:
+            set_(self.threads)
+        assert (tmp_path / "to_parent").read_bytes() == to_parent
+
+    def test_a_child_whose_parent_is_gone_exits(self, monkeypatch):
+        # the forked child's entry, run in this process: a fork that returns
+        # 0 and an exit that raises. The parent's pipe ends are closed in
+        # the child, so its first read finds the stream ended
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(os, "fork", lambda: 0)
+        monkeypatch.setattr(os, "_exit", exit_)
+        x, y = prepared_synthetic(10)
+        with pytest.raises(Exited) as exited:
+            train(ModelConfig(), x, y, TrainHyper(max_epochs=1, batch_size=8))
+        assert exited.value.args == (0,)
 
 
 # Run in a fresh interpreter: late in a long test session, a one-off resize
