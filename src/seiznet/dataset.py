@@ -6,7 +6,8 @@ Expected CSV schema: 178 numeric EEG amplitude fields plus a trailing integer
 label in 1..5 per row. An optional header row and an optional leading
 row-identifier column are detected and skipped.
 
-A CSV is read in binary blocks of PARSE_BLOCK_LINES lines. A block whose
+A CSV is read in binary blocks of PARSE_BLOCK_LINES lines; a line longer
+than MAX_LINE_BYTES is never held, and is a bad row (`_lines`). A block whose
 bytes are all in BULK_BYTES (digits, ". e E + -", commas and line feeds) and
 which has no blank line is converted by one np.loadtxt call; it is kept
 when it gives exactly one row of the expected width per line, every
@@ -42,6 +43,8 @@ SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
 # a regular CSV of at least this many bytes is parsed by two processes at once
 SPLIT_PARSE_BYTES = 1 << 20
+# the longest line held, its end included; a good row of repr floats is ~4.5 KB
+MAX_LINE_BYTES = 1 << 20
 # the fewest bytes a good row takes: 178 one-digit features and their 177 commas
 MIN_ROW_BYTES = 2 * N_FEATURES - 1
 TRAIN_FRACTION = 0.8  # the share of rows `split` puts in the training split
@@ -228,30 +231,61 @@ def _parse_lines(lines, first_no, labelled, rows: _Rows):
     rows.n += good
 
 
-def _parse_range(lines, rows: _Rows, offset, line_no, path, labelled) -> int:
-    r"""Parse the raw lines the iterator `lines` yields (split at b"\n"),
-    the first of which starts `offset` bytes and `line_no` lines into the
-    file, into `rows`, PARSE_BLOCK_LINES lines at a time; returns the line
-    count at the end of the range. A block that `_convert_block` takes is
-    converted in one call; any other block goes through `_parse_row` one
-    line at a time. Both give the same values, line numbers and messages.
-    """
-    while raw := list(itertools.islice(lines, PARSE_BLOCK_LINES)):
-        values = _convert_block(raw, labelled)
-        if values is None:
-            text = _block_lines(b"".join(raw), offset, path)
-            _parse_lines(text, line_no + 1, labelled, rows)
-            line_no += len(text)
-        else:
-            rows.room(len(raw))[:] = values[:, :N_FEATURES]
-            rows.n += len(raw)
-            rows.header = False
-            if labelled:
-                rows.labels += (values[:, N_FEATURES] == 1).astype(np.int64).tolist()
-            rows.row_nos += range(line_no + 1, line_no + len(raw) + 1)
-            line_no += len(raw)
-        offset += sum(map(len, raw))
-        del values  # not held while the next block is read and converted
+def _lines(fh, stop=None):
+    r"""The lines of the binary file `fh` from its position to byte `stop`
+    (a line start) or its end, each ended at b"\n" or at the end. A line of
+    more than MAX_LINE_BYTES bytes, its line end included, comes as its
+    byte count and is never held whole: it is read in pieces, which are cut
+    at each lone b"\r" too, so lines that end at "\r" stay lines."""
+    while (stop is None or fh.tell() < stop) and (line := fh.readline(MAX_LINE_BYTES + 1)):
+        if len(line) <= MAX_LINE_BYTES:
+            yield line
+            continue
+        tail, skipped = b"", 0  # the start of an unended line: held, or read past
+        while True:
+            done = not line or line.endswith(b"\n")
+            # empty only at the end of a file that ends in a long line
+            lines = (tail + line).splitlines(keepends=True) or [b""]
+            tail = b"" if done else lines.pop()  # it may go on in the next piece
+            for line in lines:
+                nbytes, skipped = skipped + len(line), 0
+                yield nbytes if nbytes > MAX_LINE_BYTES else line
+            if len(tail) > MAX_LINE_BYTES:
+                skipped, tail = skipped + len(tail), b""
+            if done:
+                break
+            line = fh.readline(MAX_LINE_BYTES + 1)
+
+
+def _parse_range(fh, rows: _Rows, offset, line_no, path, labelled, stop=None) -> int:
+    r"""Parse the lines of the binary file `fh` (`_lines`) up to byte `stop`
+    or its end, the first of which starts `offset` bytes and `line_no` lines
+    into the file, into `rows`, PARSE_BLOCK_LINES lines at a time; returns
+    the line count at the end of the range. A block that `_convert_block`
+    takes is converted in one call; any other goes through `_parse_row` one
+    line at a time, with the same values, line numbers and messages."""
+    for long, group in itertools.groupby(_lines(fh, stop), lambda line: type(line) is int):
+        while raw := list(itertools.islice(group, PARSE_BLOCK_LINES)):
+            if long:
+                rows.problems += [(line_no + i, f"line longer than {MAX_LINE_BYTES} bytes")
+                                  for i in range(1, len(raw) + 1)]
+                line_no, offset, rows.header = line_no + len(raw), offset + sum(raw), False
+                continue
+            values = _convert_block(raw, labelled)
+            if values is None:
+                text = _block_lines(b"".join(raw), offset, path)
+                _parse_lines(text, line_no + 1, labelled, rows)
+                line_no += len(text)
+            else:
+                rows.room(len(raw))[:] = values[:, :N_FEATURES]
+                rows.n += len(raw)
+                rows.header = False
+                if labelled:
+                    rows.labels += (values[:, N_FEATURES] == 1).astype(np.int64).tolist()
+                rows.row_nos += range(line_no + 1, line_no + len(raw) + 1)
+                line_no += len(raw)
+            offset += sum(map(len, raw))
+            del values  # not held while the next block is read and converted
     return line_no
 
 
@@ -341,7 +375,8 @@ def _parse_split(fh, size, path, labelled) -> _Rows | None:
     np.loadtxt and the row parser hold the GIL.
     """
     fh.seek(size // 2)
-    fh.readline()
+    while (piece := fh.readline(MAX_LINE_BYTES + 1)) and not piece.endswith(b"\n"):
+        pass  # the line at the middle is read past in bounded pieces
     mid = fh.tell()
     if mid == size:
         return None
@@ -353,7 +388,7 @@ def _parse_split(fh, size, path, labelled) -> _Rows | None:
             return None
         pipe = ends[0]
         rows = _Rows(np.empty((_capacity(head + tail, size), N_FEATURES)))
-        line_no = _parse_range(itertools.islice(fh, head), rows, 0, 0, path, labelled)
+        line_no = _parse_range(fh, rows, 0, 0, path, labelled, mid)
         received = not rows.header and _receive_rows(pipe, rows, line_no)
     if not received:
         _parse_range(fh, rows, mid, line_no, path, labelled)

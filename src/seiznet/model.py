@@ -14,6 +14,7 @@ outputs -0.0. Their gradients agree too: the pool sends a tie to the even
 position, so a pair of non-positive inputs gets a zero gradient either way.
 """
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -275,19 +276,27 @@ def predict_probs(config, params, features):
     No infer-mode layer mixes rows, so a row whose output is not finite
     leaves every other row's finite.
 
-    An input of at least SPLIT_SCORE_CHUNKS chunks is scored by two
-    processes (`_score_split`) where `parallel.split_threads` allows a
-    second process. The split falls
-    on a chunk boundary, so every chunk holds the rows it holds in one
-    process. The features are used in the dtype given: `model_forward`
-    casts each chunk to float32, so a float32 matrix is never copied."""
+    An input of at least SPLIT_SCORE_CHUNKS chunks is scored under
+    `parallel.halved`: a forked child scores the rows from a chunk boundary
+    near the middle on while this process scores those before it; when no
+    child is forked, or it sends too little, this process scores its rows.
+    The features are used in the dtype given: `model_forward` casts each
+    chunk to float32, so a float32 matrix is never copied."""
     x = np.asarray(features)
     folded = config.net.fold(params)
     chunks = -(-x.shape[0] // CHUNK_ROWS)
-    probs = None
-    if chunks >= SPLIT_SCORE_CHUNKS and (blas := parallel.split_threads()) is not None:
-        probs = _score_split(config, folded, x, (chunks + 1) // 2 * CHUNK_ROWS, *blas)
-    return _score(config, folded, x) if probs is None else probs
+    if chunks < SPLIT_SCORE_CHUNKS:
+        return _score(config, folded, x)
+    mid = (chunks + 1) // 2 * CHUNK_ROWS
+    probs = np.empty(x.shape[0])
+    with parallel.halved() as two:
+        with (parallel.forked(lambda _, out: out.write(_score(config, folded, x[mid:])))
+              if two else contextlib.nullcontext()) as ends:
+            probs[:mid] = _score(config, folded, x[:mid])
+            received = ends is not None and ends[0].readinto(probs[mid:]) == probs[mid:].nbytes
+        if not received:
+            probs[mid:] = _score(config, folded, x[mid:])
+    return probs
 
 
 def _score(config, folded, x):
@@ -295,33 +304,3 @@ def _score(config, folded, x):
     parts = [model_forward(config, folded, x[start:start + CHUNK_ROWS], mode="infer")[0]
              for start in range(0, x.shape[0], CHUNK_ROWS)]
     return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _score_split(config, folded, x, mid, get_threads, set_threads):
-    """The probabilities of the rows of x, scored by two processes at once,
-    each with half of OpenBLAS's threads: a child forked by
-    `parallel.forked` scores rows mid on and writes their float64 bytes
-    into a pipe while this process scores the rows before mid, then reads
-    them. None when no process can be forked.
-
-    When the child sends too little, as it does when it raised or died,
-    this process scores its rows itself, with the same thread count. The
-    thread count is restored before this returns or raises. OpenBLAS's
-    second thread buys this model little, because most of its time goes
-    to numpy's single-threaded ops, so one thread in each of two processes
-    scores faster than two threads in one."""
-    threads = get_threads()
-    probs = np.empty(x.shape[0])
-    back = probs[mid:]
-    set_threads(threads // 2)
-    try:
-        with parallel.forked(lambda _, out: out.write(_score(config, folded, x[mid:]))) as ends:
-            if ends is None:
-                return None
-            probs[:mid] = _score(config, folded, x[:mid])
-            received = ends[0].readinto(back) == back.nbytes
-        if not received:
-            back[:] = _score(config, folded, x[mid:])
-    finally:
-        set_threads(threads)
-    return probs

@@ -302,11 +302,13 @@ def train(config, features, labels, hyper: TrainHyper):
     in the dtype given; `model_forward` casts each batch to float32, so a
     float32 matrix is never cast or copied.
 
-    Where OpenBLAS runs 2 or more threads (`parallel.split_threads`),
-    training runs at half of them, in two processes (`_train_split`), each
-    with one shard of every batch, or in this one when no second process
-    can be forked. Both give the same bits on a BLAS kernel whose GEMM
-    rows do not depend on the GEMM's row count."""
+    Training runs under `parallel.halved`: this process trains shard A of
+    every batch and a forked child shard B (`_train_child`), exchanging
+    sums through pipes (`_Shard`); only this process validates, while the
+    child waits for the next epoch's lr. When no child is forked, or it
+    dies or sends too little, this process trains alone, from the start.
+    Both ways give the same bits where a GEMM row's bits do not depend on
+    the GEMM's row count."""
     x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
@@ -321,45 +323,18 @@ def train(config, features, labels, hyper: TrainHyper):
     # batches are gathered from `x` by index; only the validation rows are
     # copied whole
     val = x[val_idx], y[val_idx]
-    blas = parallel.split_threads()
-    if blas is None:
-        return _fit(config, x, y, tr_idx, val, hyper)
-    return _train_split(config, x, y, tr_idx, val, hyper, *blas)
-
-
-def _train_split(config, x, y, tr_idx, val, hyper, get_threads, set_threads):
-    """`_fit` at half of OpenBLAS's threads, in two processes: this one
-    trains shard A of every batch and a child forked by `parallel.forked`
-    shard B (`_train_child`), and the two exchange their sums through
-    pipes (`_Shard`). Only this process validates, while the child waits
-    for the next epoch's lr. It validates at the same thread count: with
-    more, OpenBLAS's idle worker thread would spin on into the next
-    epoch's steps, on a core the child needs.
-
-    When no process can be forked, or the child dies or sends too little,
-    this process trains alone, from the start and at the same thread
-    count; the child is killed and reaped first. On some BLAS kernels,
-    OpenBLAS's SkylakeX kernel among them, the thread count moves a GEMM's
-    bits, so the count is what keeps the two ways equal. It is restored
-    before this returns or raises. OpenBLAS's second thread buys this
-    model little, so one thread in each of two processes trains faster
-    than two in one.
-    """
-    threads = get_threads()
-    set_threads(threads // 2)
-    try:
-        with parallel.forked(lambda inp, out: _train_child(
-                config, x, y, tr_idx, hyper, _Link(True, inp, out))) as ends:
+    with parallel.halved() as two:
+        with (parallel.forked(lambda inp, out: _train_child(
+                config, x, y, tr_idx, hyper, _Link(True, inp, out)))
+              if two else contextlib.nullcontext()) as ends:
             if ends is not None:
                 with contextlib.suppress(_PeerLost):
                     return _fit(config, x, y, tr_idx, val, hyper, _Link(False, *ends))
         return _fit(config, x, y, tr_idx, val, hyper)
-    finally:
-        set_threads(threads)
 
 
 def _train_child(config, x, y, tr_idx, hyper, link):
-    """The child's side of `_train_split`: shard B of every batch of each
+    """The child's side of two-process `train`: shard B of every batch of each
     epoch, at the lr the parent sends before it. It never returns: it ends
     when the parent's pipe does (`_PeerLost`) or when the parent kills it."""
     params, adam, rng = _start(config, hyper)
@@ -372,7 +347,7 @@ def _train_child(config, x, y, tr_idx, hyper, link):
 
 def _fit(config, x, y, tr_idx, val, hyper, link=None):
     """The training loop: `train`'s (params, history). With `link`, this is
-    the parent of `_train_split`: it trains shard A of every batch and
+    the parent of two-process `train`: it trains shard A of every batch and
     sends the child each epoch's lr before the epoch."""
     x_val, y_val = val
     params, adam, rng = _start(config, hyper)

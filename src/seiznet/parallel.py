@@ -4,10 +4,11 @@
 (`dataset._parse_split`), the split scoring pass (`model.predict_probs`)
 and two-process training (`optim.train`) all run their second half in a
 child it forks, and talk to the child through a pipe each way.
-`openblas_threads` reads and sets the thread count of the OpenBLAS numpy
-loaded, through ctypes, with the library lookup and symbol list of
-`perfbench/envstamp.py`; `split_threads` is the one guard for handing
-half of those threads to a second process.
+
+`halved` is the one thread policy of the BLAS-bound splits, scoring and
+training: their two processes, or the one left when no child is forked or
+it fails, run at half of OpenBLAS's threads, as the count moves a GEMM's
+bits on some kernels. `openblas_threads` reads and sets it through ctypes.
 """
 
 import contextlib
@@ -32,13 +33,22 @@ def can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def split_threads():
-    """The loaded OpenBLAS's (get, set) pair (`openblas_threads`) when it
-    reports at least 2 threads, so that each of two processes can run half
-    of them; None otherwise. Whether the second process can be forked is
+@contextlib.contextmanager
+def halved():
+    """Yield True with OpenBLAS at half its threads for the block, when it
+    reports at least 2, restoring the count on a return or a raise; else
+    change nothing and yield False. Whether a child can be forked is
     `forked`'s to say."""
     blas = openblas_threads()
-    return blas if blas is not None and blas[0]() >= 2 else None
+    threads = 0 if blas is None else blas[0]()
+    if threads < 2:
+        yield False
+        return
+    blas[1](threads // 2)
+    try:
+        yield True
+    finally:
+        blas[1](threads)
 
 
 @contextlib.contextmanager

@@ -18,6 +18,7 @@ from seiznet import artifact, dataset, gradcheck, layers, model, optim, parallel
 from seiznet.artifact import load_artifact, save_artifact
 from seiznet.cli import main
 from seiznet.model import ModelConfig, toy_config
+from test_model import split_skip_reason
 
 TINY_CONFIG = """\
 # fast functional-test configuration
@@ -72,6 +73,7 @@ def openblas_kernel_skip_reason():
 
 
 OPENBLAS_KERNEL_SKIP = openblas_kernel_skip_reason()
+SPLIT_SKIP = split_skip_reason()
 
 
 class TestSynth:
@@ -405,8 +407,7 @@ class TestPredict:
                                 "row 5: expected 178 features, got 3 fields\n")
         assert captured.out == alone
 
-    @pytest.mark.skipif(not parallel.can_fork() or parallel.split_threads() is None,
-                        reason="no os.fork, or no OpenBLAS thread to hand to a second process")
+    @pytest.mark.skipif(SPLIT_SKIP is not None, reason=str(SPLIT_SKIP))
     def test_a_non_finite_row_in_each_half_of_a_split_keeps_its_line(self, tmp_path, trained,
                                                                       capsys, monkeypatch):
         # 1,030 rows are 17 chunks: rows 577 on are scored by a second process
@@ -424,13 +425,8 @@ class TestPredict:
         # one process, at the thread count each process of the split ran;
         # the CSV parse forks once either way
         monkeypatch.setattr(model, "SPLIT_SCORE_CHUNKS", 1 << 30)
-        get, set_ = parallel.openblas_threads()
-        threads = get()
-        set_(threads // 2)
-        try:
+        with parallel.halved():
             assert main(argv) == 2
-        finally:
-            set_(threads)
         assert capsys.readouterr() == split
         assert len(forks) == 3
         with pytest.raises(ChildProcessError):

@@ -847,6 +847,23 @@ class TestSplitParse:
             parse(path)
         assert exited.value.args == (0,)
 
+    @pytest.mark.parametrize("long_rows", [[1, 6], [3]], ids=["each-half", "at-the-middle"])
+    def test_a_line_too_long_to_hold_is_one_bad_row_in_either_half(self, tmp_path, monkeypatch,
+                                                                   long_rows):
+        # at the middle, the line the split point is found past is longer
+        # than the pieces it is read in
+        monkeypatch.setattr(dataset, "MAX_LINE_BYTES", 100)
+        rows = [r[:90] for r in FOUR_ROWS * 2]  # bad rows, of one message each
+        for line in long_rows:
+            rows[line] = FOUR_ROWS[0] * (1 + 10 * (len(long_rows) == 1))
+        path = tmp_path / "features.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode())
+        split, whole = self.both_ways(monkeypatch, path)
+        assert split == whole
+        assert [p for p in whole[4] if p[1].startswith("line")] == [
+            (line + 1, "line longer than 100 bytes") for line in long_rows]
+        assert len(whole[4]) == 8
+
 
 SPLIT_PEAK = """
 import sys, tracemalloc
@@ -983,3 +1000,78 @@ def test_junk_csv_predicts_good_rows_and_reports_the_rest(tmp_path_factory, untr
         assert re.fullmatch(r"(row \d+|error: load): .+", line), line
     for line in out.getvalue().splitlines():
         assert re.fullmatch(r"[01]\.\d{6},[01]", line), line
+
+
+@pytest.mark.parametrize("content, lines", [
+    (b"abcd\nabcde\nab", [b"abcd\n", 6, b"ab"]),
+    # a "\r\n" cut between two pieces is one line end
+    (b"ab\rcd\r\n", [b"ab\r", b"cd\r\n"]),
+    (b"ab\rcdefgh\rij\n", [b"ab\r", 7, b"ij\n"]),
+    (b"abcdefgh\rij\nk", [9, b"ij\n", b"k"]),
+    (b"abcdefgh", [8]),
+    (b"abcdefghijkl", [12]),
+], ids=["whole-lines", "crlf-across-pieces", "long-between-cr", "long-first", "long-last",
+        "long-at-a-piece-end"])
+def test_a_line_longer_than_the_bound_comes_as_its_byte_count(monkeypatch, content, lines):
+    monkeypatch.setattr(dataset, "MAX_LINE_BYTES", 5)
+    assert list(dataset._lines(io.BytesIO(content))) == lines
+
+
+def test_lines_end_at_their_stop(monkeypatch):
+    monkeypatch.setattr(dataset, "MAX_LINE_BYTES", 5)
+    fh = io.BytesIO(b"ab\nabcdefgh\nrest\n")
+    assert list(dataset._lines(fh, stop=12)) == [b"ab\n", 9]
+    assert fh.read() == b"rest\n"
+
+
+def test_rows_ended_at_carriage_returns_are_not_one_long_line(tmp_path, monkeypatch):
+    # 600 rows of 355 bytes, one in 50 ended at "\r\n", the rest at "\r": the
+    # pieces a line of 50 rows is read in are cut at each "\r", so at a
+    # bound of a row and its line end no row is a long line
+    rows = [",".join(str((i + r) % 10) for i in range(dataset.N_FEATURES)) for r in range(600)]
+    path = tmp_path / "features.csv"
+    path.write_bytes("".join(r + ("\r\n" if i % 50 == 49 else "\r") for i, r in enumerate(rows))
+                     .encode())
+    whole = parse(path)
+    assert whole[3] == list(range(1, 601)) and whole[4] == []
+    for bound in range(dataset.MIN_ROW_BYTES + 2, dataset.MIN_ROW_BYTES + 12):
+        monkeypatch.setattr(dataset, "MAX_LINE_BYTES", bound)
+        assert parse(path) == whole
+
+
+def test_a_byte_that_is_not_utf8_after_a_long_line_is_named_at_its_offset(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.setattr(dataset, "MAX_LINE_BYTES", 100)
+    content = (FOUR_ROWS[0] + "\n1.0,5\xff.0\n").encode("latin-1")
+    path = tmp_path / "features.csv"
+    path.write_bytes(content)
+    offset = content.index(b"\xff")
+    assert parse(path) == f"{path}: not UTF-8 text (byte {offset}: invalid start byte)"
+
+
+LONG_LINE_PEAK = """
+import sys, tracemalloc
+from seiznet import dataset
+tracemalloc.start()
+_, row_nos, problems = dataset.load_features_csv(sys.argv[1])
+print(tracemalloc.get_traced_memory()[1], row_nos, problems)
+"""
+
+
+def test_a_file_of_one_long_line_is_read_past_in_bounded_pieces(tmp_path, untrained_model,
+                                                                 capsys):
+    # 48 MiB of "1.5," with no line break. Held whole, the line took 828 MB
+    # traced and 16 s to be reported as a row of 12,582,913 fields
+    path = tmp_path / "features.csv"
+    path.write_bytes(b"1.5," * (12 << 20))
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    run = subprocess.run([sys.executable, "-c", LONG_LINE_PEAK, str(path)],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    peak, found = run.stdout.split(maxsplit=1)
+    message = f"line longer than {dataset.MAX_LINE_BYTES} bytes"
+    assert found == f"[] {[(1, message)]}\n"
+    assert int(peak) < 6 << 20
+    assert main(["predict", "--model", str(untrained_model), "--data", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"row 1: {message}\n")

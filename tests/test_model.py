@@ -468,9 +468,10 @@ def split_skip_reason():
     here, or None."""
     if not parallel.can_fork():
         return "no os.fork, or another thread runs"
-    if parallel.split_threads() is None:
-        return ("numpy's OpenBLAS, or its thread-count getter or setter, was not found, "
-                "or it runs 1 thread")
+    with parallel.halved() as two:
+        if not two:
+            return ("numpy's OpenBLAS, or its thread-count getter or setter, was not found, "
+                    "or it runs 1 thread")
     return None
 
 
@@ -478,15 +479,10 @@ SPLIT_SKIP = split_skip_reason()
 
 
 def at_half_the_threads(fn, *args):
-    """fn(*args) with OpenBLAS at half its threads, the count each process
-    of a split scoring pass runs."""
-    get, set_ = parallel.openblas_threads()
-    threads = get()
-    set_(threads // 2)
-    try:
+    """fn(*args) at the thread count of `parallel.halved`, the count each
+    process of a split scoring pass runs."""
+    with parallel.halved():
         return fn(*args)
-    finally:
-        set_(threads)
 
 
 def assert_no_child_left():
@@ -499,7 +495,8 @@ class TestSplitScoring:
     """predict_probs of at least SPLIT_SCORE_CHUNKS chunks scored by two
     processes, against the same rows scored by one. OpenBLAS's thread
     count moves bits under some kernels (Haswell, Zen), so the one-process
-    result is scored at the split's per-process thread count."""
+    result is scored at the split's per-process thread count, the count
+    predict_probs scores at when it forks no child."""
 
     @pytest.fixture(autouse=True)
     def count_forks(self, monkeypatch):
@@ -575,7 +572,8 @@ class TestSplitScoring:
         cfg, params, x = default_setup(n=1024, seed=5)
         probs = predict_probs(cfg, params, x)
         assert len(self.forks) == 1
-        assert probs.tobytes() == model._score(cfg, cfg.net.fold(params), x).tobytes()
+        want = at_half_the_threads(model._score, cfg, cfg.net.fold(params), x)
+        assert probs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("blas", [None, "one thread"], ids=["no-openblas", "one-thread"])
     def test_without_a_second_blas_thread_to_hand_out_scores_in_one(self, monkeypatch, blas):
@@ -598,7 +596,8 @@ class TestSplitScoring:
             release.set()
             thread.join()
         assert self.forks == []
-        assert probs.tobytes() == model._score(cfg, cfg.net.fold(params), x).tobytes()
+        want = at_half_the_threads(model._score, cfg, cfg.net.fold(params), x)
+        assert probs.tobytes() == want.tobytes()
 
     def test_the_thread_count_is_restored_after_a_raise(self, monkeypatch):
         # the fixture checks it after every return

@@ -586,12 +586,8 @@ class TestSplitTraining:
                 release.set()
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-        get, set_ = parallel.openblas_threads()
-        set_(self.threads // 2)
-        try:
+        with parallel.halved():
             return train(*args)
-        finally:
-            set_(self.threads)
 
     @pytest.mark.parametrize("way", ["fork-fails", "another-thread", "one-blas-thread"])
     @pytest.mark.parametrize("n_per_class, batch, sizes", [(10, 2, [2] * 9), (36, 32, [32, 33])],
@@ -698,16 +694,11 @@ class TestSplitTraining:
         assert len(self.forks) == 1
         (tmp_path / "from_parent").write_bytes(from_parent)
         tr_idx, _ = partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)
-        get, set_ = parallel.openblas_threads()
-        set_(self.threads // 2)
-        try:
-            with open(tmp_path / "from_parent", "rb") as inp, \
-                    open(tmp_path / "to_parent", "wb") as out:
-                # the parent's stream ends after the last epoch's lr
-                with pytest.raises(optim._PeerLost):
-                    optim._train_child(cfg, x, y, tr_idx, hyper, optim._Link(True, inp, out))
-        finally:
-            set_(self.threads)
+        with parallel.halved(), open(tmp_path / "from_parent", "rb") as inp, \
+                open(tmp_path / "to_parent", "wb") as out:
+            # the parent's stream ends after the last epoch's lr
+            with pytest.raises(optim._PeerLost):
+                optim._train_child(cfg, x, y, tr_idx, hyper, optim._Link(True, inp, out))
         assert (tmp_path / "to_parent").read_bytes() == to_parent
 
     def test_a_child_whose_parent_is_gone_exits(self, monkeypatch):
