@@ -6,8 +6,9 @@ Expected CSV schema: 178 numeric EEG amplitude fields plus a trailing integer
 label in 1..5 per row. An optional header row and an optional leading
 row-identifier column are detected and skipped.
 
-A CSV is read in binary blocks of PARSE_BLOCK_LINES lines; a line longer
-than MAX_LINE_BYTES is never held, and is a bad row (`_lines`). A block whose
+A CSV is read in binary blocks of PARSE_BLOCK_LINES lines, or fewer where
+they would pass PARSE_BLOCK_BYTES bytes (`_blocks`); a line longer than
+MAX_LINE_BYTES is never held, and is a bad row (`_lines`). A block whose
 bytes are all in BULK_BYTES (digits, ". e E + -", commas and line feeds) and
 which has no blank line is converted by one np.loadtxt call; it is kept
 when it gives exactly one row of the expected width per line, every
@@ -41,6 +42,7 @@ from .errors import ConfigError, DataError
 N_FEATURES = 178
 SYNTH_BLOCK_ROWS = 1024  # rows of noise `synthesize` draws at a time
 PARSE_BLOCK_LINES = 256  # lines of a CSV `_parse_rows` reads and converts at a time
+PARSE_BLOCK_BYTES = 1 << 20  # and at most these bytes, but one line; 256 lines take ~0.9 MB
 # a regular CSV of at least this many bytes is parsed by two processes at once
 SPLIT_PARSE_BYTES = 1 << 20
 # the longest line held, its end included; a good row of repr floats is ~4.5 KB
@@ -257,15 +259,30 @@ def _lines(fh, stop=None):
             line = fh.readline(MAX_LINE_BYTES + 1)
 
 
+def _blocks(lines):
+    """`_lines`'s lines (or byte counts) in blocks of up to PARSE_BLOCK_LINES
+    lines and PARSE_BLOCK_BYTES bytes, but of at least one line."""
+    block, nbytes = [], 0
+    for line in lines:
+        size = line if type(line) is int else len(line)
+        if block and (len(block) == PARSE_BLOCK_LINES or nbytes + size > PARSE_BLOCK_BYTES):
+            yield block
+            block, nbytes = [], 0
+        block.append(line)
+        nbytes += size
+    if block:
+        yield block
+
+
 def _parse_range(fh, rows: _Rows, offset, line_no, path, labelled, stop=None) -> int:
     r"""Parse the lines of the binary file `fh` (`_lines`) up to byte `stop`
     or its end, the first of which starts `offset` bytes and `line_no` lines
-    into the file, into `rows`, PARSE_BLOCK_LINES lines at a time; returns
+    into the file, into `rows`, one of `_blocks` at a time; returns
     the line count at the end of the range. A block that `_convert_block`
     takes is converted in one call; any other goes through `_parse_row` one
     line at a time, with the same values, line numbers and messages."""
     for long, group in itertools.groupby(_lines(fh, stop), lambda line: type(line) is int):
-        while raw := list(itertools.islice(group, PARSE_BLOCK_LINES)):
+        for raw in _blocks(group):
             if long:
                 rows.problems += [(line_no + i, f"line longer than {MAX_LINE_BYTES} bytes")
                                   for i in range(1, len(raw) + 1)]
@@ -404,7 +421,7 @@ def _parse_rows(path, labelled: bool):
     bad row does not stop the parse; it becomes a (line_no, message)
     problem, and problems come in line order.
 
-    The file is read PARSE_BLOCK_LINES lines (split at b"\n") at a time
+    The file is read a block of lines (split at b"\n", `_blocks`) at a time
     (`_parse_range`), and each block's rows are written into one matrix.
     A regular file's lines are counted first, so the matrix is allocated
     once at their `_capacity`; a pipe's matrix doubles as it fills. A regular

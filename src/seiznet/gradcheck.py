@@ -97,7 +97,7 @@ def check_model():
                                        dropout_rng=np.random.default_rng(11))
         return optim.bce_loss(probs, y)[0] + optim.l2_penalty(cfg, params)
 
-    _, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(11))
+    grads = optim.batch_gradients(cfg, params, x, y, np.random.default_rng(11))[1]
     return _worst(loss_fn, [(params[n], grads[n]) for n in cfg.net.learnable])
 
 

@@ -12,10 +12,9 @@ order of w viewed as [K*C_in, C_out], so neither w nor grad_w is transposed.
 Each patch row is also one contiguous K*C_in run of the padded input, so the
 matrix is built by a block copy; a channel-major matrix gathers with stride
 C_in and takes 2-3.5x as long to build on wide inputs. grad_x
-(`conv1d_grad_x`) is a per-tap loop of GEMMs into a padded buffer. Training
-calls `conv1d_grad_w` once per shard of a batch (`layers.Shards`) and
-`conv1d_grad_x` once on every row; `conv1d_backward` is the two of them
-over every row of x. Every result is deterministic for a fixed input.
+(`conv1d_grad_x`) is a per-tap loop of GEMMs into a padded buffer;
+`conv1d_backward` is the two gradients. Every result is deterministic for
+a fixed input.
 """
 
 import numpy as np

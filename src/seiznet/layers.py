@@ -3,12 +3,11 @@ cache), and `<op>_backward`, consuming the cache and the upstream gradient;
 `model.Layer` finds both by that name. Arrays carry a leading batch axis:
 conv/pool/attention work on [N, L, C], dense layers on [N, D].
 
-Every sum a train-mode pass takes over a batch's rows goes through the
-batch's `Shards`: the batch norm statistics and gradients, LayerNorm's
-dgamma and every weight-gradient GEMM. An op that takes `shards` and is
-given none treats the rows it is given as the whole batch, held by one
-process, but for `dense_forward`, which then runs one GEMM, as infer mode
-does.
+Every op is a function of the rows it is given, but for `batchnorm` and
+`dropout_forward`, which take the batch's `Shards`: a batch norm's
+statistics and gradients are sums over the whole batch, and dropout draws
+the whole batch's mask. Given none, they treat the rows given as the whole
+batch, held by one process.
 """
 
 import numpy as np
@@ -24,46 +23,59 @@ DROPOUT_RATE = 0.5  # share of units each train-mode dropout zeroes
 
 class Shards:
     """A train-mode batch of `n` rows, cut into two fixed shards: rows
-    [0, mid) (shard A) and [mid, n) (shard B), mid = ceil(n / 2). Every sum
-    over the batch's rows is shard A's sum plus shard B's sum, in that
-    order, so the batch gets the same bits whether one process holds both
-    shards or each of two processes holds one (`optim.train`).
+    [0, mid) (shard A) and [mid, n) (shard B), mid = ceil(n / 2). Every
+    layer but batch norm and dropout runs once per shard (`model.Layer`),
+    and every sum over the rows is shard A's plus shard B's, so a batch
+    gets the same bits in one process, holding both shards, as in two,
+    holding one each (`optim.train`). There `link` is the pipe to the other
+    process (`optim._Link`, `b` being True in shard B's process)."""
 
-    This is the one-process form: `rows`, the batch rows this process
-    holds, are all n, and `total` and `part` both sum each shard's rows
-    and add the two sums."""
+    def __init__(self, n, link=None):
+        self.n, self.mid, self.link, self.parts = n, (n + 1) // 2, link, []
+        self.rows = (slice(0, n) if link is None
+                     else slice(self.mid, n) if link.b else slice(0, self.mid))
 
-    def __init__(self, n):
-        self.n, self.mid = n, (n + 1) // 2
-        self.rows = slice(0, n)
+    def split(self, a):
+        """`a`, the rows this process holds, as a list of one view per shard."""
+        return [a[:self.mid], a[self.mid:]] if self.link is None else [a]
+
+    def _ordered(self, mine, theirs):
+        return (theirs, mine) if self.link.b else (mine, theirs)
 
     def total(self, fn, *arrays):
-        """fn(shard A's rows of `arrays`) + fn(shard B's rows), each array
-        cut along its first axis: a sum the pass needs at once, such as a
-        batch norm's statistics."""
-        return (fn(*(a[:self.mid] for a in arrays))
-                + fn(*(a[self.mid:] for a in arrays)))
+        """fn(shard A's rows of `arrays`) + fn(shard B's): a sum the pass
+        needs at once, such as a batch norm's statistics."""
+        sums = [fn(*rows) for rows in zip(*map(self.split, arrays))]
+        if self.link is not None:
+            sums = self._ordered(sums[0], self.link.swap(sums[0], np.empty_like(sums[0])))
+        return sums[0] + sums[1]
 
-    def part(self, fn, *arrays):
-        """The same sum for a weight gradient, which nothing reads before
-        the step ends; a process holding one shard returns its own
-        shard's sum here and adds the other's in `gather`."""
-        return self.total(fn, *arrays)
-
-    def each(self, fn, *arrays):
-        """fn of each shard's rows of `arrays`, stacked along the first axis:
-        a row-wise product whose rows' bits can depend on how many rows it
-        runs on, as a float64 GEMM's do where OpenBLAS turns a one-row or
-        one-column GEMM into a GEMV. A process holding one shard runs fn on
-        that shard alone."""
-        return np.concatenate([fn(*(a[:self.mid] for a in arrays)),
-                               fn(*(a[self.mid:] for a in arrays))])
+    def part(self, sums):
+        """A weight gradient's A + B, given its sum over each shard this
+        process holds. Nothing reads it before the step ends, so a process
+        holding one shard adds the other's in `gather`."""
+        if self.link is None:
+            return sums[0] + sums[1]
+        self.parts.append(sums[0])
+        return sums[0]
 
     def gather(self, probs):
         """The probabilities of all the batch's rows, given those of the rows
-        this process holds; from here on each `part` holds the whole
-        batch's sum. In one process both already do."""
-        return probs
+        this process holds; in the same message, each `part` gets the other
+        shard's sum added in place."""
+        if self.link is None:
+            return probs
+        mine = np.concatenate([np.ravel(a).view(np.uint8) for a in (*self.parts, probs)])
+        their_rows = self.n - len(probs)
+        theirs = self.link.swap(mine, np.empty(mine.nbytes + 8 * (their_rows - len(probs)),
+                                               np.uint8))
+        at = 0
+        for part in self.parts:
+            np.add(*self._ordered(part, np.frombuffer(theirs, part.dtype, part.size, at)
+                                  .reshape(part.shape)), out=part)
+            at += part.nbytes
+        return np.concatenate(self._ordered(probs, np.frombuffer(theirs, np.float64,
+                                                                  their_rows, at)))
 
 
 def _column_sums(a):
@@ -102,16 +114,13 @@ def conv1d_forward(x, w, b):
     return out, (x, w)
 
 
-def conv1d_backward(cache, grad_out, input_grad=True, shards=None):
-    """(grad_x, grad_w), grad_w a `Shards.part`; with input_grad False,
-    (None, grad_w), which skips grad_x's per-tap GEMMs for a layer whose
-    input gradient nothing reads."""
+def conv1d_backward(cache, grad_out, input_grad=True):
+    """(grad_x, grad_w); with input_grad False, (None, grad_w), which skips
+    grad_x's per-tap GEMMs for a layer whose input gradient nothing reads."""
     x, w = cache
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[2]):
         raise ValueError(f"conv grad shape {grad_out.shape} does not match forward")
-    k_size = w.shape[0]
-    grad_w = (shards or Shards(len(x))).part(
-        lambda xs, gs: kernels.conv1d_grad_w(xs, gs, k_size), x, grad_out)
+    grad_w = kernels.conv1d_grad_w(x, grad_out, w.shape[0])
     return (kernels.conv1d_grad_x(w, grad_out) if input_grad else None), grad_w
 
 
@@ -272,19 +281,17 @@ def mha_forward(x, wq, wk, wv, wo):
     return out, (x, w_qkv, qkv, concat, attn, wo)
 
 
-def mha_backward(cache, grad_out, shards=None):
-    """(dx, dwq, dwk, dwv, dwo); dwo and the one [D, 3D] product the other
-    three come from are `Shards.part`s."""
+def mha_backward(cache, grad_out):
+    """(dx, dwq, dwk, dwv, dwo); dwq, dwk and dwv are views of one [D, 3D]
+    product."""
     x, w_qkv, qkv, concat, attn, wo = cache
     n, length, d_model = x.shape
     heads = attn.shape[1]
     d_k = d_model // heads
-    shards = shards or Shards(n)
     q, k, v = _split_heads(qkv, n, length, heads)
     g = grad_out.reshape(n * length, d_model)
 
-    dwo = shards.part(lambda c, gs: c.reshape(-1, d_model).T @ gs.reshape(-1, d_model),
-                      concat.reshape(x.shape), grad_out)
+    dwo = concat.T @ g
     dhead = (g @ wo.T).reshape(n, length, heads, d_k).transpose(0, 2, 1, 3)
     dqkv = np.empty((n, length, 3, heads, d_k), dtype=grad_out.dtype)
     dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
@@ -299,14 +306,11 @@ def mha_backward(cache, grad_out, shards=None):
     np.matmul(ds.transpose(1, 2, 3, 0), k, out=dq)
     np.matmul(ds.transpose(1, 2, 0, 3), q, out=dk)
 
-    # each shard's [D, 3D] product, laid out as [3, H, D, dk]: dwq, dwk
-    # and dwv are views of the part, so a sum added into it reaches them
-    dwq, dwk, dwv = shards.part(
-        lambda xs, ds: np.ascontiguousarray(
-            (xs.reshape(-1, d_model).T @ ds.reshape(-1, 3 * d_model))
-            .reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3)),
-        x, dqkv)
     dqkv = dqkv.reshape(n * length, 3 * d_model)
+    # the [D, 3D] product laid out as [3, H, D, dk]
+    dwq, dwk, dwv = np.ascontiguousarray(
+        (x.reshape(n * length, d_model).T @ dqkv)
+        .reshape(d_model, 3, heads, d_k).transpose(1, 2, 0, 3))
     dx = (dqkv @ w_qkv.T).reshape(x.shape)
     # the skip add routes grad_out to the input unchanged, beside attention
     dx += grad_out
@@ -327,8 +331,8 @@ def layernorm_forward(x, gamma, beta):
     return out.reshape(x.shape), (xhat, inv, gamma)
 
 
-def layernorm_backward(cache, grad_out, shards=None):
-    """Returns (dx, dgamma), dgamma a `Shards.part`: no dbeta, as `bnd1`
+def layernorm_backward(cache, grad_out):
+    """Returns (dx, dgamma): no dbeta, as `bnd1`
     cancels beta (`model.Net`). With dxhat = grad_out * gamma (one tiled
     row per sample, `per_row`):
 
@@ -338,8 +342,7 @@ def layernorm_backward(cache, grad_out, shards=None):
     xhat, inv, gamma = cache
     c = grad_out.shape[-1]
     axes = tuple(range(grad_out.ndim - 1))
-    dgamma = (shards or Shards(len(grad_out))).part(
-        lambda gs, xs: (gs * xs).sum(axis=axes), grad_out, xhat)
+    dgamma = (grad_out * xhat).sum(axis=axes)
     rows = grad_out.reshape(grad_out.shape[0], -1)
     dx = (rows * per_row(gamma, rows)).reshape(grad_out.shape)
     sum_dxhat = dx.sum(axis=-1, keepdims=True)
@@ -390,23 +393,17 @@ def sigmoid_backward(probs, grad_out):
     return (grad_out * probs * (1.0 - probs))[:, None]
 
 
-def dense_forward(x, w, b, shards=None):
-    """x @ w + b: one GEMM over x's rows without `shards` (infer mode), and
-    one per shard (`Shards.each`) in train mode."""
+def dense_forward(x, w, b):
+    """x @ w + b."""
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"dense input width {x.shape[-1]} does not match {w.shape}")
-    out = x @ w if shards is None else shards.each(lambda xs: xs @ w, x)
-    return out + b, (x, w)
+    return x @ w + b, (x, w)
 
 
-def dense_backward(cache, grad_out, shards=None):
-    """(grad_x, grad_w, grad_b): grad_x one GEMM per shard, as the forward
-    pass, and grad_w and grad_b `Shards.part`s."""
+def dense_backward(cache, grad_out):
+    """(grad_x, grad_w, grad_b)."""
     x, w = cache
-    shards = shards or Shards(len(x))
-    return (shards.each(lambda gs: gs @ w.T, grad_out),
-            shards.part(lambda xs, gs: xs.T @ gs, x, grad_out),
-            shards.part(lambda gs: gs.sum(axis=0), grad_out))
+    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def dropout_forward(x, rng, shards=None):

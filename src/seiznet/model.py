@@ -81,13 +81,14 @@ class Layer:
     forward(params, x, rng, shards) returns (y, cache); backward(cache, g,
     shards=shards) returns (g w.r.t. x, {learnable tensor name: gradient}).
     `<op>_backward` returns the input gradient, then one gradient per
-    tensor in declaration order, up to the last it computes. Each of those
-    gradients sums over the batch's rows, so backward passes the batch's
-    `layers.Shards` on to every op with tensors; None stands for the rows
-    given. backward(cache, g, input_grad=False) passes input_grad=False on
-    to an op that takes it, `conv1d`, the network's first; the input
-    gradient is then None. The functions are looked up on `layers` at call
-    time, so a function patched there is the one every layer runs.
+    tensor in declaration order, up to the last it computes. In train mode,
+    `shards` is the batch's `layers.Shards`: x, y, g and the cache are then
+    lists of one entry per shard held (`Shards.split`), the op runs once
+    per shard, and a gradient is the shards' sum (`Shards.part`); with
+    shards None, the op runs once. backward(cache, g, input_grad=False)
+    passes input_grad=False on to an op that takes it, `conv1d`, whose
+    input gradient is then None. The functions are looked up on `layers`
+    at call time, so a function patched there is the one every layer runs.
     """
 
     def __init__(self, name, op, **tensors):
@@ -100,35 +101,54 @@ class Layer:
         return [params[n] for n in self.shapes]
 
     def forward(self, params, x, rng, shards=None):
-        return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params))
+        op = getattr(layers, f"{self.op}_forward")
+        if shards is None:
+            return op(x, *self.tensors(params))
+        y, cache = zip(*(op(rows, *self.tensors(params)) for rows in x))
+        return list(y), list(cache)
 
     def backward(self, cache, g, input_grad=True, shards=None):
+        op = getattr(layers, f"{self.op}_backward")
         skip = {} if input_grad else {"input_grad": False}
+        if shards is None:
+            cache, g = [cache], [g]
+        out = [op(c, rows, **skip) for c, rows in zip(cache, g)]
         if not self.shapes:  # tensor-free ops return the input gradient alone
-            return getattr(layers, f"{self.op}_backward")(cache, g, **skip), {}
-        out = getattr(layers, f"{self.op}_backward")(cache, g, **skip, shards=shards)
-        grads = dict(zip(self.shapes, out[1:]))
-        missing = [n for n in self.learnable if n not in grads]
-        if missing:
+            out = [(gx,) for gx in out]
+        gx, *sums = zip(*out)
+        sums = dict(zip(self.shapes, sums))
+        if missing := [n for n in self.learnable if n not in sums]:
             raise ValueError(f"{self.op}_backward returns no gradient for {missing}")
-        return out[0], {n: grads[n] for n in self.learnable}
+        if shards is None:
+            return gx[0], {n: sums[n][0] for n in self.learnable}
+        return list(gx), {n: shards.part(sums[n]) for n in self.learnable}
 
 
-class BatchLayer(Layer):
-    """A layer whose forward op takes the batch's `layers.Shards` too: a
-    batch norm, whose statistics sum over the batch's rows, and a dense
-    layer, which in train mode runs its GEMMs on each shard
-    (`layers.dense_forward`)."""
+def _join(rows):
+    """A list of per-shard arrays as one array; one shard's is not copied."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+class BatchNorm(Layer):
+    """A batch norm over c channels, the one layer whose op sees every row
+    held at once, and the batch's `layers.Shards`. Train mode only:
+    `Net.fold` folds it into the layer before it for infer mode."""
+
+    def __init__(self, name, c):
+        super().__init__(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
+                         mean=(MEAN, (c,)), var=(VAR, (c,)))
 
     def forward(self, params, x, rng, shards=None):
-        return getattr(layers, f"{self.op}_forward")(x, *self.tensors(params), shards=shards)
+        if shards is None:
+            return super().forward(params, x, rng)
+        y, cache = layers.batchnorm_forward(_join(x), *self.tensors(params), shards=shards)
+        return shards.split(y), cache
 
-
-def batch_norm(name, c):
-    """A batch norm over c channels. Train mode only: `Net.fold` folds it
-    into the layer before it for infer mode."""
-    return BatchLayer(name, "batchnorm", gamma=(SCALE, (c,)), beta=(SHIFT, (c,)),
-                      mean=(MEAN, (c,)), var=(VAR, (c,)))
+    def backward(self, cache, g, input_grad=True, shards=None):
+        if shards is None:
+            return super().backward(cache, g)
+        gx, *grads = layers.batchnorm_backward(cache, _join(g), shards=shards)
+        return shards.split(gx), dict(zip(self.learnable, grads))
 
 
 def attention(name, heads, d):
@@ -140,13 +160,17 @@ def attention(name, heads, d):
 
 class Dropout(Layer):
     """Train mode only: `Net.infer_layers` leaves out this identity. The one
-    layer whose op takes the dropout generator."""
+    layer whose op takes the dropout generator; it draws the mask for every
+    row held at once, and its backward runs per shard."""
 
     def __init__(self, name):
         super().__init__(name, "dropout")
 
     def forward(self, params, x, rng, shards=None):
-        return layers.dropout_forward(x, rng, shards)
+        if shards is None:
+            return layers.dropout_forward(x, rng)
+        y, mask = layers.dropout_forward(_join(x), rng, shards)
+        return shards.split(y), shards.split(mask)
 
 
 class Net:
@@ -166,7 +190,7 @@ class Net:
         for s, (f, k) in enumerate(zip(config.conv_filters, CONV_KERNELS), start=1):
             net += [Layer(f"conv{s}", "conv1d", w=(KERNEL, (k, c_in, f)),
                           b=(CANCELLED, (f,))),
-                    batch_norm(f"bn{s}", f), Layer(f"pool{s}", "maxpool"),
+                    BatchNorm(f"bn{s}", f), Layer(f"pool{s}", "maxpool"),
                     Layer(f"relu{s}", "relu")]
             c_in = f
         net += [attention("attn", config.attn_heads, c_in),
@@ -174,13 +198,13 @@ class Net:
         net.append(Layer("gap", "global_average_pool"))
         width = c_in
         for i, units in enumerate(config.dense_units, start=1):
-            net += [BatchLayer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
-                               b=(CANCELLED, (units,))),
-                    batch_norm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
+            net += [Layer(f"fc{i}", "dense", w=(KERNEL, (width, units)),
+                          b=(CANCELLED, (units,))),
+                    BatchNorm(f"bnd{i}", units), Layer(f"relud{i}", "relu"),
                     Dropout(f"drop{i}")]
             width = units
         out = len(config.dense_units) + 1
-        net += [BatchLayer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
+        net += [Layer(f"fc{out}", "dense", w=(KERNEL, (width, 1)), b=(SHIFT, (1,))),
                 Layer("probs", "sigmoid")]
         self.layers = net
         self.infer_layers = [m for m in net if m.op not in ("batchnorm", "dropout")]
@@ -229,41 +253,43 @@ def model_forward(config, params, batch, mode="infer", dropout_rng=None, shards=
     model_backward walks, and None in infer mode. Train mode requires a
     dropout_rng, and runs on the rows `shards.rows` of a batch cut by
     `shards` (`layers.Shards`), the whole batch when it is None; infer mode
-    requires params to be what `config.net.fold`
-    returned, so batch norm is never skipped. An output that is not finite
-    is returned as it is; the callers decide what it means. The
-    batch is cast to the dtype of the first layer's kernel, so the trunk
-    runs in the dtype of the tensors passed: float32 for `init_params`,
-    `fold` and `load_artifact` tensors (training and inference), float64
-    for the upcast tensors `gradcheck` passes. From global average pooling
-    on, the head runs in float64 either way.
+    requires params to be what `config.net.fold` returned, so batch norm is
+    never skipped. An output that is not finite is returned as it is; the
+    callers decide what it means. The batch is cast to the dtype of the
+    first layer's kernel, so the trunk runs in the dtype of the tensors
+    passed: float32 for `init_params`, `fold` and `load_artifact` tensors
+    (training and inference), float64 for the upcast tensors `gradcheck`
+    passes. From global average pooling on, the head runs in float64
+    either way.
     """
     x = np.asarray(batch, dtype=config.net.layers[0].tensors(params)[0].dtype)
     if x.ndim == 2:
         x = x[:, :, None]
     if x.shape[1] != config.input_len or x.shape[2] != 1:
         raise ValueError(f"batch shape {x.shape} does not match input ({config.input_len}, 1)")
-    train = mode == "train"
-    if train and dropout_rng is None:
+    if mode != "train":
+        if not isinstance(params, MappingProxyType):
+            raise TypeError("infer mode needs the tensors config.net.fold returns")
+        for layer in config.net.infer_layers:
+            x, _ = layer.forward(params, x, None)
+        return x, None
+    if dropout_rng is None:
         raise ValueError("train mode needs a dropout rng")
-    if not train and not isinstance(params, MappingProxyType):
-        raise TypeError("infer mode needs the tensors config.net.fold returns")
-    trace = [] if train else None
-    if train:
-        shards = shards or layers.Shards(x.shape[0])
-    for layer in config.net.layers if train else config.net.infer_layers:
+    shards = shards or layers.Shards(x.shape[0])
+    x, trace = shards.split(x), []
+    for layer in config.net.layers:
         x, cache = layer.forward(params, x, dropout_rng, shards=shards)
-        if train:
-            trace.append((layer, cache))
-    return x, trace
+        trace.append((layer, cache))
+    return _join(x), trace
 
 
 def model_backward(trace, grad_probs, shards=None):
     """Gradients of every learnable tensor, given the train trace and
-    dLoss/dprobs, over the batch `model_forward` cut by `shards`. The first
-    layer is asked for its tensors' gradients only: nothing reads the
-    gradient of the network's input."""
-    grads, g = {}, grad_probs
+    dLoss/dprobs of the rows it holds, over the batch `model_forward` cut
+    by `shards`. The first layer is asked for its tensors' gradients only:
+    nothing reads the gradient of the network's input."""
+    shards = shards or layers.Shards(len(grad_probs))
+    grads, g = {}, shards.split(grad_probs)
     for i in range(len(trace) - 1, -1, -1):
         layer, cache = trace[i]
         g, layer_grads = layer.backward(cache, g, input_grad=i > 0, shards=shards)

@@ -4,9 +4,8 @@ plateau learning-rate reduction.
 Training is deterministic: one seeded generator drives the epoch shuffles
 and dropout masks in a fixed consumption order, so identical (data,
 hyperparameters, seed) reproduce identical histories. Each batch is cut
-into two shards (`layers.Shards`), and every sum over its rows is shard
-A's plus shard B's, so a run gives the same bits in one process and in
-two, one per shard (`train`).
+into two shards (`layers.Shards`), so a run gives the same bits in one
+process and in two, one per shard (`train`).
 
 Every tensor is stored in float32, as `Net.init_params` gives it. Each
 gradient comes back in the dtype its layer computes in (float32 in the
@@ -137,11 +136,11 @@ class Adam:
             a -= update[self.slices[name]].reshape(a.shape)
 
 
-def loss_and_grads(config, params, x, y, rng, shards=None):
-    """Train-mode loss (cross-entropy plus `l2_penalty`) on one batch, the
-    probabilities of all its rows, and the gradient of every learnable
-    tensor, with the penalty's 2 * L2_LAMBDA * W added onto the
-    `config.net.l2` kernels. y holds the batch's labels and x its rows
+def batch_gradients(config, params, x, y, rng, shards=None):
+    """The train-mode probabilities of all of one batch's rows, and the
+    gradient of every learnable tensor of its loss (cross-entropy plus
+    `l2_penalty`, whose 2 * L2_LAMBDA * W goes onto the `config.net.l2`
+    kernels), but not the loss. y holds the batch's labels and x its rows
     `shards.rows` (all of them when shards, a `layers.Shards`, is None).
     rng draws the dropout masks. Each gradient comes back in the dtype its
     layer computes in (float32 in the trunk, float64 in the head); the
@@ -153,7 +152,7 @@ def loss_and_grads(config, params, x, y, rng, shards=None):
     probs = shards.gather(probs)
     for k in config.net.l2:
         grads[k] += 2.0 * L2_LAMBDA * params[k]
-    return bce_loss(probs, y)[0] + l2_penalty(config, params), probs, grads
+    return probs, grads
 
 
 def _batch_slices(n, batch_size, perm):
@@ -226,50 +225,6 @@ class _Link:
         return theirs
 
 
-class _Shard(layers.Shards):
-    """One shard of a batch of n rows, held by one of the two training
-    processes: `total` sends this shard's sum to the other process and adds
-    the two; `part` keeps this shard's sum, and `gather` adds the other's
-    into every one at the end of the step, in one message."""
-
-    def __init__(self, n, link):
-        super().__init__(n)
-        self.link, self.parts = link, []
-        self.rows = slice(self.mid, n) if link.b else slice(0, self.mid)
-
-    def _ordered(self, mine, theirs):
-        return (theirs, mine) if self.link.b else (mine, theirs)
-
-    def total(self, fn, *arrays):
-        mine = fn(*arrays)
-        theirs = self.link.swap(mine, np.empty_like(mine))
-        return np.add(*self._ordered(mine, theirs))
-
-    def part(self, fn, *arrays):
-        mine = fn(*arrays)
-        self.parts.append(mine)
-        return mine
-
-    def each(self, fn, *arrays):
-        return fn(*arrays)
-
-    def gather(self, probs):
-        """The probabilities of all the batch's rows, from this shard's and
-        the other process's. In the same message each `part` gets the
-        other shard's sum added in, in place."""
-        mine = np.concatenate([np.ravel(a).view(np.uint8) for a in (*self.parts, probs)])
-        their_rows = self.n - len(probs)
-        theirs = self.link.swap(mine, np.empty(mine.nbytes + 8 * (their_rows - len(probs)),
-                                               np.uint8))
-        at = 0
-        for part in self.parts:
-            np.add(*self._ordered(part, np.frombuffer(theirs, part.dtype, part.size, at)
-                                  .reshape(part.shape)), out=part)
-            at += part.nbytes
-        return np.concatenate(self._ordered(probs, np.frombuffer(theirs, np.float64,
-                                                                  their_rows, at)))
-
-
 def _start(config, hyper):
     """(params, Adam, generator) at the start of training."""
     params = config.net.init_params(hyper.seed)
@@ -277,21 +232,17 @@ def _start(config, hyper):
     return params, adam, np.random.default_rng(hyper.seed)
 
 
-def _epoch(config, params, adam, rng, x, y, tr_idx, batch_size, shards_of):
+def _epoch(config, params, adam, rng, x, y, tr_idx, batch_size, link=None):
     """One epoch of steps over the rows tr_idx of (x, y), each batch cut
-    by shards_of(its row count); returns the whole batches' (loss summed
-    over rows, correct count)."""
-    loss_sum, correct = 0.0, 0
+    into `layers.Shards` over `link`. Yields each batch's (probs, labels)
+    ahead of its Adam step, so the loss is taken on the step's params."""
     for idx in _batch_slices(len(tr_idx), batch_size, rng.permutation(len(tr_idx))):
         rows = tr_idx[idx]
-        shards = shards_of(len(rows))
-        yb = y[rows]
-        loss, probs, grads = loss_and_grads(config, params, x[rows[shards.rows]], yb, rng,
-                                            shards)
+        shards = layers.Shards(len(rows), link)
+        probs, grads = batch_gradients(config, params, x[rows[shards.rows]], y[rows], rng,
+                                       shards)
+        yield probs, y[rows]
         adam.step(grads)
-        loss_sum += loss * len(idx)
-        correct += int(((probs > THRESHOLD) == (yb == 1)).sum())
-    return loss_sum, correct
 
 
 def train(config, features, labels, hyper: TrainHyper):
@@ -304,11 +255,11 @@ def train(config, features, labels, hyper: TrainHyper):
 
     Training runs under `parallel.halved`: this process trains shard A of
     every batch and a forked child shard B (`_train_child`), exchanging
-    sums through pipes (`_Shard`); only this process validates, while the
-    child waits for the next epoch's lr. When no child is forked, or it
-    dies or sends too little, this process trains alone, from the start.
-    Both ways give the same bits where a GEMM row's bits do not depend on
-    the GEMM's row count."""
+    sums through pipes (`layers.Shards` over a `_Link`); only this process
+    takes the loss and validates, while the child waits for the next
+    epoch's lr. When no child is forked, or it dies or sends too little,
+    this process trains both shards alone, from the start, to the same
+    bits."""
     x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
@@ -335,14 +286,15 @@ def train(config, features, labels, hyper: TrainHyper):
 
 def _train_child(config, x, y, tr_idx, hyper, link):
     """The child's side of two-process `train`: shard B of every batch of each
-    epoch, at the lr the parent sends before it. It never returns: it ends
-    when the parent's pipe does (`_PeerLost`) or when the parent kills it."""
+    epoch, at the lr the parent sends before it; it takes no loss. It never
+    returns: it ends when the parent's pipe does (`_PeerLost`) or when the
+    parent kills it."""
     params, adam, rng = _start(config, hyper)
     lr = np.empty(1)
     while True:
         adam.lr = float(link.recv(lr)[0])
-        _epoch(config, params, adam, rng, x, y, tr_idx, hyper.batch_size,
-               lambda n: _Shard(n, link))
+        for _ in _epoch(config, params, adam, rng, x, y, tr_idx, hyper.batch_size, link):
+            pass
 
 
 def _fit(config, x, y, tr_idx, val, hyper, link=None):
@@ -351,7 +303,6 @@ def _fit(config, x, y, tr_idx, val, hyper, link=None):
     sends the child each epoch's lr before the epoch."""
     x_val, y_val = val
     params, adam, rng = _start(config, hyper)
-    shards_of = layers.Shards if link is None else (lambda n: _Shard(n, link))
     history, best_params = [], None
     best_val_loss, since_improvement = float("inf"), 0
     n_tr = len(tr_idx)
@@ -359,8 +310,11 @@ def _fit(config, x, y, tr_idx, val, hyper, link=None):
     for epoch in range(1, hyper.max_epochs + 1):
         if link is not None:
             link.send(np.array([adam.lr]))
-        loss_sum, correct = _epoch(config, params, adam, rng, x, y, tr_idx,
-                                   hyper.batch_size, shards_of)
+        loss_sum, correct = 0.0, 0
+        for probs, yb in _epoch(config, params, adam, rng, x, y, tr_idx, hyper.batch_size,
+                                link):
+            loss_sum += (bce_loss(probs, yb)[0] + l2_penalty(config, params)) * len(yb)
+            correct += int(((probs > THRESHOLD) == (yb == 1)).sum())
         val_probs = _finite(predict_probs(config, params, x_val))
         val_loss = bce_loss(val_probs, y_val)[0] + l2_penalty(config, params)
         val_acc = float(((val_probs > THRESHOLD) == (y_val == 1)).mean())

@@ -688,6 +688,26 @@ def test_blocks_after_the_first_data_row_skip_the_row_parser(tmp_path, monkeypat
         assert row_nos == list(range(first, first + 8)) and problems == []
 
 
+def test_blocks_end_at_a_line_count_or_before_a_byte_count(monkeypatch):
+    monkeypatch.setattr(dataset, "PARSE_BLOCK_LINES", 3)
+    monkeypatch.setattr(dataset, "PARSE_BLOCK_BYTES", 10)
+    # 3-byte lines, a line longer than the byte bound and long lines' counts
+    lines = [b"ab\n"] * 4 + [b"abcdefghijk\n", b"a\n", 20, 30]
+    assert list(dataset._blocks(iter(lines))) == [
+        lines[:3], lines[3:4], lines[4:5], lines[5:6], [20], [30]]
+    assert list(dataset._blocks(iter([]))) == []
+
+
+def test_blocks_cut_by_bytes_parse_as_the_row_path(tmp_path, monkeypatch):
+    path = tmp_path / "features.csv"
+    path.write_bytes((HEADER + "\n" + "\n".join(FOUR_ROWS * 3) + "\n\n1.0,2\n").encode())
+    expected = row_path(path, labelled=False)
+    monkeypatch.setattr(dataset, "PARSE_BLOCK_BYTES", 3 * len(FOUR_ROWS[0]))
+    features, row_nos, problems = dataset.load_features_csv(path)
+    assert features.tobytes() == expected[0].tobytes()
+    assert (row_nos, problems) == (expected[2], expected[3])
+
+
 def parse(path, labelled=False):
     """_parse_rows of `path` as comparable values, or its DataError message."""
     try:
@@ -1047,6 +1067,34 @@ def test_a_byte_that_is_not_utf8_after_a_long_line_is_named_at_its_offset(tmp_pa
     path.write_bytes(content)
     offset = content.index(b"\xff")
     assert parse(path) == f"{path}: not UTF-8 text (byte {offset}: invalid start byte)"
+
+
+MANY_LONG_LINES_PEAK = """
+import sys, tracemalloc
+from seiznet import dataset
+dataset.SPLIT_PARSE_BYTES = int(sys.argv[2])
+tracemalloc.start()
+_, row_nos, problems = dataset.load_features_csv(sys.argv[1])
+print(tracemalloc.get_traced_memory()[1], len(row_nos), len(problems))
+"""
+
+
+@pytest.mark.parametrize("split_bytes", [1 << 20, 1 << 62], ids=["split", "whole"])
+def test_a_file_of_many_long_lines_is_parsed_a_few_lines_at_a_time(tmp_path, split_bytes):
+    # 8 lines of 250,000 fields, 1,000,000 bytes each: under MAX_LINE_BYTES,
+    # so each is held, and each is a bad row. Held as one block of 8 lines
+    # (4 in a split's first half) they peaked at 41-46 MB traced; the row
+    # parser alone peaks at about 18 MB on one such line (its field strings)
+    path = tmp_path / "features.csv"
+    path.write_bytes((",".join(["1.5"] * 250_000) + "\n").encode() * 8)
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    run = subprocess.run([sys.executable, "-c", MANY_LONG_LINES_PEAK, str(path),
+                          str(split_bytes)], capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    peak, rows, problems = map(int, run.stdout.split())
+    assert (rows, problems) == (0, 8)
+    assert peak < 26 << 20
 
 
 LONG_LINE_PEAK = """

@@ -50,12 +50,14 @@ class TestShapes:
         _, trace = model_forward(cfg, params, x, "train",
                                  dropout_rng=np.random.default_rng(0))
         trace = {layer.name: cache for layer, cache in trace}
-        # pool caches hold the pool's input: [N, L_in, C]
-        assert trace["pool1"].shape == (3, 178, 32)
-        assert trace["pool2"].shape == (3, 89, 64)
-        assert trace["pool3"].shape == (3, 44, 128)
-        assert trace["attn"][0].shape == (3, 22, 128)  # attention input
-        assert trace["probs"].shape == (3,)
+        # one cache per shard, of ceil(3 / 2) rows and of 1; pool caches hold
+        # the pool's input: [N, L_in, C]
+        for shard, n in enumerate((2, 1)):
+            assert trace["pool1"][shard].shape == (n, 178, 32)
+            assert trace["pool2"][shard].shape == (n, 89, 64)
+            assert trace["pool3"][shard].shape == (n, 44, 128)
+            assert trace["attn"][shard][0].shape == (n, 22, 128)  # attention input
+            assert trace["probs"][shard].shape == (n,)
 
     def test_param_shapes_fixed_by_config(self):
         cfg = ModelConfig()
@@ -236,7 +238,7 @@ class TestFloat32Trunk:
         for layer in layer_list:
             def spy(p, x, rng, shards=None, _name=layer.name, _real=layer.forward):
                 y, cache = _real(p, x, rng, shards)
-                seen.append((_name, x.dtype, y.dtype))
+                seen.append((_name, one_dtype(x), one_dtype(y)))
                 return y, cache
             monkeypatch.setattr(layer, "forward", spy)
         return seen
@@ -329,11 +331,12 @@ class TestBackward:
         probs, trace = model_forward(config, params, x, "train",
                                      dropout_rng=np.random.default_rng(2))
         g_probs = np.random.default_rng(3).standard_normal(probs.shape)
-        want, g = {}, g_probs
+        shards = layers.Shards(8)
+        want, g = {}, shards.split(g_probs)
         for layer, cache in reversed(trace):
-            g, layer_grads = layer.backward(cache, g)
+            g, layer_grads = layer.backward(cache, g, shards=shards)
             want.update(layer_grads)
-        assert g.shape == (8, config.input_len, 1)
+        assert [rows.shape for rows in g] == [(4, config.input_len, 1)] * 2
         got = model_backward(trace, g_probs)
         assert list(got) == list(want)
         for name, w in want.items():
@@ -342,8 +345,11 @@ class TestBackward:
 
     def test_layers_reach_functions_patched_on_the_module(self, monkeypatch):
         # tracing and fault injection patch layers.<fn>; each layer must run
-        # the patched function, not one captured before the patch
-        expected = {
+        # the patched function, not one captured before the patch. Infer
+        # mode calls each forward once a layer; train mode calls each op
+        # once a shard of the 2-row batch, but batch norm's and dropout's
+        # forward pass, which see the whole batch
+        per_layer = {
             "conv1d_forward": 3, "conv1d_backward": 3,
             "batchnorm_forward": 5, "batchnorm_backward": 5,
             "relu_forward": 5, "relu_backward": 5,
@@ -355,6 +361,8 @@ class TestBackward:
             "dropout_forward": 2, "dropout_backward": 2,
             "sigmoid_forward": 1, "sigmoid_backward": 1,
         }
+        whole = ("batchnorm_forward", "batchnorm_backward", "dropout_forward")
+        expected = {fn: n if fn in whole else 2 * n for fn, n in per_layer.items()}
         calls = dict.fromkeys(expected, 0)
         for fn in expected:
             def counted(*args, _fn=fn, _real=getattr(layers, fn), **kwargs):
@@ -369,7 +377,7 @@ class TestBackward:
         # infer mode runs each forward of the folded network and nothing else
         calls.update(dict.fromkeys(calls, 0))
         model_forward(cfg, cfg.net.fold(params), x, "infer")
-        infer = {fn: n if fn.endswith("_forward") else 0 for fn, n in expected.items()}
+        infer = {fn: n if fn.endswith("_forward") else 0 for fn, n in per_layer.items()}
         infer.update(batchnorm_forward=0, dropout_forward=0)
         assert calls == infer
 
@@ -455,7 +463,7 @@ def test_hundred_training_steps_stay_finite():
     adam = optim.Adam(1e-3, {n: params[n] for n in cfg.net.learnable})
     rng = np.random.default_rng(6)
     for step in range(100):
-        _, _, grads = optim.loss_and_grads(cfg, params, x, y, rng)
+        _, grads = optim.batch_gradients(cfg, params, x, y, rng)
         for g in grads.values():
             assert np.isfinite(g).all()
         adam.step(grads)
@@ -483,6 +491,15 @@ def at_half_the_threads(fn, *args):
     process of a split scoring pass runs."""
     with parallel.halved():
         return fn(*args)
+
+
+def one_dtype(a):
+    """a's dtype, or None for None; of a train-mode list of per-shard
+    arrays, the one such value of them all."""
+    if isinstance(a, list):
+        (dtype,) = {one_dtype(rows) for rows in a}
+        return dtype
+    return None if a is None else a.dtype
 
 
 def assert_no_child_left():

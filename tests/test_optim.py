@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import seiznet
-from seiznet import gradcheck, layers, optim, parallel
+from seiznet import gradcheck, kernels, layers, optim, parallel
 from seiznet.artifact import save_artifact
 from seiznet.cli import main
 from seiznet.dataset import partition_indices, synthesize
@@ -16,7 +16,8 @@ from seiznet.model import (CANCELLED, MEAN, VAR, ModelConfig, model_backward, mo
                            predict_probs, toy_config)
 from seiznet.optim import Adam, TrainHyper, bce_loss, evaluate, l2_penalty, train
 from seiznet.preprocess import apply_scaler, fit_scaler, wavelet_denoise
-from test_model import assert_no_child_left, split_skip_reason
+from test_cli import OPENBLAS_KERNEL_SKIP
+from test_model import assert_no_child_left, one_dtype, split_skip_reason
 
 
 def prepared_synthetic(n_per_class, seed=7):
@@ -56,19 +57,18 @@ class TestBceLoss:
             num = (bce_loss(up, labels)[0] - bce_loss(dn, labels)[0]) / (2 * h)
             assert grad[i] == pytest.approx(num, rel=1e-5)
 
-    def test_loss_and_grads_adds_the_penalty_onto_the_kernels(self):
+    def test_batch_gradients_add_the_penalty_onto_the_kernels(self):
         cfg = toy_config()
         params = cfg.net.init_params(0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, cfg.input_len))
         y = np.array([0.0, 1.0, 1.0, 0.0])
-        loss, probs, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(3))
+        probs, grads = optim.batch_gradients(cfg, params, x, y, np.random.default_rng(3))
         # the data term alone, on the same batch and dropout masks
         probs0, trace = model_forward(cfg, params, x, "train",
                                       dropout_rng=np.random.default_rng(3))
         grads0 = model_backward(trace, bce_loss(probs0, y)[1])
         assert np.array_equal(probs, probs0)
-        assert loss == bce_loss(probs, y)[0] + l2_penalty(cfg, params)
         assert l2_penalty(cfg, params) > 0
         kernels = set(cfg.net.l2)
         assert kernels and set(grads) == set(grads0)
@@ -258,13 +258,13 @@ def _spy_dtypes(monkeypatch, net):
     for layer in net.layers:
         def forward(p, x, rng, shards=None, _name=layer.name, _real=layer.forward):
             y, cache = _real(p, x, rng, shards)
-            seen.append((_name, "forward", x.dtype, y.dtype))
+            seen.append((_name, "forward", one_dtype(x), one_dtype(y)))
             return y, cache
 
         def backward(cache, g, input_grad=True, shards=None, _name=layer.name,
                      _real=layer.backward):
             gx, grads = _real(cache, g, input_grad, shards)
-            seen.append((_name, "backward", g.dtype, None if gx is None else gx.dtype))
+            seen.append((_name, "backward", one_dtype(g), one_dtype(gx)))
             grad_dtypes.update((n, a.dtype) for n, a in grads.items())
             return gx, grads
         monkeypatch.setattr(layer, "forward", forward)
@@ -280,12 +280,14 @@ class TestMixedPrecisionStep:
         # on float64 copies, so the reference step leaves every running
         # statistic in params as it was
         params64 = {n: a.astype(np.float64) for n, a in params.items()}
-        loss64, _, grads64 = optim.loss_and_grads(cfg, params64, x, y, np.random.default_rng(1))
+        probs64, grads64 = optim.batch_gradients(cfg, params64, x, y, np.random.default_rng(1))
+        loss64 = bce_loss(probs64, y)[0] + l2_penalty(cfg, params64)
         stats = {n: params[n] for n, role in cfg.net.roles.items() if role in (MEAN, VAR)}
         stats_before = {n: a.copy() for n, a in stats.items()}
 
         seen, grad_dtypes = _spy_dtypes(monkeypatch, cfg.net)
-        loss, _, grads = optim.loss_and_grads(cfg, params, x, y, np.random.default_rng(1))
+        probs, grads = optim.batch_gradients(cfg, params, x, y, np.random.default_rng(1))
+        loss = bce_loss(probs, y)[0] + l2_penalty(cfg, params)
         adam = Adam(1e-3, {n: params[n] for n in cfg.net.learnable})
         adam.step(grads)
 
@@ -528,9 +530,46 @@ def test_batch_norm_counts_the_whole_batch_not_its_shard():
     x = np.random.default_rng(0).standard_normal((1, 6, 3)).astype(np.float32)
     with pytest.raises(ValueError, match="at least 2"):
         layers.batchnorm_forward(x, *tensors())
-    got, _ = layers.batchnorm_forward(x, *tensors(), shards=optim._Shard(2, Mirror()))
+    got, _ = layers.batchnorm_forward(x, *tensors(), shards=layers.Shards(2, Mirror()))
     want, _ = layers.batchnorm_forward(np.concatenate([x, x]), *tensors())
     assert got.tobytes() == want[:1].tobytes()
+
+
+def test_one_process_runs_every_row_wise_op_once_per_shard(monkeypatch):
+    # a failing fork leaves the training to this process, which runs each
+    # of these ops on the rows of one shard at a time, as each of two
+    # processes does: at most ceil(n / 2) rows of an n-row batch
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows, batch = {}, []
+
+    def spy(module, fn, arg):
+        def counted(*args, _real=getattr(module, fn), **kwargs):
+            if batch:  # a training step's, not validation's
+                rows.setdefault(fn, set()).add((len(args[arg]), batch[-1]))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, fn, counted)
+
+    for fn in ("conv1d_forward", "mha_forward", "dense_forward"):
+        spy(layers, fn, 0)
+    spy(kernels, "conv1d_grad_x", 1)
+    step = optim.batch_gradients
+
+    def in_a_step(config, params, x, y, *args):
+        batch.append(len(y))
+        try:
+            return step(config, params, x, y, *args)
+        finally:
+            batch.pop()
+
+    monkeypatch.setattr(optim, "batch_gradients", in_a_step)
+    # 65 training rows: a batch of 32 rows and one of 33
+    x, y = prepared_synthetic(36, seed=5)
+    train(ModelConfig(), x, y, TrainHyper(max_epochs=1, batch_size=32, seed=3))
+    assert rows == dict.fromkeys(["conv1d_forward", "mha_forward", "dense_forward",
+                                  "conv1d_grad_x"], {(16, 32), (17, 33), (16, 33)})
 
 
 SPLIT_SKIP = split_skip_reason()
@@ -613,7 +652,7 @@ class TestSplitTraining:
         x, y = prepared_synthetic(36, seed=6)
         cfg, hyper = ModelConfig(), TrainHyper(max_epochs=2, batch_size=16, seed=4)
         want = train(cfg, x, y, hyper)
-        parent, step, steps = os.getpid(), optim.loss_and_grads, []
+        parent, step, steps = os.getpid(), optim.batch_gradients, []
 
         def child_dies(*args):
             if os.getpid() != parent:
@@ -622,7 +661,7 @@ class TestSplitTraining:
                     os._exit(1)
             return step(*args)
 
-        monkeypatch.setattr(optim, "loss_and_grads", child_dies)
+        monkeypatch.setattr(optim, "batch_gradients", child_dies)
         got = train(cfg, x, y, hyper)
         assert len(self.forks) == 2 and steps == []
         assert_same_bits(got, want)
@@ -694,12 +733,56 @@ class TestSplitTraining:
         assert len(self.forks) == 1
         (tmp_path / "from_parent").write_bytes(from_parent)
         tr_idx, _ = partition_indices(y, 1.0 - optim.VAL_FRACTION, hyper.seed)
+        # only the parent records the loss, so the child takes none
+        losses = []
+        for fn in ("bce_loss", "l2_penalty"):
+            monkeypatch.setattr(optim, fn, lambda *args, _fn=fn: losses.append(_fn))
         with parallel.halved(), open(tmp_path / "from_parent", "rb") as inp, \
                 open(tmp_path / "to_parent", "wb") as out:
             # the parent's stream ends after the last epoch's lr
             with pytest.raises(optim._PeerLost):
                 optim._train_child(cfg, x, y, tr_idx, hyper, optim._Link(True, inp, out))
         assert (tmp_path / "to_parent").read_bytes() == to_parent
+        assert losses == []
+
+    def test_the_end_of_step_message_holds_the_learnable_gradients_only(self, monkeypatch):
+        # the cancelled shifts' sums, which no step reads, do not travel;
+        # nor do batch norm's, which the two processes add mid-pass
+        sizes, send = [], optim._Link.send
+
+        def record_send(link, a):
+            if not link.b:
+                sizes.append(memoryview(a).nbytes)
+            send(link, a)
+
+        monkeypatch.setattr(optim._Link, "send", record_send)
+        x, y = prepared_synthetic(36, seed=7)
+        cfg = ModelConfig()
+        train(cfg, x, y, TrainHyper(max_epochs=1, batch_size=32, seed=5))
+        assert len(self.forks) == 1
+        grads = optim.batch_gradients(cfg, cfg.net.init_params(0), x[:2], y[:2],
+                                      np.random.default_rng(0))[1]
+        norms = {n for layer in cfg.net.layers if layer.op == "batchnorm" for n in layer.shapes}
+        grad_bytes = sum(g.nbytes for n, g in grads.items() if n not in norms)
+        # a batch of 32 rows and one of 33: shard A's gradients and its 16
+        # and 17 probabilities
+        assert sorted(sizes)[-2:] == [grad_bytes + 8 * 16, grad_bytes + 8 * 17]
+        assert grad_bytes + 8 * 16 == 600_072
+
+    @pytest.mark.skipif(OPENBLAS_KERNEL_SKIP is not None, reason=str(OPENBLAS_KERNEL_SKIP))
+    def test_one_process_gives_the_bits_of_two_on_the_haswell_kernel(self):
+        # OpenBLAS picks its kernel when numpy loads, so the 32- and 33-row
+        # cases run again in a fresh interpreter under the AVX2-only
+        # Haswell kernel, on which a float32 GEMM row's bits depend on the
+        # GEMM's row count
+        src = os.path.dirname(os.path.dirname(seiznet.__file__))
+        case = f"{__file__}::TestSplitTraining::test_one_process_gives_the_bits_of_two"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              case, "-k", "batches-of-32-and-33"],
+                             capture_output=True, text=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell"))
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "3 passed" in run.stdout
 
     def test_a_child_whose_parent_is_gone_exits(self, monkeypatch):
         # the forked child's entry, run in this process: a fork that returns
